@@ -63,6 +63,20 @@ fn faulty_plan() -> FaultPlan {
     }
 }
 
+/// Partition cut + heal, Gilbert–Elliott bursts on top of i.i.d. loss,
+/// and a link heal in the same round as a node restart. Node ids and the
+/// 0–1 edge are valid on every graph these tests build.
+fn churn_plan() -> FaultPlan {
+    FaultPlan::with_loss(0.02)
+        .with_burst(0.05, 0.3, 0.9)
+        .fail_link(0, 1, 4)
+        .crash_node(1, 6)
+        .partition(vec![2], 10)
+        .heal_partition(vec![2], 22)
+        .heal_link(0, 1, 28)
+        .restart_node(1, 28)
+}
+
 /// Run `specs` as one PCF batch with `threads` workers and fingerprint
 /// every tenant.
 fn run_batch(specs: &[TenantSpec], threads: usize, rounds: u64) -> Vec<Fingerprint> {
@@ -113,17 +127,19 @@ fn pcf_batch_of_one_matches_simulator_fault_free() {
 
 #[test]
 fn pcf_batch_of_one_matches_simulator_faulty() {
-    let spec = TenantSpec {
-        graph: hypercube(6),
-        seed: 9,
-        plan: faulty_plan(),
-        values: ramp(64),
-        max_rounds: 300,
-    };
-    assert_eq!(
-        run_batch(std::slice::from_ref(&spec), 1, 300)[0],
-        run_classic_pcf(&spec, 300)
-    );
+    for plan in [faulty_plan(), churn_plan()] {
+        let spec = TenantSpec {
+            graph: hypercube(6),
+            seed: 9,
+            plan,
+            values: ramp(64),
+            max_rounds: 300,
+        };
+        assert_eq!(
+            run_batch(std::slice::from_ref(&spec), 1, 300)[0],
+            run_classic_pcf(&spec, 300)
+        );
+    }
 }
 
 #[test]
@@ -272,7 +288,7 @@ proptest! {
         kinds in proptest::collection::vec(0u8..=255, 2..6),
         sizes in proptest::collection::vec(0u8..=255, 6),
         seeds in proptest::collection::vec(0u64..1_000_000, 6),
-        lossy in proptest::bool::ANY,
+        plan_kind in 0u8..3,
         rot in 0usize..6,
     ) {
         let specs: Vec<TenantSpec> = kinds
@@ -284,7 +300,11 @@ proptest! {
                 TenantSpec {
                     graph,
                     seed: seeds[i],
-                    plan: if lossy { lossy_plan() } else { FaultPlan::none() },
+                    plan: match plan_kind {
+                        0 => FaultPlan::none(),
+                        1 => lossy_plan(),
+                        _ => churn_plan(),
+                    },
                     values: ramp(n),
                     max_rounds: 40,
                 }

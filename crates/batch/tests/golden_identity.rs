@@ -216,6 +216,20 @@ fn restart_plan() -> FaultPlan {
     FaultPlan::none().crash_node(5, 30).restart_node(5, 110)
 }
 
+/// The netsim golden tests' churn plan, verbatim: partition cut + heal,
+/// bursts on top of i.i.d. loss, and a link heal in the same round as a
+/// node restart.
+fn churn_plan() -> FaultPlan {
+    FaultPlan::with_loss(0.02)
+        .with_burst(0.05, 0.3, 0.9)
+        .fail_link(0, 1, 4)
+        .crash_node(1, 6)
+        .partition(vec![2], 10)
+        .heal_partition(vec![2], 22)
+        .heal_link(0, 1, 28)
+        .restart_node(1, 28)
+}
+
 // ---- batch-of-1: every sync/zero-delay/oracle pin, same constants ----
 
 #[test]
@@ -271,6 +285,14 @@ fn golden_sync_node_restart() {
     assert_eq!(
         batch_of_one(hypercube(4), restart_plan(), 19, 200),
         0x59ba996945a1c04c
+    );
+}
+
+#[test]
+fn golden_sync_churn() {
+    assert_eq!(
+        batch_of_one(hypercube(6), churn_plan(), 9, 300),
+        0x7edbd2ef436c438b
     );
 }
 
@@ -341,6 +363,13 @@ fn mixed_batch_with_heals_and_restarts_reproduces_pins() {
             values: vec![0.0; 64],
             max_rounds: 300,
         },
+        TenantSpec {
+            graph: hypercube(6),
+            seed: 9,
+            plan: churn_plan(),
+            values: vec![0.0; 64],
+            max_rounds: 300,
+        },
     ];
     assert_eq!(
         batch_hashes(specs, 300),
@@ -349,6 +378,7 @@ fn mixed_batch_with_heals_and_restarts_reproduces_pins() {
             0x94ca750f639101b7,
             0x59ba996945a1c04c,
             0x9b3917a34bfdc941,
+            0x7edbd2ef436c438b,
         ]
     );
 }

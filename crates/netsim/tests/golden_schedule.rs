@@ -162,6 +162,22 @@ fn faulty_plan() -> FaultPlan {
     }
 }
 
+/// Partition cut + heal, Gilbert–Elliott bursts on top of i.i.d. loss,
+/// and a link heal in the same round as a node restart (the heal fires
+/// first, so the restart rebuilds its believed set over the healed link).
+/// Node ids and the 0–1 edge are valid on every graph the batch tests
+/// use, which pin the same constant.
+fn churn_plan() -> FaultPlan {
+    FaultPlan::with_loss(0.02)
+        .with_burst(0.05, 0.3, 0.9)
+        .fail_link(0, 1, 4)
+        .crash_node(1, 6)
+        .partition(vec![2], 10)
+        .heal_partition(vec![2], 22)
+        .heal_link(0, 1, 28)
+        .restart_node(1, 28)
+}
+
 fn sync() -> SimOptions {
     SimOptions::default()
 }
@@ -290,6 +306,29 @@ fn golden_sync_node_restart() {
     assert_eq!(
         run_hash(&hypercube(4), plan, 19, sync(), 200),
         0x59ba996945a1c04c
+    );
+}
+
+#[test]
+fn golden_sync_churn() {
+    assert_eq!(
+        run_hash(&hypercube(6), churn_plan(), 9, sync(), 300),
+        0x7edbd2ef436c438b
+    );
+}
+
+#[test]
+fn golden_timeout_churn() {
+    // The churn plan under the timeout detector: heals and restarts
+    // resume monitoring instead of queueing oracle detections.
+    let opts = SimOptions {
+        delay: DelayModel::Uniform { min: 0, max: 2 },
+        detector: DetectorModel::Timeout { window: 8 },
+        ..SimOptions::default()
+    };
+    assert_eq!(
+        run_hash_detector(&hypercube(4), churn_plan(), 31, opts, 200),
+        0x73abcede9e569db2
     );
 }
 

@@ -164,6 +164,19 @@ fn faulty_plan() -> FaultPlan {
     }
 }
 
+/// Partition cut + heal, Gilbert–Elliott bursts, and a link heal in the
+/// same round as a node restart.
+fn churn_plan() -> FaultPlan {
+    FaultPlan::with_loss(0.02)
+        .with_burst(0.05, 0.3, 0.9)
+        .fail_link(0, 1, 4)
+        .crash_node(1, 6)
+        .partition(vec![2], 10)
+        .heal_partition(vec![2], 22)
+        .heal_link(0, 1, 28)
+        .restart_node(1, 28)
+}
+
 fn options(partitions: usize, threads: usize, detector: DetectorModel) -> SimOptions {
     SimOptions {
         partitions,
@@ -392,8 +405,29 @@ fn golden_partitioned_torus_fault_free() {
     );
 }
 
+#[test]
+fn golden_partitioned_hypercube_churn() {
+    for (detector, golden) in [
+        (DetectorModel::Oracle, GOLDEN_HC6_P4_CHURN_ORACLE),
+        (timeout(), GOLDEN_HC6_P4_CHURN_TIMEOUT),
+    ] {
+        assert_eq!(
+            run_digest(
+                &hypercube(6),
+                &churn_plan(),
+                42,
+                options(4, 4, detector),
+                200
+            ),
+            golden
+        );
+    }
+}
+
 const GOLDEN_HC6_P4: u64 = 0xcf21_8c6f_fff3_01f5;
 const GOLDEN_TORUS_P4: u64 = 0xab58_c4f8_77e0_1571;
+const GOLDEN_HC6_P4_CHURN_ORACLE: u64 = 0x3856_2368_c5b5_41c6;
+const GOLDEN_HC6_P4_CHURN_TIMEOUT: u64 = 0x0dd4_513a_5dd8_25c5;
 
 // ---- typed configuration errors ---------------------------------------
 
@@ -464,10 +498,14 @@ proptest! {
     fn random_partitionings_are_thread_invariant(
         partitions in 1usize..=32,
         seed in 0u64..1_000_000,
-        lossy in proptest::bool::ANY,
+        plan_kind in 0u8..3,
     ) {
         let g = hypercube(5);
-        let plan = if lossy { faulty_plan() } else { FaultPlan::none() };
+        let plan = match plan_kind {
+            0 => FaultPlan::none(),
+            1 => faulty_plan(),
+            _ => churn_plan(),
+        };
         let one = run_digest(&g, &plan, seed, options(partitions, 1, timeout()), 60);
         for threads in [3, 8] {
             let d = run_digest(&g, &plan, seed, options(partitions, threads, timeout()), 60);
