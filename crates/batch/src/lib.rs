@@ -20,11 +20,12 @@
 //! of the graph construction.
 //!
 //! [`BatchSim`] then drives per-tenant synchronous rounds exactly as the
-//! classic engine would: each tenant owns the same three RNG streams
-//! ([`RngStream::Schedule`]/[`Faults`](RngStream::Faults)/
-//! [`Burst`](RngStream::Burst)) seeded from *its own* seed, its own fault
-//! queues, its own pending-detection list and its own [`SimStats`]. A
-//! tenant's node block never exchanges a message with another block, so:
+//! classic engine would, through the same fault code: each tenant owns a
+//! [`FaultRange`] over its node/arc block (the plan's queues, pending
+//! detections and a tenant-local dead-arc mask) and a [`Lane`] on the
+//! classic engine's three RNG streams seeded from *its own* seed, with its
+//! own [`SimStats`]. A tenant's node block never exchanges a message with
+//! another block, so:
 //!
 //! * **batch-of-1 is bit-identical to the single-run engine** — with
 //!   `node_base = 0` every id, every schedule draw and every fault draw
@@ -68,16 +69,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gr_netsim::{
-    stream_rng, BurstModel, Corrupt, FaultPlan, LinkFailure, LinkHeal, NetPartition, NodeCrash,
-    NodeRestart, PartitionHeal, Protocol, RngStream, Schedule, SimConfigError, SimStats,
+    Believed, FaultCtx, FaultPlan, FaultRange, Lane, Protocol, Schedule, SimConfigError, SimStats,
     WorkerPool,
 };
 use gr_reduction::{
     AggregateKind, FlowUpdating, InitialData, PushCancelFlow, PushFlow, ReductionProtocol,
 };
 use gr_topology::{disjoint_union, Graph, NodeId};
-use rand::rngs::StdRng;
-use rand::RngExt;
 
 /// One tenant of a batch: its own topology, seed, fault plan, initial
 /// values and round budget — the same knobs a standalone `Simulator` run
@@ -316,47 +314,15 @@ impl BatchHost {
     }
 }
 
-/// One due oracle detection: `node` learns `neighbor` is unreachable.
-#[derive(Clone, Copy, Debug)]
-struct Detection {
-    round: u64,
-    node: NodeId,
-    neighbor: NodeId,
-}
-
-/// Per-tenant runtime state: RNG streams, fault queues, transit models
-/// and counters — everything the classic engine keeps globally, struck
-/// per tenant. Node ids in queues are already offset into union space.
+/// Per-tenant runtime state: the tenant's [`FaultRange`] over its node
+/// and arc block, its [`Lane`] of RNG streams and counters seeded from its
+/// own seed, and its round bookkeeping.
 struct Tenant {
     node_base: NodeId,
     node_end: NodeId,
-    arc_base: usize,
-    sched_rng: StdRng,
-    fault_rng: StdRng,
-    burst_rng: StdRng,
+    faults: FaultRange,
+    lane: Lane,
     schedule: Schedule,
-    loss: f64,
-    flip: f64,
-    burst: Option<BurstModel>,
-    burst_bad: bool,
-    link_queue: Vec<LinkFailure>,
-    link_cursor: usize,
-    crash_queue: Vec<NodeCrash>,
-    crash_cursor: usize,
-    heal_queue: Vec<LinkHeal>,
-    heal_cursor: usize,
-    restart_queue: Vec<NodeRestart>,
-    restart_cursor: usize,
-    cut_queue: Vec<NetPartition>,
-    cut_cursor: usize,
-    cut_heal_queue: Vec<PartitionHeal>,
-    cut_heal_cursor: usize,
-    pending_detections: Vec<Detection>,
-    /// Physically-dead arc bitmask, indexed by *tenant-local* arc —
-    /// word-aligned per tenant so concurrent workers never share a word.
-    dead_arcs: Vec<u64>,
-    physical_faults: bool,
-    stats: SimStats,
     round: u64,
     max_rounds: u64,
     active: bool,
@@ -448,20 +414,6 @@ impl SnapshotBoard {
     }
 }
 
-/// `*mut` wrapper asserting the phase-disjointness discipline: workers
-/// touch only tenant-owned state of their own chunk (plus their own
-/// worker-indexed arenas), and the pool barrier retires every worker
-/// before the caller resumes exclusive use.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
 /// The multi-tenant round engine. See the crate docs for the execution
 /// and determinism model.
 pub struct BatchSim<'h, P: TenantProtocol> {
@@ -472,8 +424,7 @@ pub struct BatchSim<'h, P: TenantProtocol> {
     /// ranges).
     alive_node: Vec<bool>,
     /// Union-CSR believed-alive lists, one segment per node.
-    believed_flat: Vec<NodeId>,
-    believed_len: Vec<u32>,
+    believed: Believed,
     /// Current input value per union node (convergence targets and
     /// streaming-update deltas).
     inputs: Vec<f64>,
@@ -510,12 +461,6 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
         }
         let graph = &host.graph;
         let n = graph.len();
-        let mut believed_flat = Vec::with_capacity(graph.arc_count());
-        let mut believed_len = Vec::with_capacity(n);
-        for i in 0..n as NodeId {
-            believed_flat.extend_from_slice(graph.neighbors(i));
-            believed_len.push(graph.degree(i) as u32);
-        }
         let mut inputs = Vec::with_capacity(n);
         let mut tenants = Vec::with_capacity(specs.len());
         for (spec, e) in specs.iter().zip(&host.extents) {
@@ -538,8 +483,7 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
             updates: vec![Vec::new(); tenants.len()],
             tenants,
             alive_node: vec![true; n],
-            believed_flat,
-            believed_len,
+            believed: Believed::new(graph),
             inputs,
             send_bufs: (0..workers).map(|_| Vec::new()).collect(),
             workers,
@@ -583,7 +527,7 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
 
     /// Tenant `t`'s transport counters.
     pub fn tenant_stats(&self, t: usize) -> SimStats {
-        self.tenants[t].stats
+        self.tenants[t].lane.stats
     }
 
     /// Rounds tenant `t` has completed.
@@ -627,9 +571,7 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
     /// The union-graph nodes `node` currently believes alive (sorted
     /// ascending) — the batch analogue of `Simulator::believed_alive`.
     pub fn believed_alive(&self, node: NodeId) -> &[NodeId] {
-        let base = self.host.graph.arc_base(node);
-        let len = self.believed_len[node as usize] as usize;
-        &self.believed_flat[base..base + len]
+        self.believed.list(&self.host.graph, node)
     }
 
     /// `true` when every tenant has stopped stepping.
@@ -656,24 +598,14 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
     pub fn step_round(&mut self) {
         let nw = self.workers;
         if let Some(pool) = self.pool.take() {
-            let ptr = SendPtr(self as *mut Self);
-            pool.run(nw, move |w| {
-                // Capture the whole wrapper (not the raw-pointer field)
-                // so the closure inherits SendPtr's Send + Sync.
-                let ptr = ptr;
-                // SAFETY: worker `w` steps only tenants in its fixed
-                // chunk; every mutable touch is tenant-owned (the tenant
-                // struct, its update queue, its contiguous node/arc
-                // ranges of the strided vectors, its nodes' protocol
-                // state per the PARALLEL_SAFE contract) or worker-owned
-                // (send_bufs[w], the protocol's part-`w` arenas). The
-                // snapshot board is written through atomics. The pool's
-                // barrier retires all workers before `run` returns, so
-                // these aliased `&mut`s never overlap the caller's
-                // exclusive use.
-                let sim = unsafe { &mut *ptr.0 };
-                sim.run_worker(w);
-            });
+            // SAFETY: worker `w` steps only tenants in its fixed chunk;
+            // every mutable touch is tenant-owned (the tenant struct and
+            // its fault range, its update queue, its contiguous node/arc
+            // ranges of the strided vectors, its nodes' protocol state per
+            // the PARALLEL_SAFE contract) or worker-owned (send_bufs[w],
+            // the protocol's part-`w` arenas). The snapshot board is
+            // written through atomics.
+            unsafe { pool.run_split(nw, self, |sim, w| sim.run_worker(w)) };
             self.pool = Some(pool);
         } else {
             self.run_worker(0);
@@ -726,12 +658,20 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
     /// synchronous send/deliver/reply sweep.
     fn step_tenant(&mut self, w: usize, t: usize) {
         self.apply_updates(t);
-        self.fire_scheduled_faults(t);
-        self.deliver_detections(t);
+        let tn = &mut self.tenants[t];
+        let mut cx = FaultCtx {
+            graph: &self.host.graph,
+            alive: &mut self.alive_node,
+            believed: &mut self.believed,
+            protocol: &mut self.protocol,
+            lane: &mut tn.lane,
+        };
+        tn.faults.fire_due(tn.round, &mut cx);
+        tn.faults.deliver_detections(&mut cx);
         self.sync_round(w, t);
         let tn = &mut self.tenants[t];
         tn.round += 1;
-        tn.stats.rounds += 1;
+        tn.lane.stats.rounds += 1;
         if tn.round >= tn.max_rounds {
             tn.active = false;
         }
@@ -788,419 +728,29 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
         self.tenants[t].converged = converged;
     }
 
-    /// Mark the arcs of link `(a, b)` physically dead, both directions.
-    fn mark_link_dead(&mut self, t: usize, a: NodeId, b: NodeId) {
-        let graph = &self.host.graph;
-        let tn = &mut self.tenants[t];
-        tn.physical_faults = true;
-        for (x, y) in [(a, b), (b, a)] {
-            if let Some(slot) = graph.neighbor_slot(x, y) {
-                let arc = graph.arc_base(x) + slot - tn.arc_base;
-                tn.dead_arcs[arc / 64] |= 1 << (arc % 64);
-            }
-        }
-    }
-
-    #[inline]
-    fn arc_is_dead(graph: &Graph, tn: &Tenant, src: NodeId, dst: NodeId) -> bool {
-        match graph.neighbor_slot(src, dst) {
-            Some(slot) => {
-                let arc = graph.arc_base(src) + slot - tn.arc_base;
-                tn.dead_arcs[arc / 64] & (1 << (arc % 64)) != 0
-            }
-            None => false,
-        }
-    }
-
-    /// Insert keeping `pending_detections` sorted descending by
-    /// `(round, node, neighbor)` — the classic engine's exact queue
-    /// discipline, so due detections pop in ascending handling order.
-    fn push_detection(&mut self, t: usize, d: Detection) {
-        let key = (d.round, d.node, d.neighbor);
-        let q = &mut self.tenants[t].pending_detections;
-        let pos = q.partition_point(|p| (p.round, p.node, p.neighbor) > key);
-        q.insert(pos, d);
-    }
-
-    fn remove_believed(&mut self, node: NodeId, neighbor: NodeId) -> bool {
-        let base = self.host.graph.arc_base(node);
-        let len = self.believed_len[node as usize] as usize;
-        let list = &mut self.believed_flat[base..base + len];
-        match list.binary_search(&neighbor) {
-            Ok(pos) => {
-                list.copy_within(pos + 1.., pos);
-                self.believed_len[node as usize] = (len - 1) as u32;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn readmit_believed(&mut self, node: NodeId, neighbor: NodeId) -> bool {
-        let base = self.host.graph.arc_base(node);
-        let len = self.believed_len[node as usize] as usize;
-        match self.believed_flat[base..base + len].binary_search(&neighbor) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.believed_flat
-                    .copy_within(base + pos..base + len, base + pos + 1);
-                self.believed_flat[base + pos] = neighbor;
-                self.believed_len[node as usize] = (len + 1) as u32;
-                true
-            }
-        }
-    }
-
-    /// Phase 1 for tenant `t`: fire scheduled physical faults due this
-    /// round and enqueue their oracle detections — cursor advances over
-    /// pre-sorted queues, in the classic engine's fire order (link
-    /// failures, partition cuts, crashes, link heals, partition heals,
-    /// restarts).
-    fn fire_scheduled_faults(&mut self, t: usize) {
-        let round = self.tenants[t].round;
-        while let Some(&f) = {
-            let tn = &self.tenants[t];
-            tn.link_queue.get(tn.link_cursor)
-        } {
-            if f.at_round > round {
-                break;
-            }
-            self.tenants[t].link_cursor += 1;
-            self.mark_link_dead(t, f.a, f.b);
-            let at = round + f.detect_delay;
-            self.push_detection(
-                t,
-                Detection {
-                    round: at,
-                    node: f.a,
-                    neighbor: f.b,
-                },
-            );
-            self.push_detection(
-                t,
-                Detection {
-                    round: at,
-                    node: f.b,
-                    neighbor: f.a,
-                },
-            );
-        }
-        while let Some(p) = {
-            let tn = &self.tenants[t];
-            tn.cut_queue.get(tn.cut_cursor).cloned()
-        } {
-            if p.at_round > round {
-                break;
-            }
-            self.tenants[t].cut_cursor += 1;
-            self.fire_partition(t, &p);
-        }
-        while let Some(&c) = {
-            let tn = &self.tenants[t];
-            tn.crash_queue.get(tn.crash_cursor)
-        } {
-            if c.at_round > round {
-                break;
-            }
-            self.tenants[t].crash_cursor += 1;
-            self.alive_node[c.node as usize] = false;
-            self.tenants[t].physical_faults = true;
-            let at = round + c.detect_delay;
-            let deg = self.host.graph.degree(c.node);
-            for k in 0..deg {
-                let j = self.host.graph.neighbors(c.node)[k];
-                self.push_detection(
-                    t,
-                    Detection {
-                        round: at,
-                        node: j,
-                        neighbor: c.node,
-                    },
-                );
-            }
-        }
-        while let Some(&h) = {
-            let tn = &self.tenants[t];
-            tn.heal_queue.get(tn.heal_cursor)
-        } {
-            if h.at_round > round {
-                break;
-            }
-            self.tenants[t].heal_cursor += 1;
-            self.fire_link_heal(t, h.a, h.b);
-        }
-        while let Some(p) = {
-            let tn = &self.tenants[t];
-            tn.cut_heal_queue.get(tn.cut_heal_cursor).cloned()
-        } {
-            if p.at_round > round {
-                break;
-            }
-            self.tenants[t].cut_heal_cursor += 1;
-            self.fire_partition_heal(t, &p);
-        }
-        while let Some(&r) = {
-            let tn = &self.tenants[t];
-            tn.restart_queue.get(tn.restart_cursor)
-        } {
-            if r.at_round > round {
-                break;
-            }
-            self.tenants[t].restart_cursor += 1;
-            self.fire_node_restart(t, r.node);
-        }
-    }
-
-    /// Scripted partition cut for tenant `t`: every live crossing link of
-    /// the member set dies, with per-link oracle detections.
-    fn fire_partition(&mut self, t: usize, p: &NetPartition) {
-        let round = self.tenants[t].round;
-        let (nb, ne) = (self.tenants[t].node_base, self.tenants[t].node_end);
-        let mut in_group = vec![false; (ne - nb) as usize];
-        for &m in &p.members {
-            in_group[(m - nb) as usize] = true;
-        }
-        for &m in &p.members {
-            let deg = self.host.graph.degree(m);
-            for k in 0..deg {
-                let j = self.host.graph.neighbors(m)[k];
-                if in_group[(j - nb) as usize]
-                    || Self::arc_is_dead(&self.host.graph, &self.tenants[t], m, j)
-                {
-                    continue;
-                }
-                self.mark_link_dead(t, m, j);
-                let at = round + p.detect_delay;
-                self.push_detection(
-                    t,
-                    Detection {
-                        round: at,
-                        node: m,
-                        neighbor: j,
-                    },
-                );
-                self.push_detection(
-                    t,
-                    Detection {
-                        round: at,
-                        node: j,
-                        neighbor: m,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Scripted partition heal for tenant `t`: every severed crossing
-    /// link returns via the ordinary per-link heal path.
-    fn fire_partition_heal(&mut self, t: usize, p: &PartitionHeal) {
-        let (nb, ne) = (self.tenants[t].node_base, self.tenants[t].node_end);
-        let mut in_group = vec![false; (ne - nb) as usize];
-        for &m in &p.members {
-            in_group[(m - nb) as usize] = true;
-        }
-        for &m in &p.members {
-            let deg = self.host.graph.degree(m);
-            for k in 0..deg {
-                let j = self.host.graph.neighbors(m)[k];
-                if in_group[(j - nb) as usize]
-                    || !Self::arc_is_dead(&self.host.graph, &self.tenants[t], m, j)
-                {
-                    continue;
-                }
-                self.fire_link_heal(t, m, j);
-            }
-        }
-    }
-
-    /// Bring link `(a, b)` of tenant `t` back: clear dead bits, cancel
-    /// pending detections for the pair, re-admit alive endpoints with the
-    /// protocol's rehabilitation hook.
-    fn fire_link_heal(&mut self, t: usize, a: NodeId, b: NodeId) {
-        {
-            let graph = &self.host.graph;
-            let tn = &mut self.tenants[t];
-            for (x, y) in [(a, b), (b, a)] {
-                if let Some(slot) = graph.neighbor_slot(x, y) {
-                    let arc = graph.arc_base(x) + slot - tn.arc_base;
-                    tn.dead_arcs[arc / 64] &= !(1 << (arc % 64));
-                }
-            }
-            tn.pending_detections.retain(|d| {
-                !((d.node == a && d.neighbor == b) || (d.node == b && d.neighbor == a))
-            });
-        }
-        for (x, y) in [(a, b), (b, a)] {
-            if !self.alive_node[x as usize] || !self.alive_node[y as usize] {
-                continue;
-            }
-            if self.readmit_believed(x, y) {
-                self.tenants[t].stats.rehabilitated += 1;
-                self.protocol.on_rehabilitate(x, y);
-            }
-        }
-    }
-
-    /// Rejoin crashed `node` of tenant `t` with fresh state — the classic
-    /// engine's restart path minus the in-flight purges (the zero-delay
-    /// ring is drained every round, so nothing can be in flight here).
-    fn fire_node_restart(&mut self, t: usize, node: NodeId) {
-        assert!(
-            !self.alive_node[node as usize],
-            "fault plan restarts node, which is alive"
-        );
-        self.alive_node[node as usize] = true;
-        {
-            let graph = &self.host.graph;
-            let tn = &mut self.tenants[t];
-            let arc_dead = |src: NodeId, dst: NodeId| match graph.neighbor_slot(src, dst) {
-                Some(slot) => {
-                    let arc = graph.arc_base(src) + slot - tn.arc_base;
-                    tn.dead_arcs[arc / 64] & (1 << (arc % 64)) != 0
-                }
-                None => false,
-            };
-            tn.pending_detections
-                .retain(|d| d.node != node && (d.neighbor != node || arc_dead(d.node, d.neighbor)));
-        }
-        // The rebooted node believes exactly its alive neighbors over
-        // live links; the CSR segment re-expands within its extent.
-        let base = self.host.graph.arc_base(node);
-        let deg = self.host.graph.degree(node);
-        let mut len = 0usize;
-        for k in 0..deg {
-            let j = self.host.graph.neighbors(node)[k];
-            if self.alive_node[j as usize]
-                && !Self::arc_is_dead(&self.host.graph, &self.tenants[t], node, j)
-            {
-                self.believed_flat[base + len] = j;
-                len += 1;
-            }
-        }
-        self.believed_len[node as usize] = len as u32;
-        self.protocol.on_restart(node);
-        for k in 0..deg {
-            let j = self.host.graph.neighbors(node)[k];
-            if !self.alive_node[j as usize]
-                || Self::arc_is_dead(&self.host.graph, &self.tenants[t], j, node)
-            {
-                continue;
-            }
-            if self.readmit_believed(j, node) {
-                self.tenants[t].stats.rehabilitated += 1;
-            }
-            self.protocol.on_neighbor_restarted(j, node);
-        }
-    }
-
-    /// Phase 2 for tenant `t`: deliver due detections to alive endpoints
-    /// in the deterministic `(node, neighbor)` order.
-    fn deliver_detections(&mut self, t: usize) {
-        if self.tenants[t].pending_detections.is_empty() {
-            return;
-        }
-        let round = self.tenants[t].round;
-        while let Some(&d) = self.tenants[t].pending_detections.last() {
-            if d.round > round {
-                break;
-            }
-            self.tenants[t].pending_detections.pop();
-            if self.alive_node[d.node as usize] && self.remove_believed(d.node, d.neighbor) {
-                self.protocol.on_link_failed(d.node, d.neighbor);
-            }
-        }
-    }
-
-    /// Transit fault pipeline for one tenant message — dead link, burst
-    /// chain, i.i.d. loss, bit corruption — drawing from the tenant's
-    /// own streams in the classic engine's order.
-    #[inline]
-    fn transit(
-        &mut self,
-        t: usize,
-        src: NodeId,
-        dst: NodeId,
-        msg: &mut <P as Protocol>::Msg,
-    ) -> bool {
-        let graph = &self.host.graph;
-        let tn = &mut self.tenants[t];
-        if tn.physical_faults
-            && (!self.alive_node[src as usize] || !self.alive_node[dst as usize] || {
-                match graph.neighbor_slot(src, dst) {
-                    Some(slot) => {
-                        let arc = graph.arc_base(src) + slot - tn.arc_base;
-                        tn.dead_arcs[arc / 64] & (1 << (arc % 64)) != 0
-                    }
-                    None => false,
-                }
-            })
-        {
-            tn.stats.lost_dead += 1;
-            return false;
-        }
-        if let Some(b) = tn.burst {
-            let u = tn.burst_rng.random::<f64>();
-            tn.burst_bad = if tn.burst_bad {
-                u >= b.exit
-            } else {
-                u < b.enter
-            };
-            if tn.burst_bad && tn.burst_rng.random::<f64>() < b.loss {
-                tn.stats.lost_burst += 1;
-                return false;
-            }
-        }
-        if tn.loss > 0.0 && tn.fault_rng.random::<f64>() < tn.loss {
-            tn.stats.lost_random += 1;
-            return false;
-        }
-        if tn.flip > 0.0 && tn.fault_rng.random::<f64>() < tn.flip {
-            let bits = msg.corruptible_bits();
-            if bits > 0 {
-                let bit = tn.fault_rng.random_range(0..bits);
-                msg.flip_bit(bit);
-                tn.stats.bit_flips += 1;
-            }
-        }
-        true
-    }
-
-    /// Push-pull reply hook, through the ordinary transit pipeline.
-    fn deliver_reply(&mut self, w: usize, t: usize, replier: NodeId, to: NodeId) {
-        if let Some(mut reply) = self.protocol.part_reply(w, replier, to) {
-            self.tenants[t].stats.sent += 1;
-            if self.transit(t, replier, to, &mut reply) {
-                self.protocol.part_receive(w, to, replier, &mut reply);
-                self.tenants[t].stats.delivered += 1;
-            }
-            self.protocol.part_reclaim(w, reply);
-        }
-    }
-
     /// Phases 3–5 for tenant `t` on worker `w`: every alive node sends
     /// once (partner from the tenant's schedule stream), then in-order
     /// delivery through the fault pipeline with reply hooks — the classic
     /// zero-delay synchronous round, node ids offset by the tenant base.
     fn sync_round(&mut self, w: usize, t: usize) {
-        let (nb, ne) = (self.tenants[t].node_base, self.tenants[t].node_end);
+        let graph = &self.host.graph;
+        let tn = &mut self.tenants[t];
         let mut buf = std::mem::take(&mut self.send_bufs[w]);
         debug_assert!(buf.is_empty());
-        for i in nb..ne {
+        for i in tn.node_base..tn.node_end {
             if !self.alive_node[i as usize] {
                 continue;
             }
-            let base = self.host.graph.arc_base(i);
-            let len = self.believed_len[i as usize] as usize;
-            let tn = &mut self.tenants[t];
-            let alive = &self.believed_flat[base..base + len];
-            let target = tn.schedule.pick(i - nb, alive, &mut tn.sched_rng);
+            let alive = self.believed.list(graph, i);
+            let target = tn
+                .schedule
+                .pick(i - tn.node_base, alive, &mut tn.lane.sched_rng);
             let Some(target) = target else { continue };
             let msg = self.protocol.part_send(w, i, target);
-            self.tenants[t].stats.sent += 1;
+            tn.lane.stats.sent += 1;
             buf.push((i, target, msg));
         }
-        let tn = &self.tenants[t];
-        let clean = !tn.physical_faults && tn.loss <= 0.0 && tn.flip <= 0.0 && tn.burst.is_none();
+        let clean = tn.faults.is_clean();
         const LOOKAHEAD: usize = 8;
         for k in 0..buf.len() {
             if let Some(ahead) = buf.get(k + LOOKAHEAD) {
@@ -1208,10 +758,26 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
             }
             let entry = &mut buf[k];
             let (src, dst) = (entry.0, entry.1);
-            if clean || self.transit(t, src, dst, &mut entry.2) {
+            let alive = &self.alive_node;
+            if clean
+                || tn
+                    .faults
+                    .transit(&mut tn.lane, graph, alive, src, dst, &mut entry.2)
+            {
                 self.protocol.part_receive(w, dst, src, &mut entry.2);
-                self.tenants[t].stats.delivered += 1;
-                self.deliver_reply(w, t, dst, src);
+                tn.lane.stats.delivered += 1;
+                // Push-pull reply, through the ordinary transit pipeline.
+                if let Some(mut reply) = self.protocol.part_reply(w, dst, src) {
+                    tn.lane.stats.sent += 1;
+                    if tn
+                        .faults
+                        .transit(&mut tn.lane, graph, alive, dst, src, &mut reply)
+                    {
+                        self.protocol.part_receive(w, src, dst, &mut reply);
+                        tn.lane.stats.delivered += 1;
+                    }
+                    self.protocol.part_reclaim(w, reply);
+                }
             }
         }
         for (_, _, msg) in buf.drain(..) {
@@ -1223,100 +789,16 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
 
 impl Tenant {
     fn new(spec: &TenantSpec, e: Extent, schedule: &Schedule) -> Tenant {
-        let offset = e.node_base;
-        let mut link_queue: Vec<LinkFailure> = spec
-            .plan
-            .link_failures
-            .iter()
-            .map(|f| LinkFailure {
-                a: f.a + offset,
-                b: f.b + offset,
-                ..*f
-            })
-            .collect();
-        link_queue.sort_by_key(|f| f.at_round);
-        let mut crash_queue: Vec<NodeCrash> = spec
-            .plan
-            .node_crashes
-            .iter()
-            .map(|c| NodeCrash {
-                node: c.node + offset,
-                ..*c
-            })
-            .collect();
-        crash_queue.sort_by_key(|c| c.at_round);
-        let mut heal_queue: Vec<LinkHeal> = spec
-            .plan
-            .link_heals
-            .iter()
-            .map(|h| LinkHeal {
-                a: h.a + offset,
-                b: h.b + offset,
-                ..*h
-            })
-            .collect();
-        heal_queue.sort_by_key(|h| h.at_round);
-        let mut restart_queue: Vec<NodeRestart> = spec
-            .plan
-            .node_restarts
-            .iter()
-            .map(|r| NodeRestart {
-                node: r.node + offset,
-                ..*r
-            })
-            .collect();
-        restart_queue.sort_by_key(|r| r.at_round);
-        let mut cut_queue: Vec<NetPartition> = spec
-            .plan
-            .partitions
-            .iter()
-            .map(|p| NetPartition {
-                members: p.members.iter().map(|&m| m + offset).collect(),
-                ..p.clone()
-            })
-            .collect();
-        cut_queue.sort_by_key(|p| p.at_round);
-        let mut cut_heal_queue: Vec<PartitionHeal> = spec
-            .plan
-            .partition_heals
-            .iter()
-            .map(|p| PartitionHeal {
-                members: p.members.iter().map(|&m| m + offset).collect(),
-                ..p.clone()
-            })
-            .collect();
-        cut_heal_queue.sort_by_key(|p| p.at_round);
+        let nodes = e.nodes as usize;
         Tenant {
             node_base: e.node_base,
             node_end: e.node_base + e.nodes,
-            arc_base: e.arc_base,
-            sched_rng: stream_rng(spec.seed, RngStream::Schedule),
-            fault_rng: stream_rng(spec.seed, RngStream::Faults),
-            burst_rng: stream_rng(spec.seed, RngStream::Burst),
+            faults: FaultRange::new(&spec.plan, e.node_base, nodes, e.arc_base, e.arcs, true),
+            lane: Lane::single(spec.seed),
             schedule: match schedule {
                 Schedule::UniformRandom => Schedule::uniform(),
-                Schedule::RoundRobin { .. } => Schedule::round_robin(e.nodes as usize),
+                Schedule::RoundRobin { .. } => Schedule::round_robin(nodes),
             },
-            loss: spec.plan.msg_loss_prob,
-            flip: spec.plan.bit_flip_prob,
-            burst: spec.plan.burst,
-            burst_bad: false,
-            link_queue,
-            link_cursor: 0,
-            crash_queue,
-            crash_cursor: 0,
-            heal_queue,
-            heal_cursor: 0,
-            restart_queue,
-            restart_cursor: 0,
-            cut_queue,
-            cut_cursor: 0,
-            cut_heal_queue,
-            cut_heal_cursor: 0,
-            pending_detections: Vec::new(),
-            dead_arcs: vec![0; e.arcs.div_ceil(64)],
-            physical_faults: false,
-            stats: SimStats::default(),
             round: 0,
             max_rounds: spec.max_rounds,
             active: spec.max_rounds > 0,

@@ -36,6 +36,7 @@
 
 mod calibrate;
 mod delivery;
+mod fault_range;
 mod faults;
 mod options;
 mod par;
@@ -46,6 +47,7 @@ mod trace;
 
 pub use calibrate::MachineCosts;
 pub use delivery::{Delivery, RingDelivery};
+pub use fault_range::{Believed, FaultCtx, FaultRange, Lane};
 pub use faults::{
     BurstModel, Corrupt, FaultPlan, LinkFailure, LinkHeal, NetPartition, NodeCrash, NodeRestart,
     PartitionHeal,

@@ -153,6 +153,38 @@ impl WorkerPool {
         }
     }
 
+    /// Run `phase(target, 0) .. phase(target, njobs - 1)` like
+    /// [`run`](Self::run), handing every job the same `&mut T`. This is
+    /// how a round engine splits one phase of its state across the pool
+    /// (one job per partition or tenant chunk) without a lock.
+    ///
+    /// # Safety
+    ///
+    /// The jobs alias `target` mutably, so the caller must guarantee they
+    /// are disjoint: job `k` writes only state that no other job of the
+    /// same call reads or writes (state owned by partition or chunk `k`,
+    /// and arenas indexed by `k`), and reads shared state only if no job
+    /// writes it. The barrier in `run` retires every job before this
+    /// returns, so the aliasing never overlaps the caller's own use of
+    /// `target`.
+    pub unsafe fn run_split<T: ?Sized>(
+        &self,
+        njobs: usize,
+        target: &mut T,
+        phase: impl Fn(&mut T, usize) + Sync,
+    ) {
+        struct Shared<T: ?Sized>(*mut T);
+        // SAFETY: sharing the pointer is sound under the caller's
+        // disjointness contract above.
+        unsafe impl<T: ?Sized> Sync for Shared<T> {}
+        let ptr = Shared(target as *mut T);
+        let ptr = &ptr;
+        self.run(njobs, |job| {
+            // SAFETY: see the function's safety contract.
+            phase(unsafe { &mut *ptr.0 }, job)
+        });
+    }
+
     /// Total participating threads (workers + the caller).
     #[cfg(test)]
     pub(crate) fn threads(&self) -> usize {

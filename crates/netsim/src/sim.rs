@@ -1,16 +1,12 @@
 //! The round-driven simulator core.
 
 use crate::delivery::RingDelivery;
-use crate::faults::{
-    BurstModel, Corrupt, FaultPlan, LinkFailure, LinkHeal, NetPartition, NodeCrash, NodeRestart,
-    PartitionHeal,
-};
+use crate::fault_range::{Believed, FaultCtx, FaultRange, Lane};
+use crate::faults::{Corrupt, FaultPlan};
 use crate::options::{Activation, DelayModel, DetectorModel, SimConfigError, SimOptions};
-use crate::rng::{stream_rng, RngStream};
 use crate::schedule::Schedule;
 use crate::trace::{Event, Trace};
 use gr_topology::{Graph, NodeId};
-use rand::rngs::StdRng;
 use rand::RngExt;
 
 /// A gossip protocol as seen by the simulator.
@@ -225,49 +221,6 @@ impl SimStats {
         self.rehabilitated += d.rehabilitated;
         self.probes_sent += d.probes_sent;
     }
-
-    /// Fold a per-partition delta into the global counters.
-    fn absorb(&mut self, d: &SimStats) {
-        self.merge(d);
-    }
-}
-
-/// Mutable per-partition state of the partitioned round engine. Worker
-/// `p` owns `parts[p]` exclusively during a parallel phase; the stats
-/// delta and buffered trace events are merged into the global sinks in
-/// fixed partition order at the end of every round, so the observable
-/// result is independent of thread count.
-struct Part {
-    node_start: NodeId,
-    node_end: NodeId,
-    sched_rng: StdRng,
-    fault_rng: StdRng,
-    /// Partition-local Gilbert–Elliott chain (stream
-    /// [`RngStream::BurstPart`]): each partition runs its own burst
-    /// process over its own deliveries, so the draws are a pure function
-    /// of `(seed, partition)` like every other per-partition stream.
-    burst_rng: StdRng,
-    burst_bad: bool,
-    stats: SimStats,
-    events: Vec<Event>,
-}
-
-/// Shuttles the `&mut Simulator` into pool workers. Soundness rests on
-/// the phase-disjointness contract documented at
-/// [`Simulator::par_run`]: every thread dereferencing this pointer
-/// touches only partition-owned or read-only state, and the dispatching
-/// thread blocks until all workers retire the phase.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `SendPtr` — edition-2021 disjoint capture of `.0` would grab the
-    /// bare `*mut T`, which is deliberately not `Sync`.
-    fn get(&self) -> *mut T {
-        self.0
-    }
 }
 
 /// Packs a timing-wheel / suspect-list entry: owner node in the high 32
@@ -381,108 +334,17 @@ impl DetectorPart {
     }
 }
 
-/// One pending "link (a,b) is detected failed at `round`" event.
-#[derive(Clone, Copy, Debug)]
-struct Detection {
-    round: u64,
-    node: NodeId,
-    neighbor: NodeId,
-}
-
-/// Snapshot a plan's scheduled events into fire-order queues. The sort is
-/// stable, so events sharing an `at_round` fire in plan order — exactly
-/// the order the old per-round scan produced.
-struct EventQueues {
-    links: Vec<LinkFailure>,
-    crashes: Vec<NodeCrash>,
-    heals: Vec<LinkHeal>,
-    restarts: Vec<NodeRestart>,
-    cuts: Vec<NetPartition>,
-    cut_heals: Vec<PartitionHeal>,
-}
-
-fn sorted_queues(plan: &FaultPlan) -> EventQueues {
-    let mut links = plan.link_failures.clone();
-    links.sort_by_key(|f| f.at_round);
-    let mut crashes = plan.node_crashes.clone();
-    crashes.sort_by_key(|c| c.at_round);
-    let mut heals = plan.link_heals.clone();
-    heals.sort_by_key(|h| h.at_round);
-    let mut restarts = plan.node_restarts.clone();
-    restarts.sort_by_key(|r| r.at_round);
-    let mut cuts = plan.partitions.clone();
-    cuts.sort_by_key(|p| p.at_round);
-    let mut cut_heals = plan.partition_heals.clone();
-    cut_heals.sort_by_key(|p| p.at_round);
-    EventQueues {
-        links,
-        crashes,
-        heals,
-        restarts,
-        cuts,
-        cut_heals,
-    }
-}
-
 /// The simulator: drives a [`Protocol`] over a [`Graph`] under a
 /// [`FaultPlan`].
 pub struct Simulator<'g, P: Protocol> {
     graph: &'g Graph,
     protocol: P,
     schedule: Schedule,
-    schedule_rng: StdRng,
-    fault_rng: StdRng,
-    plan: FaultPlan,
-    /// Scheduled link failures, stable-sorted by `at_round` at
-    /// construction; `link_cursor` points at the first unfired event, so
-    /// firing is a cursor advance instead of a per-round scan+collect.
-    link_queue: Vec<LinkFailure>,
-    link_cursor: usize,
-    /// Scheduled crashes, same discipline as `link_queue`.
-    crash_queue: Vec<NodeCrash>,
-    crash_cursor: usize,
-    /// Scheduled link heals, same discipline as `link_queue`.
-    heal_queue: Vec<LinkHeal>,
-    heal_cursor: usize,
-    /// Scheduled node restarts, same discipline as `link_queue`.
-    restart_queue: Vec<NodeRestart>,
-    restart_cursor: usize,
-    /// Scripted partition cuts, same discipline as `link_queue`.
-    cut_queue: Vec<NetPartition>,
-    cut_cursor: usize,
-    /// Scripted partition heals, same discipline as `link_queue`.
-    cut_heal_queue: Vec<PartitionHeal>,
-    cut_heal_cursor: usize,
+    /// The plan's fault model over the whole graph (see [`FaultRange`]).
+    faults: FaultRange,
     round: u64,
     alive_node: Vec<bool>,
-    /// Believed-alive neighbor lists (shrink on detection/suspicion, grow
-    /// back on rehabilitation/heal/restart), kept sorted, stored flat in
-    /// the graph's CSR layout: node `i`'s list lives at
-    /// `believed_flat[arc_base(i)..][..believed_len[i]]`. A list never
-    /// outgrows the node's degree, so each segment stays within its
-    /// original extent — and the per-round schedule pick reads straight
-    /// from one flat array instead of chasing a per-node `Vec` header.
-    believed_flat: Vec<NodeId>,
-    believed_len: Vec<u32>,
-    /// Per-arc dead bits (`arc_base(i) + neighbor_slot(i, j)`), both
-    /// directions set when a link dies: an O(log deg) bitmask probe per
-    /// message instead of a `HashSet` hash+lookup.
-    dead_arcs: Vec<u64>,
-    /// False until the first crash or link death fires; lets `transit`
-    /// skip every liveness check on the healthy path.
-    physical_faults: bool,
-    /// The plan's burst model, copied out for branch-cheap access
-    /// (`None` keeps the clean fast path intact).
-    burst: Option<BurstModel>,
-    /// Gilbert–Elliott chain state + stream for the classic engine (the
-    /// partitioned engine keeps one per [`Part`]). The RNG exists even
-    /// with bursts off but is never drawn from then.
-    burst_rng: StdRng,
-    burst_bad: bool,
-    /// Detections not yet delivered, kept sorted descending by
-    /// `(round, node, neighbor)` so delivery pops due events off the end
-    /// in deterministic order without a per-round sort or allocation.
-    pending_detections: Vec<Detection>,
+    believed: Believed,
     activation: Activation,
     delay: DelayModel,
     /// `true` when the timeout detector replaces the oracle: scheduled
@@ -510,8 +372,12 @@ pub struct Simulator<'g, P: Protocol> {
     /// `part_starts[p]` = first node of partition `p` (`partitions + 1`
     /// entries); empty when `partitions == 1`.
     part_starts: Vec<NodeId>,
-    /// Per-partition mutable state; empty when `partitions == 1`.
-    parts: Vec<Part>,
+    /// Per-partition RNG streams and output buffers (one lane on the
+    /// legacy single-run streams when `partitions == 1`). Worker `p` owns
+    /// `parts[p]` exclusively during a parallel phase; stats and buffered
+    /// trace events merge into the global sinks in fixed lane order at the
+    /// end of every round, so the result is independent of thread count.
+    parts: Vec<Lane>,
     /// Cross-partition mailbox lanes, `lanes[p * partitions + q]` =
     /// messages sent this round from partition `p` to partition `q`.
     /// The send phase has worker `p` write row `p`; after the barrier the
@@ -610,12 +476,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         options.validate()?;
         plan.validate(graph)?;
         let n = graph.len();
-        let believed_flat: Vec<NodeId> = (0..n as NodeId)
-            .flat_map(|i| graph.neighbors(i).iter().copied())
-            .collect();
-        let believed_len = (0..n as NodeId).map(|i| graph.degree(i) as u32).collect();
         let ring = RingDelivery::new(options.delay.max_delay());
-        let queues = sorted_queues(&plan);
         let (detector_timeout, detector_window) = match options.detector {
             DetectorModel::Oracle => (false, 0),
             DetectorModel::Timeout { window } => (true, window),
@@ -636,18 +497,13 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 graph.arc_base(part_starts[p])
             }
         };
-        let parts: Vec<Part> = (0..if partitions > 1 { partitions } else { 0 })
-            .map(|p| Part {
-                node_start: part_starts[p],
-                node_end: part_starts[p + 1],
-                sched_rng: stream_rng(seed, RngStream::SchedulePart(p as u32)),
-                fault_rng: stream_rng(seed, RngStream::FaultsPart(p as u32)),
-                burst_rng: stream_rng(seed, RngStream::BurstPart(p as u32)),
-                burst_bad: false,
-                stats: SimStats::default(),
-                events: Vec::new(),
-            })
-            .collect();
+        let parts: Vec<Lane> = if partitions > 1 {
+            (0..partitions)
+                .map(|p| Lane::partition(seed, p as u32))
+                .collect()
+        } else {
+            vec![Lane::single(seed)]
+        };
         let det: Vec<DetectorPart> = if detector_timeout {
             assert!(
                 graph.arc_count() <= u32::MAX as usize,
@@ -695,36 +551,14 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         if partitions > 1 {
             protocol.set_partitions(partitions);
         }
-        let burst = plan.burst;
         Ok(Simulator {
             graph,
             protocol,
             schedule: options.schedule,
-            schedule_rng: stream_rng(seed, RngStream::Schedule),
-            fault_rng: stream_rng(seed, RngStream::Faults),
-            plan,
-            link_queue: queues.links,
-            link_cursor: 0,
-            crash_queue: queues.crashes,
-            crash_cursor: 0,
-            heal_queue: queues.heals,
-            heal_cursor: 0,
-            restart_queue: queues.restarts,
-            restart_cursor: 0,
-            cut_queue: queues.cuts,
-            cut_cursor: 0,
-            cut_heal_queue: queues.cut_heals,
-            cut_heal_cursor: 0,
+            faults: FaultRange::new(&plan, 0, n, 0, graph.arc_count(), !detector_timeout),
             round: 0,
             alive_node: vec![true; n],
-            believed_flat,
-            believed_len,
-            dead_arcs: vec![0; graph.arc_count().div_ceil(64)],
-            physical_faults: false,
-            burst,
-            burst_rng: stream_rng(seed, RngStream::Burst),
-            burst_bad: false,
-            pending_detections: Vec::new(),
+            believed: Believed::new(graph),
             activation: options.activation,
             delay: options.delay,
             detector_timeout,
@@ -766,6 +600,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// Start recording the most recent `capacity` transport/fault events.
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = Some(Trace::new(capacity));
+        for lane in &mut self.parts {
+            lane.trace = true;
+        }
     }
 
     /// The event trace, if enabled.
@@ -783,13 +620,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         let counts = self.link_load.as_ref()?;
         let slot = self.graph.neighbor_slot(src, dst)?;
         Some(counts[self.graph.arc_base(src) + slot])
-    }
-
-    #[inline]
-    fn record(&mut self, e: Event) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(e);
-        }
     }
 
     /// The protocol (for estimate inspection between rounds).
@@ -830,73 +660,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// The believed-alive neighbor list of `node` (shrinks as failures are
     /// detected).
     pub fn believed_alive(&self, node: NodeId) -> &[NodeId] {
-        let base = self.graph.arc_base(node);
-        &self.believed_flat[base..base + self.believed_len[node as usize] as usize]
-    }
-
-    /// Mark the arcs of link `(a, b)` physically dead, both directions.
-    fn mark_link_dead(&mut self, a: NodeId, b: NodeId) {
-        self.physical_faults = true;
-        for (x, y) in [(a, b), (b, a)] {
-            if let Some(slot) = self.graph.neighbor_slot(x, y) {
-                let arc = self.graph.arc_base(x) + slot;
-                self.dead_arcs[arc / 64] |= 1 << (arc % 64);
-            }
-        }
-    }
-
-    #[inline]
-    fn arc_is_dead(&self, src: NodeId, dst: NodeId) -> bool {
-        match self.graph.neighbor_slot(src, dst) {
-            Some(slot) => {
-                let arc = self.graph.arc_base(src) + slot;
-                self.dead_arcs[arc / 64] & (1 << (arc % 64)) != 0
-            }
-            None => false,
-        }
-    }
-
-    /// Insert keeping `pending_detections` sorted descending by
-    /// `(round, node, neighbor)`; plans hold a handful of events, so the
-    /// shift is cheap and only the fault window ever allocates.
-    fn push_detection(&mut self, d: Detection) {
-        let key = (d.round, d.node, d.neighbor);
-        let pos = self
-            .pending_detections
-            .partition_point(|p| (p.round, p.node, p.neighbor) > key);
-        self.pending_detections.insert(pos, d);
-    }
-
-    fn remove_believed(&mut self, node: NodeId, neighbor: NodeId) -> bool {
-        let base = self.graph.arc_base(node);
-        let len = self.believed_len[node as usize] as usize;
-        let list = &mut self.believed_flat[base..base + len];
-        match list.binary_search(&neighbor) {
-            Ok(pos) => {
-                list.copy_within(pos + 1.., pos);
-                self.believed_len[node as usize] = (len - 1) as u32;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Sorted insert into `node`'s believed-alive list; `true` if the
-    /// neighbor was actually absent. The list can never outgrow the
-    /// node's degree, so the segment stays within its CSR extent.
-    fn readmit_believed(&mut self, node: NodeId, neighbor: NodeId) -> bool {
-        let base = self.graph.arc_base(node);
-        let len = self.believed_len[node as usize] as usize;
-        match self.believed_flat[base..base + len].binary_search(&neighbor) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.believed_flat
-                    .copy_within(base + pos..base + len, base + pos + 1);
-                self.believed_flat[base + pos] = neighbor;
-                self.believed_len[node as usize] = (len + 1) as u32;
-                true
-            }
-        }
+        self.believed.list(self.graph, node)
     }
 
     /// Partition index of `node` under the partitioned engine (`0` for
@@ -932,427 +696,88 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         }
     }
 
-    /// Phase 1: fire physical faults scheduled for this round and enqueue
-    /// their detections. The queues are pre-sorted by `at_round`, so this
-    /// is a cursor advance — zero work and zero allocation on rounds with
-    /// nothing scheduled.
-    fn fire_scheduled_faults(&mut self) {
-        let round = self.round;
-        // Link failures.
-        while let Some(&f) = self.link_queue.get(self.link_cursor) {
-            if f.at_round > round {
-                break;
-            }
-            debug_assert_eq!(f.at_round, round);
-            self.link_cursor += 1;
-            // Edge existence was checked by `FaultPlan::validate` at
-            // construction time.
-            debug_assert!(self.graph.has_edge(f.a, f.b));
-            self.record(Event::LinkFailed {
-                round,
-                a: f.a,
-                b: f.b,
-            });
-            self.mark_link_dead(f.a, f.b);
-            // Under the timeout detector the oracle stays silent: the
-            // endpoints find out through silence, like everyone else.
-            if !self.detector_timeout {
-                let at = round + f.detect_delay;
-                self.push_detection(Detection {
-                    round: at,
-                    node: f.a,
-                    neighbor: f.b,
-                });
-                self.push_detection(Detection {
-                    round: at,
-                    node: f.b,
-                    neighbor: f.a,
-                });
-            }
-        }
-        // Partition cuts (after individual link failures: a cut is a batch
-        // of link deaths and fires with the same semantics).
-        while let Some(p) = self.cut_queue.get(self.cut_cursor) {
-            if p.at_round > round {
-                break;
-            }
-            debug_assert_eq!(p.at_round, round);
-            let p = p.clone();
-            self.cut_cursor += 1;
-            self.fire_partition(&p);
-        }
-        // Node crashes.
-        while let Some(&c) = self.crash_queue.get(self.crash_cursor) {
-            if c.at_round > round {
-                break;
-            }
-            debug_assert_eq!(c.at_round, round);
-            self.crash_cursor += 1;
-            self.record(Event::NodeCrashed {
-                round,
-                node: c.node,
-            });
-            self.alive_node[c.node as usize] = false;
-            self.physical_faults = true;
-            self.alive_scratch_dirty = true;
-            if !self.detector_timeout {
-                let at = round + c.detect_delay;
-                let graph = self.graph;
-                for &j in graph.neighbors(c.node) {
-                    self.push_detection(Detection {
-                        round: at,
-                        node: j,
-                        neighbor: c.node,
-                    });
-                }
-            }
-        }
-        // Link heals.
-        while let Some(&h) = self.heal_queue.get(self.heal_cursor) {
-            if h.at_round > round {
-                break;
-            }
-            debug_assert_eq!(h.at_round, round);
-            self.heal_cursor += 1;
-            self.fire_link_heal(h);
-        }
-        // Partition heals (after individual link heals, mirroring the cut
-        // position in the fire order).
-        while let Some(p) = self.cut_heal_queue.get(self.cut_heal_cursor) {
-            if p.at_round > round {
-                break;
-            }
-            debug_assert_eq!(p.at_round, round);
-            let p = p.clone();
-            self.cut_heal_cursor += 1;
-            self.fire_partition_heal(&p);
-        }
-        // Node restarts.
-        while let Some(&r) = self.restart_queue.get(self.restart_cursor) {
-            if r.at_round > round {
-                break;
-            }
-            debug_assert_eq!(r.at_round, round);
-            self.restart_cursor += 1;
-            self.fire_node_restart(r.node);
-        }
-    }
-
-    /// Fire a scripted partition cut: every live link with exactly one
-    /// endpoint in the member set dies at once, each with its own
-    /// [`Event::LinkFailed`] and (oracle mode) per-link detections;
-    /// already-dead crossing links are skipped. A summary
-    /// [`Event::PartitionStarted`] closes the batch.
-    fn fire_partition(&mut self, p: &NetPartition) {
-        let round = self.round;
-        let mut in_group = vec![false; self.graph.len()];
-        for &m in &p.members {
-            in_group[m as usize] = true;
-        }
-        let graph = self.graph;
-        let mut cut = 0u32;
-        for &m in &p.members {
-            for &j in graph.neighbors(m) {
-                if in_group[j as usize] || self.arc_is_dead(m, j) {
-                    continue;
-                }
-                cut += 1;
-                self.record(Event::LinkFailed { round, a: m, b: j });
-                self.mark_link_dead(m, j);
-                if !self.detector_timeout {
-                    let at = round + p.detect_delay;
-                    self.push_detection(Detection {
-                        round: at,
-                        node: m,
-                        neighbor: j,
-                    });
-                    self.push_detection(Detection {
-                        round: at,
-                        node: j,
-                        neighbor: m,
-                    });
-                }
-            }
-        }
-        self.record(Event::PartitionStarted { round, cut });
-    }
-
-    /// Fire a scripted partition heal: every *severed* crossing link of
-    /// the member set returns to service via the ordinary per-link heal
-    /// path, then a summary [`Event::PartitionHealed`] closes the batch.
-    fn fire_partition_heal(&mut self, p: &PartitionHeal) {
-        let round = self.round;
-        let mut in_group = vec![false; self.graph.len()];
-        for &m in &p.members {
-            in_group[m as usize] = true;
-        }
-        let graph = self.graph;
-        let mut cut = 0u32;
-        for &m in &p.members {
-            for &j in graph.neighbors(m) {
-                if in_group[j as usize] || !self.arc_is_dead(m, j) {
-                    continue;
-                }
-                cut += 1;
-                self.fire_link_heal(LinkHeal {
-                    a: m,
-                    b: j,
-                    at_round: round,
-                });
-            }
-        }
-        self.record(Event::PartitionHealed { round, cut });
-    }
-
-    /// Bring a failed link back: clear its dead bits, cancel any pending
-    /// oracle detections for the pair, and re-admit each alive endpoint
-    /// into the other's believed set (with the protocol's rehabilitation
-    /// hook). Healing a link that never died is a no-op.
-    fn fire_link_heal(&mut self, h: LinkHeal) {
-        let round = self.round;
-        // Edge existence was checked by `FaultPlan::validate` at
-        // construction time.
-        debug_assert!(self.graph.has_edge(h.a, h.b));
-        self.record(Event::LinkHealed {
-            round,
-            a: h.a,
-            b: h.b,
-        });
-        for (x, y) in [(h.a, h.b), (h.b, h.a)] {
-            if let Some(slot) = self.graph.neighbor_slot(x, y) {
-                let arc = self.graph.arc_base(x) + slot;
-                self.dead_arcs[arc / 64] &= !(1 << (arc % 64));
-            }
-        }
-        self.pending_detections.retain(|d| {
-            !((d.node == h.a && d.neighbor == h.b) || (d.node == h.b && d.neighbor == h.a))
-        });
-        for (x, y) in [(h.a, h.b), (h.b, h.a)] {
-            if !self.alive_node[x as usize] || !self.alive_node[y as usize] {
-                continue;
-            }
-            if self.detector_timeout {
-                self.clear_suspected(x, y);
-            }
-            if self.readmit_believed(x, y) {
-                self.stats.rehabilitated += 1;
-                self.record(Event::NodeRehabilitated {
-                    round,
-                    node: x,
-                    neighbor: y,
-                });
-                self.protocol.on_rehabilitate(x, y);
-            }
-        }
-    }
-
-    /// Rejoin a crashed node with fresh state: purge everything stale the
-    /// transport or detector still holds about it, rebuild mutual
-    /// believed-alive sets over live links, and run the protocol's
-    /// restart hooks on both sides.
-    fn fire_node_restart(&mut self, node: NodeId) {
-        let round = self.round;
-        assert!(
-            !self.alive_node[node as usize],
-            "fault plan restarts node {node}, which is alive"
-        );
-        self.record(Event::NodeRestarted { round, node });
-        self.alive_node[node as usize] = true;
-        self.alive_scratch_dirty = true;
-        // Messages the node sent before crashing (or addressed to it while
-        // dead) must not surface after the reboot: the restarted node's
-        // edge state is fresh, and a stale in-flight payload would be
-        // processed as if it belonged to the new incarnation.
-        self.ring
-            .retain(|&(src, dst, _)| src != node && dst != node);
-        // In-flight probes from the old incarnation are stale proof of
-        // life; probes addressed to the dead node would have been dropped
-        // anyway.
-        for bucket in &mut self.probe_ring {
-            bucket.retain(|&(src, dst)| src != node && dst != node);
-        }
-        for lane in &mut self.probe_lanes {
-            lane.retain(|&(src, dst)| src != node && dst != node);
-        }
-        // Pending oracle detections about the node are stale too — except
-        // a neighbor's detection of a *link* that is still physically
-        // dead, which must survive the reboot.
-        let graph = self.graph;
-        let dead_arcs = &self.dead_arcs;
-        let arc_dead = |src: NodeId, dst: NodeId| match graph.neighbor_slot(src, dst) {
-            Some(slot) => {
-                let arc = graph.arc_base(src) + slot;
-                dead_arcs[arc / 64] & (1 << (arc % 64)) != 0
-            }
-            None => false,
+    /// Phases 1–2, shared by both engines: fire the faults scheduled for
+    /// this round and deliver due oracle detections (see [`FaultRange`]),
+    /// then apply the engine-side effects of heals and restarts. Events
+    /// and counters of this phase go to lane 0, which merges first.
+    fn fault_phase(&mut self) {
+        let mut cx = FaultCtx {
+            graph: self.graph,
+            alive: &mut self.alive_node,
+            believed: &mut self.believed,
+            protocol: &mut self.protocol,
+            lane: &mut self.parts[0],
         };
-        self.pending_detections
-            .retain(|d| d.node != node && (d.neighbor != node || arc_dead(d.node, d.neighbor)));
-        // The rebooted node believes exactly its alive neighbors over live
-        // links; the CSR segment re-expands within its original extent.
-        let base = self.graph.arc_base(node);
-        let mut len = 0usize;
-        for &j in graph.neighbors(node) {
-            if self.alive_node[j as usize] && !self.arc_is_dead(node, j) {
-                self.believed_flat[base + len] = j;
-                len += 1;
+        if self.faults.fire_due(self.round, &mut cx) {
+            self.alive_scratch_dirty = true;
+        }
+        self.faults.deliver_detections(&mut cx);
+        for &node in self.faults.restarted() {
+            // Messages the node sent before crashing (or addressed to it
+            // while dead) must not surface after the reboot: the restarted
+            // node's edge state is fresh, and a stale in-flight payload
+            // would be processed as if it belonged to the new incarnation.
+            self.ring
+                .retain(|&(src, dst, _)| src != node && dst != node);
+            // In-flight probes from the old incarnation are stale proof of
+            // life; probes addressed to the dead node would have been
+            // dropped anyway.
+            for bucket in self.probe_ring.iter_mut().chain(&mut self.probe_lanes) {
+                bucket.retain(|&(src, dst)| src != node && dst != node);
             }
         }
-        self.believed_len[node as usize] = len as u32;
-        if self.detector_timeout {
-            // Fresh detector state in both directions.
-            for &j in graph.neighbors(node) {
-                self.clear_suspected(node, j);
-            }
-        }
-        self.protocol.on_restart(node);
-        // Neighbors re-admit the node and excise their stale edge state.
-        for &j in graph.neighbors(node) {
-            if !self.alive_node[j as usize] || self.arc_is_dead(j, node) {
-                continue;
-            }
-            if self.detector_timeout {
-                self.clear_suspected(j, node);
-            }
-            if self.readmit_believed(j, node) {
-                self.stats.rehabilitated += 1;
-                self.record(Event::NodeRehabilitated {
-                    round,
-                    node: j,
-                    neighbor: node,
-                });
-            }
-            self.protocol.on_neighbor_restarted(j, node);
+        for k in 0..self.faults.resumed().len() {
+            let (node, neighbor) = self.faults.resumed()[k];
+            self.clear_suspected(node, neighbor);
         }
     }
 
-    /// Phase 2: deliver due detections to alive endpoints. The queue is
-    /// sorted descending, so everything due pops off the end already in
-    /// the deterministic `(node, neighbor)` handling order.
-    fn deliver_detections(&mut self) {
-        if self.pending_detections.is_empty() {
-            return;
-        }
-        let round = self.round;
-        while let Some(&d) = self.pending_detections.last() {
-            if d.round > round {
-                break;
-            }
-            self.pending_detections.pop();
-            if self.alive_node[d.node as usize] && self.remove_believed(d.node, d.neighbor) {
-                self.record(Event::Detected {
-                    round,
-                    node: d.node,
-                    neighbor: d.neighbor,
-                });
-                self.protocol.on_link_failed(d.node, d.neighbor);
-            }
-        }
-    }
-
-    /// Apply the transit fault pipeline (dead link, probabilistic loss,
-    /// bit corruption) to one message in place; `true` means it survives.
-    /// Until the first physical fault fires, the liveness checks are a
-    /// single branch, and clean plans skip the probabilistic draws too.
-    #[inline]
-    fn transit(&mut self, src: NodeId, dst: NodeId, msg: &mut P::Msg) -> bool {
-        let round = self.round;
-        if self.physical_faults
-            && (!self.alive_node[src as usize]
-                || !self.alive_node[dst as usize]
-                || self.arc_is_dead(src, dst))
-        {
-            self.stats.lost_dead += 1;
-            self.record(Event::LostDead { round, src, dst });
-            return false;
-        }
-        if let Some(b) = self.burst {
-            // Advance the Gilbert–Elliott chain one message, then flip the
-            // drop coin only while in the bad state — all on the dedicated
-            // burst stream, so the i.i.d. draws below are untouched.
-            let u = self.burst_rng.random::<f64>();
-            self.burst_bad = if self.burst_bad {
-                u >= b.exit
-            } else {
-                u < b.enter
-            };
-            if self.burst_bad && self.burst_rng.random::<f64>() < b.loss {
-                self.stats.lost_burst += 1;
-                self.record(Event::LostBurst { round, src, dst });
-                return false;
-            }
-        }
-        if self.plan.msg_loss_prob > 0.0 && self.fault_rng.random::<f64>() < self.plan.msg_loss_prob
-        {
-            self.stats.lost_random += 1;
-            self.record(Event::LostRandom { round, src, dst });
-            return false;
-        }
-        if self.plan.bit_flip_prob > 0.0 && self.fault_rng.random::<f64>() < self.plan.bit_flip_prob
-        {
-            let bits = msg.corruptible_bits();
-            if bits > 0 {
-                let bit = self.fault_rng.random_range(0..bits);
-                msg.flip_bit(bit);
-                self.stats.bit_flips += 1;
-                self.record(Event::BitFlipped {
-                    round,
-                    src,
-                    dst,
-                    bit,
-                });
-            }
-        }
-        true
-    }
-
-    /// Offer `replier` the chance to answer `to` immediately (push-pull).
-    /// The reply takes the ordinary transit pipeline; replies to replies
-    /// are not solicited.
+    /// Offer `replier` the chance to answer `to` immediately (push-pull,
+    /// classic engine). The reply takes the ordinary transit pipeline;
+    /// replies to replies are not solicited.
     fn deliver_reply(&mut self, replier: NodeId, to: NodeId) {
         if let Some(mut reply) = self.protocol.reply(replier, to) {
-            self.stats.sent += 1;
-            self.record(Event::Sent {
+            let lane = &mut self.parts[0];
+            lane.stats.sent += 1;
+            lane.record(Event::Sent {
                 round: self.round,
                 src: replier,
                 dst: to,
             });
-            if self.transit(replier, to, &mut reply) {
+            if self
+                .faults
+                .transit(lane, self.graph, &self.alive_node, replier, to, &mut reply)
+            {
                 if self.detector_timeout {
-                    self.note_arrival(to, replier);
+                    self.note_arrival(0, to, replier);
                 }
                 self.protocol.on_receive(to, replier, &mut reply);
-                self.note_delivery(replier, to);
+                self.note_delivery(0, replier, to);
             }
             self.protocol.reclaim(reply);
         }
     }
 
     /// Timeout-detector bookkeeping for one successful delivery `src →
-    /// dst`: a message from a suspected neighbor proves it alive, so the
-    /// rehabilitation fires *before* the receive handler — the protocol
-    /// re-admits the edge, then processes the message over it.
+    /// dst` on lane `p` (the partition owning `dst`): a message from a
+    /// suspected neighbor proves it alive, so the rehabilitation fires
+    /// *before* the receive handler — the protocol re-admits the edge,
+    /// then processes the message over it.
     #[inline]
-    fn note_arrival(&mut self, dst: NodeId, src: NodeId) {
+    fn note_arrival(&mut self, p: usize, dst: NodeId, src: NodeId) {
         let slot = self
             .graph
             .neighbor_slot(dst, src)
             .expect("delivery on a non-edge");
         let arc = self.graph.arc_base(dst) + slot;
-        let was_suspected = {
-            let det = &mut self.det[0];
-            if det.is_suspected(arc) {
-                det.clear_suspected_bit(arc);
-                det.suspects_remove(pack_arc(dst, arc));
-                true
-            } else {
-                false
-            }
-        };
-        if was_suspected {
-            self.readmit_believed(dst, src);
-            self.stats.rehabilitated += 1;
-            self.record(Event::NodeRehabilitated {
+        let det = &mut self.det[p];
+        if det.is_suspected(arc) {
+            det.clear_suspected_bit(arc);
+            det.suspects_remove(pack_arc(dst, arc));
+            self.believed.readmit(self.graph, dst, src);
+            let lane = &mut self.parts[p];
+            lane.stats.rehabilitated += 1;
+            lane.record(Event::NodeRehabilitated {
                 round: self.round,
                 node: dst,
                 neighbor: src,
@@ -1361,45 +786,28 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         }
         self.last_heard[arc] = self.round;
         let deadline = self.round.saturating_add(self.detector_window);
-        self.det[0].arm(dst, arc, deadline);
+        self.det[p].arm(dst, arc, deadline);
     }
 
-    /// [`note_arrival`](Self::note_arrival) for the partitioned engine:
-    /// detector state of partition `p` (owning `dst`), stats/events into
-    /// `p`'s buffers.
+    /// Count one delivery `src → dst` on lane `p`. The link-load counter
+    /// is indexed by the *source* arc, which can belong to another
+    /// partition — but each `(src, dst)` arc appears in exactly one
+    /// mailbox lane, so the element is still touched by exactly one
+    /// worker.
     #[inline]
-    fn note_arrival_part(&mut self, p: usize, dst: NodeId, src: NodeId) {
-        let slot = self
-            .graph
-            .neighbor_slot(dst, src)
-            .expect("delivery on a non-edge");
-        let arc = self.graph.arc_base(dst) + slot;
-        let was_suspected = {
-            let det = &mut self.det[p];
-            if det.is_suspected(arc) {
-                det.clear_suspected_bit(arc);
-                det.suspects_remove(pack_arc(dst, arc));
-                true
-            } else {
-                false
+    fn note_delivery(&mut self, p: usize, src: NodeId, dst: NodeId) {
+        let lane = &mut self.parts[p];
+        lane.stats.delivered += 1;
+        lane.record(Event::Delivered {
+            round: self.round,
+            src,
+            dst,
+        });
+        if let Some(counts) = self.link_load.as_mut() {
+            if let Some(slot) = self.graph.neighbor_slot(src, dst) {
+                counts[self.graph.arc_base(src) + slot] += 1;
             }
-        };
-        if was_suspected {
-            self.readmit_believed(dst, src);
-            self.parts[p].stats.rehabilitated += 1;
-            if self.trace.is_some() {
-                let e = Event::NodeRehabilitated {
-                    round: self.round,
-                    node: dst,
-                    neighbor: src,
-                };
-                self.parts[p].events.push(e);
-            }
-            self.protocol.on_rehabilitate(dst, src);
         }
-        self.last_heard[arc] = self.round;
-        let deadline = self.round.saturating_add(self.detector_window);
-        self.det[p].arm(dst, arc, deadline);
     }
 
     /// Timing-wheel maintenance for one detector part: drain the slot due
@@ -1433,10 +841,10 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             if !self.alive_node[node as usize] {
                 continue;
             }
-            let base = self.graph.arc_base(node);
-            let blen = self.believed_len[node as usize] as usize;
-            let j = self.graph.neighbors(node)[arc - base];
-            if self.believed_flat[base..base + blen]
+            let j = self.graph.neighbors(node)[arc - self.graph.arc_base(node)];
+            if self
+                .believed
+                .list(self.graph, node)
                 .binary_search(&j)
                 .is_err()
             {
@@ -1451,54 +859,50 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             .sort_unstable_by(|a, b| (a >> 32).cmp(&(b >> 32)).then(b.cmp(a)));
     }
 
-    /// End-of-round silence scan (timeout mode): every alive node drops
-    /// each believed neighbor it has not heard from for `window` rounds.
-    /// Suspicion is one-directional and purely local — under delay or
-    /// loss it can be wrong, which is the point. O(due + arrivals), not
-    /// O(believed arcs): see [`DetectorPart`].
-    fn scan_silence(&mut self) {
+    /// End-of-round silence scan over detector part `p` (timeout mode):
+    /// every alive node drops each believed neighbor it has not heard from
+    /// for `window` rounds. Suspicion is one-directional and purely local
+    /// — under delay or loss it can be wrong, which is the point.
+    /// O(due + arrivals), not O(believed arcs): see [`DetectorPart`].
+    fn scan_silence(&mut self, p: usize) {
         let round = self.round;
-        let mut det = std::mem::take(&mut self.det[0]);
+        let mut det = std::mem::take(&mut self.det[p]);
         self.collect_due(&mut det, round);
         for k in 0..det.due.len() {
             let e = det.due[k];
             let i = (e >> 32) as NodeId;
             let arc = (e & 0xFFFF_FFFF) as usize;
             let j = self.graph.neighbors(i)[arc - self.graph.arc_base(i)];
-            self.remove_believed(i, j);
+            self.believed.remove(self.graph, i, j);
             det.set_suspected(arc);
             det.suspects_insert(e);
-            self.stats.suspected += 1;
-            self.record(Event::NodeSuspected {
+            let lane = &mut self.parts[p];
+            lane.stats.suspected += 1;
+            lane.record(Event::NodeSuspected {
                 round,
                 node: i,
                 neighbor: j,
             });
             self.protocol.on_suspect(i, j);
         }
-        self.det[0] = det;
+        self.det[p] = det;
     }
 
-    /// End-of-round probe fan-out (timeout mode): every alive node sends
-    /// a liveness probe to each neighbor it currently suspects. Suspicion
-    /// must not stop outbound probing — a falsely suspected (or healed)
-    /// link rehabilitates only because probes keep crossing it, while
-    /// probes to a genuinely dead peer keep vanishing and the suspicion
-    /// stands. Probes ride the same delay model as payload messages but
-    /// carry no protocol state.
+    /// End-of-round probe fan-out (timeout mode, classic engine): every
+    /// alive node sends a liveness probe to each neighbor it currently
+    /// suspects. Suspicion must not stop outbound probing — a falsely
+    /// suspected (or healed) link rehabilitates only because probes keep
+    /// crossing it, while probes to a genuinely dead peer keep vanishing
+    /// and the suspicion stands. Probes ride the same delay model as
+    /// payload messages but carry no protocol state.
     fn send_probes(&mut self) {
-        if self.det[0].suspects.is_empty() {
-            return;
-        }
         let nbuckets = self.probe_ring.len() as u64;
+        let lane = &mut self.parts[0];
         // The suspect list is sorted by packed (node, arc) — exactly the
         // node-ascending, adjacency-slot-ascending order of the old
         // full-bitmask sweep, so the per-probe delay draws replay
         // identically.
-        let mut k = 0;
-        while k < self.det[0].suspects.len() {
-            let e = self.det[0].suspects[k];
-            k += 1;
+        for &e in &self.det[0].suspects {
             let i = (e >> 32) as NodeId;
             if !self.alive_node[i as usize] {
                 continue;
@@ -1509,74 +913,54 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             // probe is due at the start of round `r + 1 + d`; the
             // arrival rounds `r+1 ..= r+len` map onto distinct ring
             // slots, each drained before it can be refilled.
-            let d = self.delay.sample(&mut self.fault_rng);
+            let d = self.delay.sample(&mut lane.fault_rng);
             let due = ((self.round + 1 + d) % nbuckets) as usize;
             self.probe_ring[due].push((i, j));
-            self.stats.probes_sent += 1;
+            lane.stats.probes_sent += 1;
         }
     }
 
-    /// Start-of-round probe delivery (timeout mode): a probe that crosses
-    /// a live link is proof of life for its sender — pure
-    /// [`note_arrival`](Self::note_arrival) bookkeeping, no protocol
-    /// receive. Dead endpoints, dead arcs and the probabilistic loss
-    /// model swallow probes exactly like payload messages.
+    /// Start-of-round probe delivery (timeout mode, classic engine): a
+    /// probe that crosses a live link is proof of life for its sender —
+    /// pure [`note_arrival`](Self::note_arrival) bookkeeping, no protocol
+    /// receive.
     fn deliver_probes(&mut self) {
         let due = (self.round % self.probe_ring.len() as u64) as usize;
-        if self.probe_ring[due].is_empty() {
-            return;
-        }
         let mut batch = std::mem::take(&mut self.probe_ring[due]);
         for &(src, dst) in &batch {
-            if self.physical_faults
-                && (!self.alive_node[src as usize]
-                    || !self.alive_node[dst as usize]
-                    || self.arc_is_dead(src, dst))
-            {
-                continue;
+            if self.faults.probe_survives(
+                &mut self.parts[0],
+                self.graph,
+                &self.alive_node,
+                src,
+                dst,
+            ) {
+                self.note_arrival(0, dst, src);
             }
-            if self.plan.msg_loss_prob > 0.0
-                && self.fault_rng.random::<f64>() < self.plan.msg_loss_prob
-            {
-                continue;
-            }
-            self.note_arrival(dst, src);
         }
         batch.clear();
         self.probe_ring[due] = batch; // hand the allocation back
     }
 
-    #[inline]
-    fn note_delivery(&mut self, src: NodeId, dst: NodeId) {
-        self.stats.delivered += 1;
-        let round = self.round;
-        self.record(Event::Delivered { round, src, dst });
-        if let Some(counts) = self.link_load.as_mut() {
-            if let Some(slot) = self.graph.neighbor_slot(src, dst) {
-                counts[self.graph.arc_base(src) + slot] += 1;
-            }
-        }
-    }
-
     /// Execute one round (synchronous) or `n` activations (asynchronous).
     pub fn step(&mut self) {
+        self.fault_phase();
         if self.partitions > 1 {
             self.step_partitioned();
-            return;
+        } else {
+            if self.detector_timeout {
+                self.deliver_probes();
+            }
+            match self.activation {
+                Activation::Synchronous => self.step_synchronous(),
+                Activation::Asynchronous => self.step_asynchronous(),
+            }
+            if self.detector_timeout {
+                self.scan_silence(0);
+                self.send_probes();
+            }
         }
-        self.fire_scheduled_faults();
-        self.deliver_detections();
-        if self.detector_timeout {
-            self.deliver_probes();
-        }
-        match self.activation {
-            Activation::Synchronous => self.step_synchronous(),
-            Activation::Asynchronous => self.step_asynchronous(),
-        }
-        if self.detector_timeout {
-            self.scan_silence();
-            self.send_probes();
-        }
+        self.merge_parts();
         self.round += 1;
         self.stats.rounds += 1;
     }
@@ -1584,22 +968,22 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     fn step_synchronous(&mut self) {
         // Phase 3: sends, enqueued for delivery `delay` rounds from now.
         let nbuckets = self.ring.slots() as u64;
+        let lane = &mut self.parts[0];
         for i in 0..self.graph.len() as NodeId {
             if !self.alive_node[i as usize] {
                 continue;
             }
-            let base = self.graph.arc_base(i);
-            let alive = &self.believed_flat[base..base + self.believed_len[i as usize] as usize];
-            let target = self.schedule.pick(i, alive, &mut self.schedule_rng);
+            let alive = self.believed.list(self.graph, i);
+            let target = self.schedule.pick(i, alive, &mut lane.sched_rng);
             let Some(target) = target else { continue };
             let msg = self.protocol.on_send(i, target);
-            self.stats.sent += 1;
-            self.record(Event::Sent {
+            lane.stats.sent += 1;
+            lane.record(Event::Sent {
                 round: self.round,
                 src: i,
                 dst: target,
             });
-            let d = self.delay.sample(&mut self.fault_rng);
+            let d = self.delay.sample(&mut lane.fault_rng);
             let slot = if nbuckets == 1 {
                 0
             } else {
@@ -1618,10 +1002,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         // Nothing in this phase can introduce a fault, so one check
         // covers the whole batch: the fully-clean case (no physical
         // faults, no probabilistic models) skips `transit` entirely.
-        let clean = !self.physical_faults
-            && self.plan.msg_loss_prob <= 0.0
-            && self.plan.bit_flip_prob <= 0.0
-            && self.burst.is_none();
+        let clean = self.faults.is_clean();
         let mut batch = self.ring.take_slot(slot);
         // Receivers are in random order while the batch is walked
         // sequentially: warm the state a few deliveries ahead so the
@@ -1634,12 +1015,21 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             let entry = &mut batch[i];
             let (src, dst) = (entry.0, entry.1);
             let msg = &mut entry.2;
-            if clean || self.transit(src, dst, msg) {
+            if clean
+                || self.faults.transit(
+                    &mut self.parts[0],
+                    self.graph,
+                    &self.alive_node,
+                    src,
+                    dst,
+                    msg,
+                )
+            {
                 if self.detector_timeout {
-                    self.note_arrival(dst, src);
+                    self.note_arrival(0, dst, src);
                 }
                 self.protocol.on_receive(dst, src, msg);
-                self.note_delivery(src, dst);
+                self.note_delivery(0, src, dst);
                 self.deliver_reply(dst, src);
             }
         }
@@ -1661,31 +1051,31 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 .extend((0..self.graph.len() as NodeId).filter(|&i| self.alive_node[i as usize]));
             self.alive_scratch_dirty = false;
         }
-        if self.alive_scratch.is_empty() {
-            return;
-        }
         // One activation per alive node per round in expectation (dead
         // nodes' Poisson clocks stop ticking).
         for _ in 0..self.alive_scratch.len() {
-            let k = self.schedule_rng.random_range(0..self.alive_scratch.len());
+            let lane = &mut self.parts[0];
+            let k = lane.sched_rng.random_range(0..self.alive_scratch.len());
             let i = self.alive_scratch[k];
-            let base = self.graph.arc_base(i);
-            let alive = &self.believed_flat[base..base + self.believed_len[i as usize] as usize];
-            let target = self.schedule.pick(i, alive, &mut self.schedule_rng);
+            let alive = self.believed.list(self.graph, i);
+            let target = self.schedule.pick(i, alive, &mut lane.sched_rng);
             let Some(target) = target else { continue };
             let mut msg = self.protocol.on_send(i, target);
-            self.stats.sent += 1;
-            self.record(Event::Sent {
+            lane.stats.sent += 1;
+            lane.record(Event::Sent {
                 round: self.round,
                 src: i,
                 dst: target,
             });
-            if self.transit(i, target, &mut msg) {
+            if self
+                .faults
+                .transit(lane, self.graph, &self.alive_node, i, target, &mut msg)
+            {
                 if self.detector_timeout {
-                    self.note_arrival(target, i);
+                    self.note_arrival(0, target, i);
                 }
                 self.protocol.on_receive(target, i, &mut msg);
-                self.note_delivery(i, target);
+                self.note_delivery(0, i, target);
                 self.deliver_reply(target, i);
             }
             self.protocol.reclaim(msg);
@@ -1701,10 +1091,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     // the phases run on one thread or sixteen. Determinism is keyed on
     // the partition count, never on the thread count.
 
-    /// One round under the partitioned engine.
+    /// The per-partition phases of one round under the partitioned engine.
     fn step_partitioned(&mut self) {
-        self.fire_scheduled_faults();
-        self.deliver_detections();
         if self.detector_timeout {
             self.par_run(Self::par_deliver_probes);
         }
@@ -1714,9 +1102,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         if self.detector_timeout {
             self.par_run(Self::par_scan);
         }
-        self.merge_parts();
-        self.round += 1;
-        self.stats.rounds += 1;
     }
 
     /// Run `phase(self, p)` for every partition — on the worker pool when
@@ -1725,21 +1110,14 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     fn par_run(&mut self, phase: fn(&mut Self, usize)) {
         let np = self.partitions;
         if let Some(pool) = self.pool.take() {
-            let ptr = SendPtr(self as *mut Self);
-            pool.run(np, |p| {
-                // SAFETY: each phase function touches only state owned by
-                // its partition argument (parts[p], det[p], its lane
-                // row/column, partition-contiguous ranges of the believed
-                // lists and last_heard, and — per the PARALLEL_SAFE
-                // contract — partition-owned protocol state), plus shared
-                // state that is read-only during parallel phases (graph,
-                // plan, alive/dead masks, schedule cursors of own nodes).
-                // The pool guarantees the phase is fully retired before
-                // `run` returns, so these aliased `&mut`s never overlap
-                // in time with the caller's exclusive use.
-                let sim = unsafe { &mut *ptr.get() };
-                phase(sim, p);
-            });
+            // SAFETY: each phase function touches only state owned by its
+            // partition argument (parts[p], det[p], its mailbox row/column,
+            // partition-contiguous ranges of the believed lists and
+            // last_heard, and — per the PARALLEL_SAFE contract —
+            // partition-owned protocol state), plus shared state that is
+            // read-only during parallel phases (graph, fault range,
+            // alive mask, schedule cursors of own nodes).
+            unsafe { pool.run_split(np, self, phase) };
             self.pool = Some(pool);
         } else {
             for p in 0..np {
@@ -1750,29 +1128,24 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 
     /// Send phase for partition `p`: node order within the partition,
     /// partner picks from `p`'s own schedule stream, outgoing messages
-    /// pushed onto the `(p, target-partition)` lane.
+    /// pushed onto the `(p, target-partition)` mailbox lane.
     fn par_send(&mut self, p: usize) {
         let np = self.partitions;
-        let round = self.round;
-        let trace_on = self.trace.is_some();
-        let (ns, ne) = (self.parts[p].node_start, self.parts[p].node_end);
-        for i in ns..ne {
+        for i in self.part_starts[p]..self.part_starts[p + 1] {
             if !self.alive_node[i as usize] {
                 continue;
             }
-            let base = self.graph.arc_base(i);
-            let alive = &self.believed_flat[base..base + self.believed_len[i as usize] as usize];
+            let alive = self.believed.list(self.graph, i);
             let target = self.schedule.pick(i, alive, &mut self.parts[p].sched_rng);
             let Some(target) = target else { continue };
             let msg = self.protocol.part_send(p, i, target);
-            self.parts[p].stats.sent += 1;
-            if trace_on {
-                self.parts[p].events.push(Event::Sent {
-                    round,
-                    src: i,
-                    dst: target,
-                });
-            }
+            let lane = &mut self.parts[p];
+            lane.stats.sent += 1;
+            lane.record(Event::Sent {
+                round: self.round,
+                src: i,
+                dst: target,
+            });
             let q = self.part_of(target);
             self.lanes[p * np + q].push((i, target, msg));
         }
@@ -1786,11 +1159,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// instead of being delivered inline.
     fn par_deliver(&mut self, q: usize) {
         let np = self.partitions;
-        let round = self.round;
-        let clean = !self.physical_faults
-            && self.plan.msg_loss_prob <= 0.0
-            && self.plan.bit_flip_prob <= 0.0
-            && self.burst.is_none();
+        let clean = self.faults.is_clean();
         const LOOKAHEAD: usize = 8;
         for p in 0..np {
             let li = p * np + q;
@@ -1801,21 +1170,29 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 }
                 let entry = &mut lane[k];
                 let (src, dst) = (entry.0, entry.1);
-                if clean || self.transit_part(q, src, dst, &mut entry.2) {
+                if clean
+                    || self.faults.transit(
+                        &mut self.parts[q],
+                        self.graph,
+                        &self.alive_node,
+                        src,
+                        dst,
+                        &mut entry.2,
+                    )
+                {
                     if self.detector_timeout {
-                        self.note_arrival_part(q, dst, src);
+                        self.note_arrival(q, dst, src);
                     }
                     self.protocol.part_receive(q, dst, src, &mut entry.2);
-                    self.note_delivery_part(q, src, dst);
+                    self.note_delivery(q, src, dst);
                     if let Some(reply) = self.protocol.part_reply(q, dst, src) {
-                        self.parts[q].stats.sent += 1;
-                        if self.trace.is_some() {
-                            self.parts[q].events.push(Event::Sent {
-                                round,
-                                src: dst,
-                                dst: src,
-                            });
-                        }
+                        let out = &mut self.parts[q];
+                        out.stats.sent += 1;
+                        out.record(Event::Sent {
+                            round: self.round,
+                            src: dst,
+                            dst: src,
+                        });
                         self.reply_lanes[q * np + p].push((dst, src, reply));
                     }
                 }
@@ -1837,12 +1214,19 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             let mut lane = std::mem::take(&mut self.reply_lanes[li]);
             for entry in lane.iter_mut() {
                 let (replier, to) = (entry.0, entry.1);
-                if self.transit_part(p, replier, to, &mut entry.2) {
+                if self.faults.transit(
+                    &mut self.parts[p],
+                    self.graph,
+                    &self.alive_node,
+                    replier,
+                    to,
+                    &mut entry.2,
+                ) {
                     if self.detector_timeout {
-                        self.note_arrival_part(p, to, replier);
+                        self.note_arrival(p, to, replier);
                     }
                     self.protocol.part_receive(p, to, replier, &mut entry.2);
-                    self.note_delivery_part(p, replier, to);
+                    self.note_delivery(p, replier, to);
                 }
             }
             for (_, _, msg) in lane.drain(..) {
@@ -1862,19 +1246,15 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             let li = p * np + q;
             let mut lane = std::mem::take(&mut self.probe_lanes[li]);
             for &(src, dst) in &lane {
-                if self.physical_faults
-                    && (!self.alive_node[src as usize]
-                        || !self.alive_node[dst as usize]
-                        || self.arc_is_dead(src, dst))
-                {
-                    continue;
+                if self.faults.probe_survives(
+                    &mut self.parts[q],
+                    self.graph,
+                    &self.alive_node,
+                    src,
+                    dst,
+                ) {
+                    self.note_arrival(q, dst, src);
                 }
-                if self.plan.msg_loss_prob > 0.0
-                    && self.parts[q].fault_rng.random::<f64>() < self.plan.msg_loss_prob
-                {
-                    continue;
-                }
-                self.note_arrival_part(q, dst, src);
             }
             lane.clear();
             self.probe_lanes[li] = lane;
@@ -1882,35 +1262,14 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     }
 
     /// End-of-round detector scan + probe fan-out for partition `p`
-    /// (timeout mode): the wheel scan of [`scan_silence`]
-    /// (Self::scan_silence) over `p`'s arcs, with stats/events buffered
-    /// per partition; probes go out on the probe lanes (zero delay — all
-    /// due next round).
+    /// (timeout mode): [`scan_silence`](Self::scan_silence) over `p`'s
+    /// arcs; probes go out on the probe lanes (zero delay — all due next
+    /// round).
     fn par_scan(&mut self, p: usize) {
-        let round = self.round;
+        self.scan_silence(p);
         let np = self.partitions;
-        let mut det = std::mem::take(&mut self.det[p]);
-        self.collect_due(&mut det, round);
-        for k in 0..det.due.len() {
-            let e = det.due[k];
-            let i = (e >> 32) as NodeId;
-            let arc = (e & 0xFFFF_FFFF) as usize;
-            let j = self.graph.neighbors(i)[arc - self.graph.arc_base(i)];
-            self.remove_believed(i, j);
-            det.set_suspected(arc);
-            det.suspects_insert(e);
-            self.parts[p].stats.suspected += 1;
-            if self.trace.is_some() {
-                self.parts[p].events.push(Event::NodeSuspected {
-                    round,
-                    node: i,
-                    neighbor: j,
-                });
-            }
-            self.protocol.on_suspect(i, j);
-        }
-        for k in 0..det.suspects.len() {
-            let e = det.suspects[k];
+        for k in 0..self.det[p].suspects.len() {
+            let e = self.det[p].suspects[k];
             let i = (e >> 32) as NodeId;
             if !self.alive_node[i as usize] {
                 continue;
@@ -1921,118 +1280,21 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             self.probe_lanes[p * np + q].push((i, j));
             self.parts[p].stats.probes_sent += 1;
         }
-        self.det[p] = det;
     }
 
-    /// Partitioned-engine variant of [`transit`](Self::transit): draws
-    /// from partition `p`'s fault stream, counts into `p`'s buffers.
-    #[inline]
-    fn transit_part(&mut self, p: usize, src: NodeId, dst: NodeId, msg: &mut P::Msg) -> bool {
-        let round = self.round;
-        let trace_on = self.trace.is_some();
-        if self.physical_faults
-            && (!self.alive_node[src as usize]
-                || !self.alive_node[dst as usize]
-                || self.arc_is_dead(src, dst))
-        {
-            self.parts[p].stats.lost_dead += 1;
-            if trace_on {
-                self.parts[p]
-                    .events
-                    .push(Event::LostDead { round, src, dst });
-            }
-            return false;
-        }
-        if let Some(b) = self.burst {
-            let part = &mut self.parts[p];
-            let u = part.burst_rng.random::<f64>();
-            part.burst_bad = if part.burst_bad {
-                u >= b.exit
-            } else {
-                u < b.enter
-            };
-            if part.burst_bad && part.burst_rng.random::<f64>() < b.loss {
-                part.stats.lost_burst += 1;
-                if trace_on {
-                    part.events.push(Event::LostBurst { round, src, dst });
-                }
-                return false;
-            }
-        }
-        if self.plan.msg_loss_prob > 0.0
-            && self.parts[p].fault_rng.random::<f64>() < self.plan.msg_loss_prob
-        {
-            self.parts[p].stats.lost_random += 1;
-            if trace_on {
-                self.parts[p]
-                    .events
-                    .push(Event::LostRandom { round, src, dst });
-            }
-            return false;
-        }
-        if self.plan.bit_flip_prob > 0.0
-            && self.parts[p].fault_rng.random::<f64>() < self.plan.bit_flip_prob
-        {
-            let bits = msg.corruptible_bits();
-            if bits > 0 {
-                let bit = self.parts[p].fault_rng.random_range(0..bits);
-                msg.flip_bit(bit);
-                self.parts[p].stats.bit_flips += 1;
-                if trace_on {
-                    self.parts[p].events.push(Event::BitFlipped {
-                        round,
-                        src,
-                        dst,
-                        bit,
-                    });
-                }
-            }
-        }
-        true
-    }
-
-    /// Partitioned-engine variant of
-    /// [`note_delivery`](Self::note_delivery). The link-load counter is
-    /// indexed by the *source* arc, which can belong to another
-    /// partition — but each `(src, dst)` arc appears in exactly one lane,
-    /// so the element is still touched by exactly one worker.
-    #[inline]
-    fn note_delivery_part(&mut self, p: usize, src: NodeId, dst: NodeId) {
-        self.parts[p].stats.delivered += 1;
-        if self.trace.is_some() {
-            let round = self.round;
-            self.parts[p]
-                .events
-                .push(Event::Delivered { round, src, dst });
-        }
-        if let Some(counts) = self.link_load.as_mut() {
-            if let Some(slot) = self.graph.neighbor_slot(src, dst) {
-                counts[self.graph.arc_base(src) + slot] += 1;
-            }
-        }
-    }
-
-    /// Sequential end-of-round merge: fold every partition's stats delta
-    /// and buffered trace events into the global sinks, in ascending
-    /// partition order. This fixed order is what pins the trace/report
-    /// bytes across thread counts.
+    /// Sequential end-of-round merge: fold every lane's stats delta and
+    /// buffered trace events into the global sinks, in ascending lane
+    /// order. This fixed order is what pins the trace/report bytes across
+    /// thread counts.
     fn merge_parts(&mut self) {
-        let parts = &mut self.parts;
-        if let Some(t) = self.trace.as_mut() {
-            for part in parts.iter_mut() {
-                for e in part.events.drain(..) {
+        for lane in &mut self.parts {
+            if let Some(t) = self.trace.as_mut() {
+                for e in lane.events.drain(..) {
                     t.push(e);
                 }
             }
-        } else {
-            for part in parts.iter_mut() {
-                part.events.clear();
-            }
-        }
-        for part in parts.iter_mut() {
-            let d = part.stats;
-            part.stats = SimStats::default();
-            self.stats.absorb(&d);
+            self.stats.merge(&lane.stats);
+            lane.stats = SimStats::default();
         }
     }
 
@@ -2058,7 +1320,10 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// Replace the fault plan from the next round on. Scheduled events
     /// whose `at_round` is already past never fire; probabilistic loss and
     /// corruption switch immediately. Used to model fault episodes ("flip
-    /// bits for 200 rounds, then run clean and watch recovery").
+    /// bits for 200 rounds, then run clean and watch recovery"). The burst
+    /// chains keep their stream position and state across plan swaps: an
+    /// episode that turns bursts off and back on resumes the same
+    /// deterministic chain.
     /// # Panics
     /// Panics if the plan fails [`FaultPlan::validate`] against the
     /// topology (same check `try_with_options` applies at construction).
@@ -2066,28 +1331,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         if let Err(e) = plan.validate(self.graph) {
             panic!("{e}");
         }
-        let queues = sorted_queues(&plan);
-        // Skip events already in the past, preserving the "never fire"
-        // contract; the cursors then only ever see current-round events.
-        self.link_cursor = queues.links.partition_point(|f| f.at_round < self.round);
-        self.crash_cursor = queues.crashes.partition_point(|c| c.at_round < self.round);
-        self.heal_cursor = queues.heals.partition_point(|h| h.at_round < self.round);
-        self.restart_cursor = queues.restarts.partition_point(|r| r.at_round < self.round);
-        self.cut_cursor = queues.cuts.partition_point(|p| p.at_round < self.round);
-        self.cut_heal_cursor = queues
-            .cut_heals
-            .partition_point(|p| p.at_round < self.round);
-        self.link_queue = queues.links;
-        self.crash_queue = queues.crashes;
-        self.heal_queue = queues.heals;
-        self.restart_queue = queues.restarts;
-        self.cut_queue = queues.cuts;
-        self.cut_heal_queue = queues.cut_heals;
-        // The burst RNG keeps its stream position and chain state across
-        // plan swaps: an episode that turns bursts off and back on
-        // resumes the same deterministic chain.
-        self.burst = plan.burst;
-        self.plan = plan;
+        self.faults.set_plan(&plan, self.round);
     }
 
     /// Manually kill a link right now (physical + immediate detection).
@@ -2095,9 +1339,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// the primary interface.
     pub fn fail_link_now(&mut self, a: NodeId, b: NodeId) {
         assert!(self.graph.has_edge(a, b), "no link ({a},{b}) to fail");
-        self.mark_link_dead(a, b);
+        self.faults.mark_link_dead(self.graph, a, b);
         for (x, y) in [(a, b), (b, a)] {
-            if self.alive_node[x as usize] && self.remove_believed(x, y) {
+            if self.alive_node[x as usize] && self.believed.remove(self.graph, x, y) {
                 self.protocol.on_link_failed(x, y);
             }
         }
