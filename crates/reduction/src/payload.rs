@@ -54,6 +54,14 @@ pub trait Payload: Clone + PartialEq + fmt::Debug + Corrupt + Send + 'static {
     /// Read-only view of the scalar components.
     fn components(&self) -> &[f64];
 
+    /// Whether a payload of this type can have `dim` components: `true`
+    /// for vector payloads, `dim == 1` for a scalar. Decoders check it
+    /// before building a payload from untrusted bytes, where
+    /// [`Payload::zeros`] / [`Payload::from_components`] would panic.
+    fn admits_dim(_dim: usize) -> bool {
+        true
+    }
+
     /// Build a payload from scalar components.
     ///
     /// # Panics
@@ -117,6 +125,10 @@ impl Payload for f64 {
     #[inline]
     fn components(&self) -> &[f64] {
         std::slice::from_ref(self)
+    }
+    #[inline]
+    fn admits_dim(dim: usize) -> bool {
+        dim == 1
     }
     #[inline]
     fn from_components(comps: &[f64]) -> Self {

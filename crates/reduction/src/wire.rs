@@ -74,6 +74,12 @@ pub enum WireError {
         /// Bytes left over after the body structure ended.
         extra: usize,
     },
+    /// A payload declares a dimension its type cannot hold (a scalar
+    /// payload has exactly one component).
+    Dim {
+        /// Dimension declared on the wire.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -96,6 +102,9 @@ impl std::fmt::Display for WireError {
             }
             WireError::Trailing { extra } => {
                 write!(f, "{extra} trailing bytes after message body")
+            }
+            WireError::Dim { got } => {
+                write!(f, "payload dimension {got} does not fit the payload type")
             }
         }
     }
@@ -173,14 +182,22 @@ fn put_payload<P: Payload>(out: &mut Vec<u8>, p: &P) {
     }
 }
 
-fn get_payload<P: Payload>(r: &mut Reader<'_>, scratch: &mut Vec<f64>) -> Result<P, WireError> {
+/// Decode one payload straight from the frame bytes: no scratch buffer,
+/// so a scalar or inline payload decodes without touching the allocator
+/// (a `Vec<f64>` payload allocates only its own storage). The declared
+/// dimension is checked against the bytes present before the payload is
+/// built, so a hostile `dim` is a typed error, never a huge allocation.
+fn get_payload<P: Payload>(r: &mut Reader<'_>) -> Result<P, WireError> {
     let dim = r.u32()? as usize;
-    scratch.clear();
-    scratch.reserve(dim);
-    for _ in 0..dim {
-        scratch.push(r.f64()?);
+    let bytes = r.take(dim.saturating_mul(8))?;
+    if !P::admits_dim(dim) {
+        return Err(WireError::Dim { got: dim });
     }
-    Ok(P::from_components(scratch))
+    let mut p = P::zeros(dim);
+    for (c, b) in p.components_mut().iter_mut().zip(bytes.chunks_exact(8)) {
+        *c = f64::from_bits(u64::from_le_bytes(b.try_into().unwrap()));
+    }
+    Ok(p)
 }
 
 fn put_mass<P: Payload>(out: &mut Vec<u8>, m: &Mass<P>) {
@@ -188,8 +205,8 @@ fn put_mass<P: Payload>(out: &mut Vec<u8>, m: &Mass<P>) {
     put_f64(out, m.weight);
 }
 
-fn get_mass<P: Payload>(r: &mut Reader<'_>, scratch: &mut Vec<f64>) -> Result<Mass<P>, WireError> {
-    let value = get_payload(r, scratch)?;
+fn get_mass<P: Payload>(r: &mut Reader<'_>) -> Result<Mass<P>, WireError> {
+    let value = get_payload(r)?;
     let weight = r.f64()?;
     Ok(Mass { value, weight })
 }
@@ -272,8 +289,7 @@ impl<P: Payload> WireMsg for Mass<P> {
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut scratch = Vec::new();
-        get_mass(r, &mut scratch)
+        get_mass(r)
     }
 }
 
@@ -292,11 +308,10 @@ impl<P: Payload> WireMsg for PcfMsg<P> {
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut scratch = Vec::new();
-        let f1 = get_mass(r, &mut scratch)?;
-        let f2 = get_mass(r, &mut scratch)?;
-        let folded = get_mass(r, &mut scratch)?;
-        let base = get_mass(r, &mut scratch)?;
+        let f1 = get_mass(r)?;
+        let f2 = get_mass(r)?;
+        let folded = get_mass(r)?;
+        let base = get_mass(r)?;
         let c = r.u8()?;
         let rr = r.u64()?;
         let inc = r.u64()?;
@@ -322,9 +337,8 @@ impl<P: Payload> WireMsg for FuMsg<P> {
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut scratch = Vec::new();
-        let flow = get_payload(r, &mut scratch)?;
-        let estimate = get_payload(r, &mut scratch)?;
+        let flow = get_payload(r)?;
+        let estimate = get_payload(r)?;
         Ok(FuMsg { flow, estimate })
     }
 }
@@ -495,5 +509,38 @@ mod tests {
             PcfMsg::<f64>::decode_frame(&long),
             Err(WireError::Trailing { extra: 1 })
         );
+    }
+
+    /// A 10-byte PCF frame whose first payload declares `u32::MAX`
+    /// components with none present: a typed error, not an attempt to
+    /// allocate 32 GiB for the components.
+    #[test]
+    fn hostile_dim_is_truncation_not_allocation() {
+        let bytes = [WIRE_VERSION, 2, 4, 0, 0, 0, 0xff, 0xff, 0xff, 0xff];
+        let want = WireError::Truncated {
+            need: u32::MAX as usize * 8,
+            have: 0,
+        };
+        assert_eq!(PcfMsg::<f64>::decode_frame(&bytes).unwrap_err(), want);
+        assert_eq!(PcfMsg::<InlineVec>::decode_frame(&bytes).unwrap_err(), want);
+        assert_eq!(PcfMsg::<Vec<f64>>::decode_frame(&bytes).unwrap_err(), want);
+    }
+
+    #[test]
+    fn scalar_payload_rejects_other_dims() {
+        // A dim-2 mass frame is well formed for vector payloads but not
+        // for a scalar one.
+        let bytes = frame(&Mass::new(vec![1.0, 2.0], 1.0));
+        assert_eq!(
+            Mass::<f64>::decode_frame(&bytes),
+            Err(WireError::Dim { got: 2 })
+        );
+        assert_eq!(
+            Mass::<InlineVec>::decode_frame(&bytes).unwrap(),
+            Mass::new(InlineVec::from_components(&[1.0, 2.0]), 1.0)
+        );
+        assert!(WireError::Dim { got: 2 }
+            .to_string()
+            .contains("dimension 2"));
     }
 }

@@ -29,6 +29,9 @@ pub struct MemDelivery<M: WireMsg> {
     node: NodeId,
     peers: Vec<SyncSender<Frame>>,
     rx: Receiver<Frame>,
+    /// Encode buffer kept across sends; each frame ships as an exact-size
+    /// copy of it, so a send costs one allocation and no regrowth.
+    tx_buf: Vec<u8>,
     stats: WireStats,
     _msg: std::marker::PhantomData<fn() -> M>,
 }
@@ -58,6 +61,7 @@ pub fn mem_cluster<M: WireMsg>(
             node: i as NodeId,
             peers: senders.clone(),
             rx,
+            tx_buf: Vec::new(),
             stats: WireStats::default(),
             _msg: std::marker::PhantomData,
         })
@@ -83,8 +87,9 @@ impl<M: WireMsg> Delivery<M> for MemDelivery<M> {
         let Some(peer) = self.peers.get(dst as usize) else {
             return Err(TransportError::UnknownPeer { dst });
         };
-        let mut frame = Vec::new();
-        msg.encode_frame(&mut frame);
+        self.tx_buf.clear();
+        msg.encode_frame(&mut self.tx_buf);
+        let frame = self.tx_buf.to_vec();
         let bytes = frame.len() as u64;
         match peer.try_send((self.node, frame)) {
             Ok(()) => {
