@@ -66,17 +66,6 @@ impl Protocol for PartMix {
         self.note(node, b'R', from as u64, *msg);
     }
 
-    fn reply(&mut self, node: NodeId, from: NodeId) -> Option<u64> {
-        // Deterministic, node-local choice: reply to roughly a third of
-        // deliveries so the reply lanes carry real (fault-exposed)
-        // traffic in both engines.
-        if self.acc[node as usize].is_multiple_of(3) {
-            Some((node as u64) << 32 | from as u64)
-        } else {
-            None
-        }
-    }
-
     fn on_link_failed(&mut self, node: NodeId, neighbor: NodeId) {
         self.note(node, b'F', neighbor as u64, 0);
     }
@@ -284,8 +273,8 @@ fn auto_partitioning_kicks_in_at_scale_only() {
     assert_eq!((model.nodes, model.arcs), (100_000, 200_000));
     assert!(model.predicted_ns > 0.0 && model.predicted_ns <= model.single_stream_ns);
     sim.run(2);
-    // Every node sends each round; PartMix replies add more on top.
-    assert!(sim.stats().sent >= 2 * 100_000);
+    // Every node sends exactly once per round.
+    assert_eq!(sim.stats().sent, 2 * 100_000);
 }
 
 /// The cost model itself, pinned with synthetic machine costs so the
@@ -374,8 +363,9 @@ fn explicit_partitions_bypass_the_cost_model() {
 //
 // Like the golden-schedule pins, but for `partitions = 4`: the digest of
 // a partitioned run is part of the determinism contract and must never
-// drift across refactors. (The constants were captured when the
-// partitioned engine landed.)
+// drift across refactors. (The constants were captured on the engine
+// that still had a reply phase, with a recorder that no longer replies,
+// so they pin the push-only round the single engine must reproduce.)
 
 #[test]
 fn golden_partitioned_hypercube_faulty() {
@@ -424,10 +414,10 @@ fn golden_partitioned_hypercube_churn() {
     }
 }
 
-const GOLDEN_HC6_P4: u64 = 0xcf21_8c6f_fff3_01f5;
-const GOLDEN_TORUS_P4: u64 = 0xab58_c4f8_77e0_1571;
-const GOLDEN_HC6_P4_CHURN_ORACLE: u64 = 0x3856_2368_c5b5_41c6;
-const GOLDEN_HC6_P4_CHURN_TIMEOUT: u64 = 0x0dd4_513a_5dd8_25c5;
+const GOLDEN_HC6_P4: u64 = 0x80ea_2985_cc83_3651;
+const GOLDEN_TORUS_P4: u64 = 0xb03b_1f7f_edb2_8173;
+const GOLDEN_HC6_P4_CHURN_ORACLE: u64 = 0xed42_f360_c695_cd04;
+const GOLDEN_HC6_P4_CHURN_TIMEOUT: u64 = 0xda77_fba2_e2bf_4972;
 
 // ---- typed configuration errors ---------------------------------------
 
