@@ -653,9 +653,9 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
         }
     }
 
-    /// One tenant round: the classic engine's phase order exactly —
+    /// One tenant round: the simulator's phase order exactly —
     /// streaming updates, scheduled faults, due detections, then the
-    /// synchronous send/deliver/reply sweep.
+    /// synchronous send/deliver sweep.
     fn step_tenant(&mut self, w: usize, t: usize) {
         self.apply_updates(t);
         let tn = &mut self.tenants[t];
@@ -730,8 +730,9 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
 
     /// Phases 3–5 for tenant `t` on worker `w`: every alive node sends
     /// once (partner from the tenant's schedule stream), then in-order
-    /// delivery through the fault pipeline with reply hooks — the classic
-    /// zero-delay synchronous round, node ids offset by the tenant base.
+    /// delivery through the fault pipeline — the simulator's zero-delay
+    /// single-partition synchronous round, node ids offset by the tenant
+    /// base.
     fn sync_round(&mut self, w: usize, t: usize) {
         let graph = &self.host.graph;
         let tn = &mut self.tenants[t];
@@ -766,18 +767,6 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
             {
                 self.protocol.part_receive(w, dst, src, &mut entry.2);
                 tn.lane.stats.delivered += 1;
-                // Push-pull reply, through the ordinary transit pipeline.
-                if let Some(mut reply) = self.protocol.part_reply(w, dst, src) {
-                    tn.lane.stats.sent += 1;
-                    if tn
-                        .faults
-                        .transit(&mut tn.lane, graph, alive, dst, src, &mut reply)
-                    {
-                        self.protocol.part_receive(w, src, dst, &mut reply);
-                        tn.lane.stats.delivered += 1;
-                    }
-                    self.protocol.part_reclaim(w, reply);
-                }
             }
         }
         for (_, _, msg) in buf.drain(..) {

@@ -245,10 +245,10 @@ impl Scenario {
     /// asynchronous model the oracle's tight sanity tolerances rely on.
     pub fn sim_options(&self) -> SimOptions {
         SimOptions {
-            // Partitioned scenarios run synchronously: the partitioned
-            // engine is a synchronous-round, zero-delay engine by
-            // construction (`SimConfigError::PartitionedAsync` /
-            // `PartitionedDelay` reject everything else).
+            // Partitioned scenarios run synchronously: partitions ≥ 2
+            // are defined for synchronous rounds only
+            // (`SimConfigError::PartitionedAsync`). They may carry a
+            // delay model.
             // Tenant scenarios likewise: the gr-batch executor replays
             // the classic engine's synchronous zero-delay round.
             activation: if self.delay_max > 0 || self.partitions >= 2 || self.tenants >= 1 {

@@ -10,9 +10,9 @@
 //! engine for the duration of one call, through a [`FaultCtx`] or a
 //! [`Lane`].
 //!
-//! The classic engine, the partitioned engine and the batch executor all
-//! go through this one code path, so a change to the fault model lands in
-//! all three at once.
+//! The simulator's round engine and the batch executor both go through
+//! this one code path, so a change to the fault model lands in both at
+//! once.
 
 use crate::faults::{
     BurstModel, Corrupt, FaultPlan, LinkFailure, LinkHeal, NetPartition, NodeCrash, NodeRestart,
@@ -26,8 +26,8 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 
 /// One execution lane's private RNG streams and output buffers: the
-/// classic engine runs one lane, the partitioned engine one per
-/// partition, the batch executor one per tenant. A lane is touched by
+/// simulator runs one lane per partition, the batch executor one per
+/// tenant. A lane is touched by
 /// exactly one thread at a time, so its draws are a pure function of its
 /// seed and stream ids.
 pub struct Lane {
@@ -51,8 +51,8 @@ pub struct Lane {
 impl Lane {
     /// A lane on the single-run streams ([`RngStream::Schedule`],
     /// [`Faults`](RngStream::Faults), [`Burst`](RngStream::Burst)) of
-    /// `seed` — the classic engine's, and a batch tenant's from its own
-    /// seed.
+    /// `seed` — a single-partition simulator's, and a batch tenant's from
+    /// its own seed.
     pub fn single(seed: u64) -> Lane {
         Lane::on_streams(
             seed,

@@ -117,10 +117,14 @@ pub enum SimConfigError {
     /// synchronous activation; asynchronous activation interleaves single
     /// nodes globally and has no partition-local round structure.
     PartitionedAsync,
-    /// The partitioned round engine requires the zero-delay model: its
-    /// mailbox lanes are drained every round, so messages cannot stay in
-    /// flight across rounds.
-    PartitionedDelay,
+    /// A [`DelayModel::Uniform`] range with `min > max` has no delay to
+    /// sample from.
+    InvertedDelayRange {
+        /// The configured smallest delay.
+        min: u64,
+        /// The configured largest delay (below `min`).
+        max: u64,
+    },
     /// A scheduled fault-plan event names a node outside the topology
     /// (`node >= nodes`). Caught at construction time so a typo'd plan is
     /// a typed error, not a silent no-op or a fire-time panic.
@@ -161,11 +165,8 @@ impl std::fmt::Display for SimConfigError {
                     "the partitioned round engine (partitions >= 2) requires synchronous activation"
                 )
             }
-            SimConfigError::PartitionedDelay => {
-                write!(
-                    f,
-                    "the partitioned round engine (partitions >= 2) requires the zero-delay model"
-                )
+            SimConfigError::InvertedDelayRange { min, max } => {
+                write!(f, "uniform delay range is empty: min {min} > max {max}")
             }
             SimConfigError::FaultNodeOutOfRange { node, nodes } => {
                 write!(
@@ -203,14 +204,14 @@ pub struct SimOptions {
     /// Partition count for the partitioned round engine. This — not
     /// `threads` — is what determinism is keyed on:
     ///
-    /// * `1` forces the classic single-stream engine (today's exact
-    ///   semantics and RNG draws);
+    /// * `1` forces a single partition on the single-run RNG streams
+    ///   (the historical semantics and RNG draws);
     /// * `k ≥ 2` partitions the node range into `k` contiguous CSR
     ///   blocks, each with its own schedule/fault RNG stream
-    ///   (requires synchronous activation and zero delay);
+    ///   (requires synchronous activation);
     /// * `0` (the default) picks automatically: large synchronous
-    ///   zero-delay topologies get partitioned, everything else runs the
-    ///   classic engine. Small graphs therefore keep their historical
+    ///   zero-delay topologies get partitioned, everything else runs one
+    ///   partition. Small graphs therefore keep their historical
     ///   schedules bit-for-bit.
     pub partitions: usize,
 }
@@ -228,9 +229,9 @@ impl Default for SimOptions {
     }
 }
 
-/// Node count at or above which `partitions: 0` auto-selects the
-/// partitioned engine (when the activation/delay model allows it).
-/// Below this, runs keep the classic single-stream engine and their
+/// Node count at or above which `partitions: 0` consults the cost model
+/// (when the activation/delay model allows it). Below this, runs keep a
+/// single partition on the single-run streams and their
 /// historical RNG draws bit-for-bit — the cost model is never consulted.
 pub(crate) const AUTO_PARTITION_MIN_NODES: usize = 65_536;
 
@@ -258,8 +259,8 @@ pub enum PartitionSource {
     /// entirely (no calibration probe runs).
     Explicit,
     /// `partitions: 0` but the run is not auto-eligible (asynchronous
-    /// activation, nonzero delay, or below the node floor): the classic
-    /// single-stream engine, bit-identical to history.
+    /// activation, nonzero delay, or below the node floor): one
+    /// partition on the single-run streams, bit-identical to history.
     SingleStream,
     /// `partitions: 0` on an auto-eligible topology: the measured cost
     /// model picked the count; its inputs are in
@@ -361,6 +362,11 @@ fn predicted_round_ns(
 impl SimOptions {
     /// Check the option combination for internal consistency.
     pub fn validate(&self) -> Result<(), SimConfigError> {
+        if let DelayModel::Uniform { min, max } = self.delay {
+            if min > max {
+                return Err(SimConfigError::InvertedDelayRange { min, max });
+            }
+        }
         if self.activation == Activation::Asynchronous && self.delay.max_delay() != 0 {
             return Err(SimConfigError::AsyncWithDelay);
         }
@@ -370,13 +376,8 @@ impl SimOptions {
         if self.threads == 0 {
             return Err(SimConfigError::ZeroThreads);
         }
-        if self.partitions >= 2 {
-            if self.activation != Activation::Synchronous {
-                return Err(SimConfigError::PartitionedAsync);
-            }
-            if self.delay.max_delay() != 0 {
-                return Err(SimConfigError::PartitionedDelay);
-            }
+        if self.partitions >= 2 && self.activation != Activation::Synchronous {
+            return Err(SimConfigError::PartitionedAsync);
         }
         Ok(())
     }
@@ -523,6 +524,27 @@ mod tests {
         let o = SimOptions {
             activation: Activation::Asynchronous,
             delay: DelayModel::Fixed(0),
+            ..SimOptions::default()
+        };
+        assert_eq!(o.validate(), Ok(()));
+    }
+
+    #[test]
+    fn inverted_uniform_delay_is_a_config_error() {
+        let o = SimOptions {
+            delay: DelayModel::Uniform { min: 5, max: 1 },
+            ..SimOptions::default()
+        };
+        assert_eq!(
+            o.validate(),
+            Err(SimConfigError::InvertedDelayRange { min: 5, max: 1 })
+        );
+        assert!(SimConfigError::InvertedDelayRange { min: 5, max: 1 }
+            .to_string()
+            .contains("min 5 > max 1"));
+        // A degenerate range is a fixed delay and stays legal.
+        let o = SimOptions {
+            delay: DelayModel::Uniform { min: 2, max: 2 },
             ..SimOptions::default()
         };
         assert_eq!(o.validate(), Ok(()));

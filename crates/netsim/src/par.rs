@@ -1,7 +1,7 @@
-//! A tiny persistent worker pool for the partitioned round engine.
+//! A tiny persistent worker pool for partitioned rounds.
 //!
 //! The round loop dispatches a handful of short parallel phases per round
-//! (send, deliver, reply, detector scan). Spawning OS threads per phase —
+//! (probe delivery, send, deliver, detector scan). Spawning OS threads per phase —
 //! or even per round via `thread::scope` — costs syscalls and heap
 //! allocations in the steady state, which the simulator's zero-alloc
 //! budget forbids. This pool spawns its workers once, parks them on a

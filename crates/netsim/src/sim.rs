@@ -86,11 +86,11 @@ pub trait Protocol {
         self.on_link_failed(node, restarted);
     }
 
-    /// Called right after `node` processed a message from `from`: return
-    /// `Some(reply)` to send an immediate response back over the same
-    /// link (push-**pull** gossip). The reply passes through the same
-    /// transit fault pipeline but cannot itself be replied to. Default:
-    /// no reply (pure push protocols).
+    /// Legacy push-pull hook: no engine calls it. Every round is
+    /// push-only (the paper's model), so a returned reply would never be
+    /// sent. Kept only so wrappers that forward it still compile; it is
+    /// slated for removal together with [`part_reply`](Self::part_reply).
+    /// Default: no reply.
     fn reply(&mut self, node: NodeId, from: NodeId) -> Option<Self::Msg> {
         let _ = (node, from);
         None
@@ -108,26 +108,27 @@ pub trait Protocol {
         let _ = msg;
     }
 
-    // ----- partitioned round engine (see DESIGN §13) -------------------
+    // ----- partition-phase hooks (see DESIGN §13) ----------------------
     //
-    // With `SimOptions::partitions >= 2` the simulator splits the node
-    // range into contiguous CSR blocks and runs the send/deliver/reply
-    // phases once per partition, always through the `part_*` hooks below.
-    // The default implementations delegate to the base hooks, so every
-    // protocol works under the partitioned engine unchanged (sequential
-    // execution). A protocol opts into *parallel* execution of those
-    // phases by setting [`PARALLEL_SAFE`](Self::PARALLEL_SAFE) — at which
-    // point it promises the contract documented there, typically by
-    // keeping one arena (message pool, scratch buffer, stat counters)
-    // per partition, indexed by the `part` argument.
+    // The simulator splits the node range into `SimOptions::partitions`
+    // contiguous CSR blocks (one block covering every node by default)
+    // and runs the synchronous send and deliver phases once per
+    // partition, always through the `part_*` hooks below; asynchronous
+    // activation calls the base hooks. The default implementations
+    // delegate to the base hooks, so every protocol works unchanged
+    // (sequential execution). A protocol opts into *parallel* execution
+    // of those phases by setting [`PARALLEL_SAFE`](Self::PARALLEL_SAFE) —
+    // at which point it promises the contract documented there,
+    // typically by keeping one arena (message pool, scratch buffer, stat
+    // counters) per partition, indexed by the `part` argument.
 
     /// Declares the partition-phase hooks safe to run concurrently, one
     /// thread per partition. A protocol may set this to `true` iff:
     ///
-    /// * `part_send(part, node, ..)` / `part_receive(part, node, ..)` /
-    ///   `part_reply(part, node, ..)` touch only (a) state owned by
-    ///   `node` — its per-node record and the per-arc state of *its own*
-    ///   directed arcs — and (b) arenas indexed by `part`;
+    /// * `part_send(part, node, ..)` / `part_receive(part, node, ..)`
+    ///   touch only (a) state owned by `node` — its per-node record and
+    ///   the per-arc state of *its own* directed arcs — and (b) arenas
+    ///   indexed by `part`;
     /// * the failure hooks (`on_link_failed`, `on_suspect`,
     ///   `on_rehabilitate`, `on_neighbor_restarted`) touch only state
     ///   owned by their first argument;
@@ -139,8 +140,8 @@ pub trait Protocol {
     /// hint; `false` (the default) merely forces sequential execution.
     const PARALLEL_SAFE: bool = false;
 
-    /// Called once before the first round when the partitioned engine is
-    /// active, with the resolved partition count. Protocols that keep
+    /// Called once at construction with the resolved partition count
+    /// (`1` unless the run is partitioned). Protocols that keep
     /// per-partition arenas size them here. Default: do nothing.
     fn set_partitions(&mut self, partitions: usize) {
         let _ = partitions;
@@ -162,8 +163,8 @@ pub trait Protocol {
         self.on_receive(node, from, msg);
     }
 
-    /// Partition-phase variant of [`reply`](Self::reply); `node` belongs
-    /// to partition `part`. Default: delegate.
+    /// Partition-phase variant of [`reply`](Self::reply); like it, no
+    /// engine calls this hook. Default: delegate.
     #[inline]
     fn part_reply(&mut self, part: usize, node: NodeId, from: NodeId) -> Option<Self::Msg> {
         let _ = part;
@@ -362,15 +363,15 @@ pub struct Simulator<'g, P: Protocol> {
     /// Per-partition timeout-detector state (one part covering all arcs
     /// when `partitions == 1`); empty under the oracle detector.
     det: Vec<DetectorPart>,
-    /// Resolved partition count; `1` selects the classic single-stream
-    /// engine (byte-identical to the pre-partitioning simulator), `≥ 2`
-    /// the partitioned engine with per-partition RNG streams.
+    /// Resolved partition count; `1` runs one partition on the legacy
+    /// single-run RNG streams, `≥ 2` gives each partition its own
+    /// streams.
     partitions: usize,
     /// How `partitions` was chosen (explicit / single-stream /
     /// measured-cost auto), with the model inputs when measured.
     partition_plan: crate::PartitionPlan,
     /// `part_starts[p]` = first node of partition `p` (`partitions + 1`
-    /// entries); empty when `partitions == 1`.
+    /// entries).
     part_starts: Vec<NodeId>,
     /// Per-partition RNG streams and output buffers (one lane on the
     /// legacy single-run streams when `partitions == 1`). Worker `p` owns
@@ -378,35 +379,27 @@ pub struct Simulator<'g, P: Protocol> {
     /// trace events merge into the global sinks in fixed lane order at the
     /// end of every round, so the result is independent of thread count.
     parts: Vec<Lane>,
-    /// Cross-partition mailbox lanes, `lanes[p * partitions + q]` =
-    /// messages sent this round from partition `p` to partition `q`.
-    /// The send phase has worker `p` write row `p`; after the barrier the
-    /// deliver phase has worker `q` drain column `q` in ascending `p`
-    /// order — disjoint index sets per phase, fixed merge order.
-    lanes: Vec<Vec<(NodeId, NodeId, P::Msg)>>,
-    /// Same shape for push-pull replies: the deliver phase has worker `q`
-    /// write row `q`, the reply phase has worker `p` drain column `p`.
-    reply_lanes: Vec<Vec<(NodeId, NodeId, P::Msg)>>,
-    /// Same shape for liveness probes (timeout mode), keyed by the
-    /// *target*'s partition and delivered at the start of the next round.
-    probe_lanes: Vec<Vec<(NodeId, NodeId)>>,
+    /// Mailbox lanes, `lanes[p * partitions + q]` = messages in flight
+    /// from partition `p` to partition `q`. Each lane is a
+    /// [`RingDelivery`] with one slot per possible delay (a single reused
+    /// buffer under the zero-delay model): slot `r % len` holds the
+    /// messages due in round `r`, in send order. The send phase has
+    /// worker `p` write row `p`; after the barrier the deliver phase has
+    /// worker `q` drain column `q` in ascending `p` order — disjoint
+    /// index sets per phase, fixed merge order.
+    lanes: Vec<RingDelivery<P::Msg>>,
+    /// Same shape and slot discipline for liveness probes (timeout mode
+    /// only), keyed by the *target*'s partition: slot `r % len` holds the
+    /// `(prober, target)` probes due at the start of round `r`. Probes
+    /// exist because suspicion is symmetric-deadlock-prone: once both
+    /// endpoints of a falsely suspected arc stop sending, neither would
+    /// ever hear the other again and the believed-alive graph would
+    /// partition permanently.
+    probe_lanes: Vec<RingDelivery<()>>,
     /// Persistent worker pool, present iff `partitions > 1`, `threads >
     /// 1` and the protocol declared `PARALLEL_SAFE`. Without it the
     /// partition phases run sequentially — same results either way.
     pool: Option<crate::par::WorkerPool>,
-    /// The delivery substrate (see [`RingDelivery`]): `buckets[r % len]`
-    /// holds the messages due in round `r`, in send order. With the
-    /// default zero-delay model this is a single reused buffer. Extracted
-    /// behind the [`Delivery`](crate::Delivery) seam so the same protocol
-    /// state machines run over the real transports in `gr-transport`.
-    ring: RingDelivery<P::Msg>,
-    /// Liveness-probe ring (timeout mode only), same slot discipline as
-    /// `buckets`: `probe_ring[r % len]` holds the `(prober, target)`
-    /// probes due at the start of round `r`. Probes exist because
-    /// suspicion is symmetric-deadlock-prone: once both endpoints of a
-    /// falsely suspected arc stop sending, neither would ever hear the
-    /// other again and the believed-alive graph partitions permanently.
-    probe_ring: Vec<Vec<(NodeId, NodeId)>>,
     /// Scratch list of alive node ids (async activation sampling),
     /// rebuilt only after a crash invalidates it.
     alive_scratch: Vec<NodeId>,
@@ -476,20 +469,15 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         options.validate()?;
         plan.validate(graph)?;
         let n = graph.len();
-        let ring = RingDelivery::new(options.delay.max_delay());
         let (detector_timeout, detector_window) = match options.detector {
             DetectorModel::Oracle => (false, 0),
             DetectorModel::Timeout { window } => (true, window),
         };
         let partition_plan = options.partition_plan(n, graph.arc_count());
         let partitions = partition_plan.partitions;
-        let part_starts: Vec<NodeId> = if partitions > 1 {
-            (0..=partitions)
-                .map(|p| (p * n / partitions) as NodeId)
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let part_starts: Vec<NodeId> = (0..=partitions)
+            .map(|p| (p * n / partitions) as NodeId)
+            .collect();
         let part_arc_start = |p: usize| -> usize {
             if p == partitions {
                 graph.arc_count()
@@ -509,23 +497,16 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 graph.arc_count() <= u32::MAX as usize,
                 "timeout detector packs arc ids into 32 bits"
             );
-            let nparts = partitions.max(1);
-            (0..nparts)
+            (0..partitions)
                 .map(|p| {
-                    let (a0, a1) = if partitions > 1 {
-                        (part_arc_start(p), part_arc_start(p + 1))
-                    } else {
-                        (0, graph.arc_count())
-                    };
-                    let mut d = DetectorPart::new(a0, a1, detector_window);
+                    let mut d = DetectorPart::new(
+                        part_arc_start(p),
+                        part_arc_start(p + 1),
+                        detector_window,
+                    );
                     // Initially every arc is monitored with an untouched
                     // silence clock (`last_heard == 0`).
-                    let (ns, ne) = if partitions > 1 {
-                        (part_starts[p], part_starts[p + 1])
-                    } else {
-                        (0, n as NodeId)
-                    };
-                    for i in ns..ne {
+                    for i in part_starts[p]..part_starts[p + 1] {
                         let base = graph.arc_base(i);
                         for s in 0..graph.degree(i) {
                             d.arm(i, base + s, detector_window);
@@ -537,20 +518,15 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         } else {
             Vec::new()
         };
-        let nlanes = if partitions > 1 {
-            partitions * partitions
-        } else {
-            0
-        };
+        let nlanes = partitions * partitions;
+        let max_delay = options.delay.max_delay();
         let pool = if partitions > 1 && options.threads > 1 && P::PARALLEL_SAFE {
             Some(crate::par::WorkerPool::new(options.threads.min(partitions)))
         } else {
             None
         };
         let mut protocol = protocol;
-        if partitions > 1 {
-            protocol.set_partitions(partitions);
-        }
+        protocol.set_partitions(partitions);
         Ok(Simulator {
             graph,
             protocol,
@@ -573,22 +549,13 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             partition_plan,
             part_starts,
             parts,
-            lanes: (0..nlanes).map(|_| Vec::new()).collect(),
-            reply_lanes: (0..nlanes).map(|_| Vec::new()).collect(),
-            probe_lanes: if detector_timeout && partitions > 1 {
-                (0..nlanes).map(|_| Vec::new()).collect()
+            lanes: (0..nlanes).map(|_| RingDelivery::new(max_delay)).collect(),
+            probe_lanes: if detector_timeout {
+                (0..nlanes).map(|_| RingDelivery::new(max_delay)).collect()
             } else {
                 Vec::new()
             },
             pool,
-            ring,
-            probe_ring: if detector_timeout && partitions == 1 {
-                (0..options.delay.max_delay() + 1)
-                    .map(|_| Vec::new())
-                    .collect()
-            } else {
-                Vec::new()
-            },
             alive_scratch: Vec::new(),
             alive_scratch_dirty: true,
             trace: None,
@@ -663,8 +630,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         self.believed.list(self.graph, node)
     }
 
-    /// Partition index of `node` under the partitioned engine (`0` for
-    /// the classic engine). `starts[p] = ⌊p·n/P⌋`, whose exact inverse is
+    /// Partition index of `node` (`0` for a single-partition run).
+    /// `starts[p] = ⌊p·n/P⌋`, whose exact inverse is
     /// the division below.
     #[inline]
     fn part_of(&self, node: NodeId) -> usize {
@@ -696,10 +663,11 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         }
     }
 
-    /// Phases 1–2, shared by both engines: fire the faults scheduled for
-    /// this round and deliver due oracle detections (see [`FaultRange`]),
-    /// then apply the engine-side effects of heals and restarts. Events
-    /// and counters of this phase go to lane 0, which merges first.
+    /// Phases 1–2, sequential in every configuration: fire the faults
+    /// scheduled for this round and deliver due oracle detections (see
+    /// [`FaultRange`]), then apply the engine-side effects of heals and
+    /// restarts. Events and counters of this phase go to lane 0, which
+    /// merges first.
     fn fault_phase(&mut self) {
         let mut cx = FaultCtx {
             graph: self.graph,
@@ -717,44 +685,19 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             // while dead) must not surface after the reboot: the restarted
             // node's edge state is fresh, and a stale in-flight payload
             // would be processed as if it belonged to the new incarnation.
-            self.ring
-                .retain(|&(src, dst, _)| src != node && dst != node);
+            for lane in &mut self.lanes {
+                lane.retain(|&(src, dst, _)| src != node && dst != node);
+            }
             // In-flight probes from the old incarnation are stale proof of
             // life; probes addressed to the dead node would have been
             // dropped anyway.
-            for bucket in self.probe_ring.iter_mut().chain(&mut self.probe_lanes) {
-                bucket.retain(|&(src, dst)| src != node && dst != node);
+            for lane in &mut self.probe_lanes {
+                lane.retain(|&(src, dst, _)| src != node && dst != node);
             }
         }
         for k in 0..self.faults.resumed().len() {
             let (node, neighbor) = self.faults.resumed()[k];
             self.clear_suspected(node, neighbor);
-        }
-    }
-
-    /// Offer `replier` the chance to answer `to` immediately (push-pull,
-    /// classic engine). The reply takes the ordinary transit pipeline;
-    /// replies to replies are not solicited.
-    fn deliver_reply(&mut self, replier: NodeId, to: NodeId) {
-        if let Some(mut reply) = self.protocol.reply(replier, to) {
-            let lane = &mut self.parts[0];
-            lane.stats.sent += 1;
-            lane.record(Event::Sent {
-                round: self.round,
-                src: replier,
-                dst: to,
-            });
-            if self
-                .faults
-                .transit(lane, self.graph, &self.alive_node, replier, to, &mut reply)
-            {
-                if self.detector_timeout {
-                    self.note_arrival(0, to, replier);
-                }
-                self.protocol.on_receive(to, replier, &mut reply);
-                self.note_delivery(0, replier, to);
-            }
-            self.protocol.reclaim(reply);
         }
     }
 
@@ -888,160 +831,39 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         self.det[p] = det;
     }
 
-    /// End-of-round probe fan-out (timeout mode, classic engine): every
-    /// alive node sends a liveness probe to each neighbor it currently
-    /// suspects. Suspicion must not stop outbound probing — a falsely
-    /// suspected (or healed) link rehabilitates only because probes keep
-    /// crossing it, while probes to a genuinely dead peer keep vanishing
-    /// and the suspicion stands. Probes ride the same delay model as
-    /// payload messages but carry no protocol state.
-    fn send_probes(&mut self) {
-        let nbuckets = self.probe_ring.len() as u64;
-        let lane = &mut self.parts[0];
-        // The suspect list is sorted by packed (node, arc) — exactly the
-        // node-ascending, adjacency-slot-ascending order of the old
-        // full-bitmask sweep, so the per-probe delay draws replay
-        // identically.
-        for &e in &self.det[0].suspects {
-            let i = (e >> 32) as NodeId;
-            if !self.alive_node[i as usize] {
-                continue;
-            }
-            let arc = (e & 0xFFFF_FFFF) as usize;
-            let j = self.graph.neighbors(i)[arc - self.graph.arc_base(i)];
-            // Probes issue at the end of round `r`, so a delay-`d`
-            // probe is due at the start of round `r + 1 + d`; the
-            // arrival rounds `r+1 ..= r+len` map onto distinct ring
-            // slots, each drained before it can be refilled.
-            let d = self.delay.sample(&mut lane.fault_rng);
-            let due = ((self.round + 1 + d) % nbuckets) as usize;
-            self.probe_ring[due].push((i, j));
-            lane.stats.probes_sent += 1;
-        }
-    }
-
-    /// Start-of-round probe delivery (timeout mode, classic engine): a
-    /// probe that crosses a live link is proof of life for its sender —
-    /// pure [`note_arrival`](Self::note_arrival) bookkeeping, no protocol
-    /// receive.
-    fn deliver_probes(&mut self) {
-        let due = (self.round % self.probe_ring.len() as u64) as usize;
-        let mut batch = std::mem::take(&mut self.probe_ring[due]);
-        for &(src, dst) in &batch {
-            if self.faults.probe_survives(
-                &mut self.parts[0],
-                self.graph,
-                &self.alive_node,
-                src,
-                dst,
-            ) {
-                self.note_arrival(0, dst, src);
-            }
-        }
-        batch.clear();
-        self.probe_ring[due] = batch; // hand the allocation back
-    }
-
     /// Execute one round (synchronous) or `n` activations (asynchronous).
+    ///
+    /// One engine for every configuration: sequential fault bookkeeping
+    /// brackets barrier-separated per-partition phases — probe delivery,
+    /// then send and deliver (or the asynchronous activation loop), then
+    /// the detector scan — and a fixed-order merge. Every phase is a pure
+    /// function of `(seed, partition)` — per-partition RNG streams, fixed
+    /// lane merge order — so the result is byte-identical whether the
+    /// phases run on one thread or sixteen. Determinism is keyed on the
+    /// partition count, never on the thread count. With one partition the
+    /// phases run on the legacy single-run streams.
     pub fn step(&mut self) {
         self.fault_phase();
-        if self.partitions > 1 {
-            self.step_partitioned();
-        } else {
-            if self.detector_timeout {
-                self.deliver_probes();
+        if self.detector_timeout {
+            self.par_run(Self::par_deliver_probes);
+        }
+        match self.activation {
+            Activation::Synchronous => {
+                self.par_run(Self::par_send);
+                self.par_run(Self::par_deliver);
             }
-            match self.activation {
-                Activation::Synchronous => self.step_synchronous(),
-                Activation::Asynchronous => self.step_asynchronous(),
-            }
-            if self.detector_timeout {
-                self.scan_silence(0);
-                self.send_probes();
-            }
+            Activation::Asynchronous => self.step_asynchronous(),
+        }
+        if self.detector_timeout {
+            self.par_run(Self::par_scan);
         }
         self.merge_parts();
         self.round += 1;
         self.stats.rounds += 1;
     }
 
-    fn step_synchronous(&mut self) {
-        // Phase 3: sends, enqueued for delivery `delay` rounds from now.
-        let nbuckets = self.ring.slots() as u64;
-        let lane = &mut self.parts[0];
-        for i in 0..self.graph.len() as NodeId {
-            if !self.alive_node[i as usize] {
-                continue;
-            }
-            let alive = self.believed.list(self.graph, i);
-            let target = self.schedule.pick(i, alive, &mut lane.sched_rng);
-            let Some(target) = target else { continue };
-            let msg = self.protocol.on_send(i, target);
-            lane.stats.sent += 1;
-            lane.record(Event::Sent {
-                round: self.round,
-                src: i,
-                dst: target,
-            });
-            let d = self.delay.sample(&mut lane.fault_rng);
-            let slot = if nbuckets == 1 {
-                0
-            } else {
-                ((self.round + d) % nbuckets) as usize
-            };
-            self.ring.ship_at(slot, i, target, msg);
-        }
-
-        // Phase 4+5: transit faults, then in-order delivery of everything
-        // due this round.
-        let slot = if nbuckets == 1 {
-            0
-        } else {
-            (self.round % nbuckets) as usize
-        };
-        // Nothing in this phase can introduce a fault, so one check
-        // covers the whole batch: the fully-clean case (no physical
-        // faults, no probabilistic models) skips `transit` entirely.
-        let clean = self.faults.is_clean();
-        let mut batch = self.ring.take_slot(slot);
-        // Receivers are in random order while the batch is walked
-        // sequentially: warm the state a few deliveries ahead so the
-        // handler's first loads come out of cache.
-        const LOOKAHEAD: usize = 8;
-        for i in 0..batch.len() {
-            if let Some(ahead) = batch.get(i + LOOKAHEAD) {
-                self.protocol.prewarm(ahead.1, ahead.0);
-            }
-            let entry = &mut batch[i];
-            let (src, dst) = (entry.0, entry.1);
-            let msg = &mut entry.2;
-            if clean
-                || self.faults.transit(
-                    &mut self.parts[0],
-                    self.graph,
-                    &self.alive_node,
-                    src,
-                    dst,
-                    msg,
-                )
-            {
-                if self.detector_timeout {
-                    self.note_arrival(0, dst, src);
-                }
-                self.protocol.on_receive(dst, src, msg);
-                self.note_delivery(0, src, dst);
-                self.deliver_reply(dst, src);
-            }
-        }
-        // Hand every wire buffer back to the protocol's free list (and the
-        // batch Vec's allocation back to the bucket ring). Dropped-in-
-        // transit messages recycle the same way as delivered ones.
-        for (_, _, msg) in batch.drain(..) {
-            self.protocol.reclaim(msg);
-        }
-        self.ring.put_back(slot, batch);
-    }
-
+    /// The asynchronous activation loop (always one partition: validation
+    /// rejects `partitions ≥ 2` with asynchronous activation).
     fn step_asynchronous(&mut self) {
         // n single-node activations; each is an atomic send+deliver, so
         // no crossing exchanges exist in this model.
@@ -1076,31 +898,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 }
                 self.protocol.on_receive(target, i, &mut msg);
                 self.note_delivery(0, i, target);
-                self.deliver_reply(target, i);
             }
             self.protocol.reclaim(msg);
-        }
-    }
-
-    // ----- partitioned round engine ------------------------------------
-    //
-    // One round with `partitions = P ≥ 2`: sequential fault bookkeeping
-    // brackets barrier-separated per-partition phases. Every phase is a
-    // pure function of `(seed, partition)` — per-partition RNG streams,
-    // fixed lane merge order — so the result is byte-identical whether
-    // the phases run on one thread or sixteen. Determinism is keyed on
-    // the partition count, never on the thread count.
-
-    /// The per-partition phases of one round under the partitioned engine.
-    fn step_partitioned(&mut self) {
-        if self.detector_timeout {
-            self.par_run(Self::par_deliver_probes);
-        }
-        self.par_run(Self::par_send);
-        self.par_run(Self::par_deliver);
-        self.par_run(Self::par_reply);
-        if self.detector_timeout {
-            self.par_run(Self::par_scan);
         }
     }
 
@@ -1127,8 +926,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     }
 
     /// Send phase for partition `p`: node order within the partition,
-    /// partner picks from `p`'s own schedule stream, outgoing messages
-    /// pushed onto the `(p, target-partition)` mailbox lane.
+    /// partner picks from `p`'s own schedule stream, each message's delay
+    /// from `p`'s fault stream, and the message shipped into the due slot
+    /// of the `(p, target-partition)` mailbox lane.
     fn par_send(&mut self, p: usize) {
         let np = self.partitions;
         for i in self.part_starts[p]..self.part_starts[p + 1] {
@@ -1146,29 +946,37 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 src: i,
                 dst: target,
             });
+            let d = self.delay.sample(&mut lane.fault_rng);
             let q = self.part_of(target);
-            self.lanes[p * np + q].push((i, target, msg));
+            let out = &mut self.lanes[p * np + q];
+            out.ship_at(out.slot_of(self.round + d), i, target, msg);
         }
     }
 
-    /// Deliver phase for partition `q`: drain lane column `q` in
-    /// ascending source-partition order — the fixed merge order that
-    /// makes `q`'s fault-stream draws (and therefore everything
-    /// downstream) independent of which thread ran which send phase.
-    /// Replies are collected onto the reply lanes for the next phase
-    /// instead of being delivered inline.
+    /// Deliver phase for partition `q`: drain the slot due this round of
+    /// every lane in column `q`, in ascending source-partition order —
+    /// the fixed merge order that makes `q`'s fault-stream draws (and
+    /// therefore everything downstream) independent of which thread ran
+    /// which send phase.
     fn par_deliver(&mut self, q: usize) {
         let np = self.partitions;
+        // Nothing in this phase can introduce a fault, so one check
+        // covers the whole batch: the fully-clean case (no physical
+        // faults, no probabilistic models) skips `transit` entirely.
         let clean = self.faults.is_clean();
+        let slot = self.lanes[q].slot_of(self.round);
+        // Receivers are in random order while a batch is walked
+        // sequentially: warm the state a few deliveries ahead so the
+        // handler's first loads come out of cache.
         const LOOKAHEAD: usize = 8;
         for p in 0..np {
             let li = p * np + q;
-            let mut lane = std::mem::take(&mut self.lanes[li]);
-            for k in 0..lane.len() {
-                if let Some(ahead) = lane.get(k + LOOKAHEAD) {
+            let mut batch = self.lanes[li].take_slot(slot);
+            for k in 0..batch.len() {
+                if let Some(ahead) = batch.get(k + LOOKAHEAD) {
                     self.protocol.prewarm(ahead.1, ahead.0);
                 }
-                let entry = &mut lane[k];
+                let entry = &mut batch[k];
                 let (src, dst) = (entry.0, entry.1);
                 if clean
                     || self.faults.transit(
@@ -1185,67 +993,30 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                     }
                     self.protocol.part_receive(q, dst, src, &mut entry.2);
                     self.note_delivery(q, src, dst);
-                    if let Some(reply) = self.protocol.part_reply(q, dst, src) {
-                        let out = &mut self.parts[q];
-                        out.stats.sent += 1;
-                        out.record(Event::Sent {
-                            round: self.round,
-                            src: dst,
-                            dst: src,
-                        });
-                        self.reply_lanes[q * np + p].push((dst, src, reply));
-                    }
                 }
             }
-            for (_, _, msg) in lane.drain(..) {
+            // Hand every wire buffer back to the protocol's free list (and
+            // the batch's allocation back to the lane). Dropped-in-transit
+            // messages recycle the same way as delivered ones.
+            for (_, _, msg) in batch.drain(..) {
                 self.protocol.part_reclaim(q, msg);
             }
-            self.lanes[li] = lane;
-        }
-    }
-
-    /// Reply phase for partition `p`: drain reply-lane column `p` in
-    /// ascending replier-partition order and deliver the push-pull
-    /// responses back to `p`'s nodes.
-    fn par_reply(&mut self, p: usize) {
-        let np = self.partitions;
-        for q in 0..np {
-            let li = q * np + p;
-            let mut lane = std::mem::take(&mut self.reply_lanes[li]);
-            for entry in lane.iter_mut() {
-                let (replier, to) = (entry.0, entry.1);
-                if self.faults.transit(
-                    &mut self.parts[p],
-                    self.graph,
-                    &self.alive_node,
-                    replier,
-                    to,
-                    &mut entry.2,
-                ) {
-                    if self.detector_timeout {
-                        self.note_arrival(p, to, replier);
-                    }
-                    self.protocol.part_receive(p, to, replier, &mut entry.2);
-                    self.note_delivery(p, replier, to);
-                }
-            }
-            for (_, _, msg) in lane.drain(..) {
-                self.protocol.part_reclaim(p, msg);
-            }
-            self.reply_lanes[li] = lane;
+            self.lanes[li].put_back(slot, batch);
         }
     }
 
     /// Start-of-round probe delivery for partition `q` (timeout mode):
-    /// same merge discipline as [`par_deliver`](Self::par_deliver), pure
-    /// detector bookkeeping like the classic
-    /// [`deliver_probes`](Self::deliver_probes).
+    /// same merge discipline as [`par_deliver`](Self::par_deliver). A
+    /// probe that crosses a live link is proof of life for its sender —
+    /// pure [`note_arrival`](Self::note_arrival) bookkeeping, no protocol
+    /// receive.
     fn par_deliver_probes(&mut self, q: usize) {
         let np = self.partitions;
+        let slot = self.probe_lanes[q].slot_of(self.round);
         for p in 0..np {
             let li = p * np + q;
-            let mut lane = std::mem::take(&mut self.probe_lanes[li]);
-            for &(src, dst) in &lane {
+            let mut batch = self.probe_lanes[li].take_slot(slot);
+            for &(src, dst, ()) in &batch {
                 if self.faults.probe_survives(
                     &mut self.parts[q],
                     self.graph,
@@ -1256,18 +1027,24 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                     self.note_arrival(q, dst, src);
                 }
             }
-            lane.clear();
-            self.probe_lanes[li] = lane;
+            batch.clear();
+            self.probe_lanes[li].put_back(slot, batch);
         }
     }
 
     /// End-of-round detector scan + probe fan-out for partition `p`
     /// (timeout mode): [`scan_silence`](Self::scan_silence) over `p`'s
-    /// arcs; probes go out on the probe lanes (zero delay — all due next
-    /// round).
+    /// arcs, then every alive node of `p` sends a liveness probe to each
+    /// neighbor it currently suspects. Suspicion must not stop outbound
+    /// probing — a falsely suspected (or healed) link rehabilitates only
+    /// because probes keep crossing it, while probes to a genuinely dead
+    /// peer keep vanishing and the suspicion stands. Probes ride the same
+    /// delay model as payload messages but carry no protocol state.
     fn par_scan(&mut self, p: usize) {
         self.scan_silence(p);
         let np = self.partitions;
+        // The suspect list is sorted by packed (node, arc): node-ascending,
+        // adjacency-slot-ascending order, which fixes the delay draws.
         for k in 0..self.det[p].suspects.len() {
             let e = self.det[p].suspects[k];
             let i = (e >> 32) as NodeId;
@@ -1276,9 +1053,16 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             }
             let arc = (e & 0xFFFF_FFFF) as usize;
             let j = self.graph.neighbors(i)[arc - self.graph.arc_base(i)];
+            // Probes issue at the end of round `r`, so a delay-`d` probe
+            // is due at the start of round `r + 1 + d`; the arrival rounds
+            // `r+1 ..= r+len` map onto distinct slots, each drained before
+            // it can be refilled.
+            let lane = &mut self.parts[p];
+            let d = self.delay.sample(&mut lane.fault_rng);
+            lane.stats.probes_sent += 1;
             let q = self.part_of(j);
-            self.probe_lanes[p * np + q].push((i, j));
-            self.parts[p].stats.probes_sent += 1;
+            let out = &mut self.probe_lanes[p * np + q];
+            out.ship_at(out.slot_of(self.round + 1 + d), i, j, ());
         }
     }
 
@@ -1298,7 +1082,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         }
     }
 
-    /// Resolved partition count (`1` = classic engine).
+    /// Resolved partition count (`1` = one partition on the single-run
+    /// RNG streams).
     pub fn partitions(&self) -> usize {
         self.partitions
     }
@@ -1852,29 +1637,39 @@ mod tests {
 
     #[test]
     fn restart_purges_stale_in_flight_messages() {
-        let g = bus(2);
-        let opts = SimOptions {
-            delay: DelayModel::Fixed(3),
-            ..SimOptions::default()
-        };
-        let plan = FaultPlan::none().crash_node(1, 1).restart_node(1, 2);
-        let mut sim = Simulator::with_options(&g, Recorder::new(2), plan, 3, opts);
-        sim.enable_trace(10_000);
-        sim.run(20);
-        assert_eq!(sim.protocol().restarts, vec![1]);
-        // Everything in flight at the restart (sent in rounds 0 and 1) was
-        // purged: the first delivery comes from a round ≥ 2 send, i.e. at
-        // round ≥ 5.
-        let first = sim
-            .trace()
-            .unwrap()
-            .events()
-            .find_map(|e| match e {
-                Event::Delivered { round, .. } => Some(*round),
-                _ => None,
-            })
-            .expect("traffic should resume after the restart");
-        assert!(first >= 5, "stale in-flight delivery at round {first}");
+        // One partition (a single lane), and four partitions on a ring
+        // whose node 1 talks across a partition boundary (sixteen lanes):
+        // the purge must reach every lane.
+        for (g, partitions) in [(bus(2), 1), (ring(8), 4)] {
+            let n = g.len();
+            let opts = SimOptions {
+                delay: DelayModel::Fixed(3),
+                partitions,
+                ..SimOptions::default()
+            };
+            let plan = FaultPlan::none().crash_node(1, 1).restart_node(1, 2);
+            let mut sim = Simulator::with_options(&g, Recorder::new(n), plan, 3, opts);
+            assert_eq!(sim.partitions(), partitions);
+            sim.enable_trace(10_000);
+            sim.run(20);
+            assert_eq!(sim.protocol().restarts, vec![1]);
+            // Everything to or from node 1 in flight at the restart (sent
+            // in round 0) was purged: its first delivery comes from a
+            // round ≥ 2 send, i.e. at round ≥ 5.
+            let first = sim
+                .trace()
+                .unwrap()
+                .events()
+                .find_map(|e| match e {
+                    Event::Delivered { round, src, dst } if *src == 1 || *dst == 1 => Some(*round),
+                    _ => None,
+                })
+                .expect("traffic should resume after the restart");
+            assert!(
+                first >= 5,
+                "partitions={partitions}: stale in-flight delivery at round {first}"
+            );
+        }
     }
 
     #[test]
@@ -1957,6 +1752,16 @@ mod tests {
             .err()
             .unwrap();
         assert_eq!(err, SimConfigError::ZeroTimeoutWindow);
+        // Used to pass validation and then panic at the first send,
+        // drawing from an empty range.
+        let opts = SimOptions {
+            delay: DelayModel::Uniform { min: 5, max: 1 },
+            ..SimOptions::default()
+        };
+        let err = Simulator::try_with_options(&g, Recorder::new(4), FaultPlan::none(), 0, opts)
+            .err()
+            .unwrap();
+        assert_eq!(err, SimConfigError::InvertedDelayRange { min: 5, max: 1 });
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! parallel-safe recording protocol through the partitioned engine and
 //! assert the full digest (per-node event folds + transport counters) is
 //! byte-identical for every thread count, across topologies, fault
-//! plans, the timeout detector, and (via proptest) arbitrary partition
-//! counts. A second group pins partitioned-run hashes as golden
+//! plans, the timeout detector, message delay, and (via proptest)
+//! arbitrary partition counts. A second group pins partitioned-run hashes as golden
 //! constants, and a third checks the typed configuration errors.
 
 use gr_netsim::{
@@ -186,6 +186,14 @@ fn timeout() -> DetectorModel {
     DetectorModel::Timeout { window: 8 }
 }
 
+/// Messages and liveness probes in flight for up to `max` rounds.
+fn delayed(opts: SimOptions, max: u64) -> SimOptions {
+    SimOptions {
+        delay: DelayModel::Uniform { min: 0, max },
+        ..opts
+    }
+}
+
 #[test]
 fn thread_count_never_changes_results() {
     let graphs: Vec<(&str, Graph)> = vec![
@@ -194,14 +202,21 @@ fn thread_count_never_changes_results() {
         ("torus16x16", torus2d(16, 16)),
     ];
     let plan = faulty_plan();
+    // Zero delay under both detectors, plus uniform delay with the
+    // timeout detector on, so payloads and probes both ride the delay.
+    let configs = [(DetectorModel::Oracle, 0), (timeout(), 0), (timeout(), 3)];
     for (name, g) in &graphs {
-        for detector in [DetectorModel::Oracle, timeout()] {
-            let baseline = run_digest(g, &plan, 42, options(4, 1, detector), 200);
+        for (detector, max_delay) in configs {
+            let opts = |threads| match max_delay {
+                0 => options(4, threads, detector),
+                max => delayed(options(4, threads, detector), max),
+            };
+            let baseline = run_digest(g, &plan, 42, opts(1), 200);
             for threads in [2, 4, 8] {
-                let d = run_digest(g, &plan, 42, options(4, threads, detector), 200);
+                let d = run_digest(g, &plan, 42, opts(threads), 200);
                 assert_eq!(
                     d, baseline,
-                    "{name}/{detector:?}: threads={threads} diverged from threads=1"
+                    "{name}/{detector:?}/delay≤{max_delay}: threads={threads} diverged from threads=1"
                 );
             }
         }
@@ -458,27 +473,6 @@ fn partitioned_async_is_a_typed_error() {
     assert_eq!(err, SimConfigError::PartitionedAsync);
 }
 
-#[test]
-fn partitioned_delay_is_a_typed_error() {
-    let g = ring(8);
-    for delay in [DelayModel::Fixed(2), DelayModel::Uniform { min: 0, max: 3 }] {
-        let err = Simulator::try_with_options(
-            &g,
-            PartMix::new(8),
-            FaultPlan::none(),
-            1,
-            SimOptions {
-                partitions: 2,
-                delay,
-                ..SimOptions::default()
-            },
-        )
-        .err()
-        .expect("partitions ≥ 2 with delays must be rejected");
-        assert_eq!(err, SimConfigError::PartitionedDelay);
-    }
-}
-
 // ---- proptest: thread invariance over random partitionings -------------
 
 proptest! {
@@ -489,6 +483,7 @@ proptest! {
         partitions in 1usize..=32,
         seed in 0u64..1_000_000,
         plan_kind in 0u8..3,
+        max_delay in 0u64..4,
     ) {
         let g = hypercube(5);
         let plan = match plan_kind {
@@ -496,10 +491,17 @@ proptest! {
             1 => faulty_plan(),
             _ => churn_plan(),
         };
-        let one = run_digest(&g, &plan, seed, options(partitions, 1, timeout()), 60);
+        let opts = |threads| match max_delay {
+            0 => options(partitions, threads, timeout()),
+            max => delayed(options(partitions, threads, timeout()), max),
+        };
+        let one = run_digest(&g, &plan, seed, opts(1), 60);
         for threads in [3, 8] {
-            let d = run_digest(&g, &plan, seed, options(partitions, threads, timeout()), 60);
-            prop_assert_eq!(d, one, "partitions={}, threads={}", partitions, threads);
+            let d = run_digest(&g, &plan, seed, opts(threads), 60);
+            prop_assert_eq!(
+                d, one,
+                "partitions={}, threads={}, delay≤{}", partitions, threads, max_delay
+            );
         }
     }
 }

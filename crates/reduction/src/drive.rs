@@ -82,14 +82,14 @@ impl<Pr: ReductionProtocol> NodeDriver<Pr> {
 
     /// Arm a genuine (non-oracle) timeout failure detector: a neighbor
     /// that stays silent for more than `window` of this driver's *own*
-    /// iterations is suspected — [`Protocol::on_suspect`] runs (flow
+    /// iterations is suspected — [`Protocol::on_suspect`](gr_netsim::Protocol::on_suspect) runs (flow
     /// protocols excise the edge and bump its incarnation) but the
     /// neighbor **stays in the send rotation**. Keeping it addressed is
     /// what makes the detector safe: a suspect that was merely slow — or
     /// has restarted with fresh state — keeps receiving our messages
     /// (which carry the bumped incarnation it must adopt), and the first
     /// message it sends back rehabilitates it via
-    /// [`Protocol::on_rehabilitate`].
+    /// [`Protocol::on_rehabilitate`](gr_netsim::Protocol::on_rehabilitate).
     ///
     /// # Panics
     /// Panics if `window == 0` (every neighbor would be suspected before
@@ -136,10 +136,10 @@ impl<Pr: ReductionProtocol> NodeDriver<Pr> {
     }
 
     /// Drain every message currently deliverable to this node: each one
-    /// runs `on_receive`, then any protocol-level `reply` is pushed back
-    /// toward the sender, then the gutted buffer is returned to the
-    /// protocol's wire pool via `reclaim`. Returns the number of messages
-    /// processed.
+    /// runs `on_receive`, then the gutted buffer is returned to the
+    /// protocol's wire pool via `reclaim`. Nothing is sent back: like the
+    /// simulator's round, a node's only send is the one push per
+    /// [`step`](Self::step). Returns the number of messages processed.
     pub fn pump<D: Delivery<Pr::Msg>>(&mut self, delivery: &mut D) -> Result<usize, D::Error> {
         let mut n = 0;
         while let Some((from, mut msg)) = delivery.try_recv(self.node)? {
@@ -148,10 +148,6 @@ impl<Pr: ReductionProtocol> NodeDriver<Pr> {
             self.proto.reclaim(msg);
             if self.window.is_some() {
                 self.heard_from(from);
-            }
-            if let Some(reply) = self.proto.reply(self.node, from) {
-                delivery.send(self.node, from, reply)?;
-                self.stats.sent += 1;
             }
             n += 1;
         }

@@ -52,7 +52,6 @@ pub mod payload;
 pub mod protocol;
 pub mod push_cancel_flow;
 pub mod push_flow;
-pub mod push_pull_sum;
 pub mod push_sum;
 pub mod runner;
 pub mod wire;
@@ -66,7 +65,6 @@ pub use payload::{InlineVec, Mass, Payload, INLINE_CAP};
 pub use protocol::ReductionProtocol;
 pub use push_cancel_flow::{PcfMsg, PhiMode, PushCancelFlow};
 pub use push_flow::PushFlow;
-pub use push_pull_sum::PushPullSum;
 pub use push_sum::PushSum;
 pub use runner::{
     mass_reference, measure_error, run_reduction, run_with_options, run_with_protocol,

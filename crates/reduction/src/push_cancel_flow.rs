@@ -91,11 +91,11 @@ pub struct PcfMsg<P> {
     /// The value of the sender's passive flow at its last fold on this
     /// edge (zero before any fold).
     pub folded: Mass<P>,
-    /// The sender's cumulative fold ledger for this edge (see the
-    /// [`BASE`] bank field's docs).
+    /// The sender's cumulative fold ledger for this edge: the running
+    /// total of every flow it has folded away on this edge.
     pub base: Mass<P>,
-    /// The sender's incarnation number for this edge (see
-    /// [`ArcCtl::inc`] — bumped on every excision).
+    /// The sender's incarnation number for this edge (bumped on every
+    /// excision).
     pub inc: u64,
 }
 
@@ -294,7 +294,7 @@ pub struct PushCancelFlow<'g, P: Payload> {
     dim: usize,
     /// Instrumentation counters, one bank per engine partition (a receive
     /// counts into its receiver-partition bank; [`Self::stats`] folds the
-    /// banks). A single bank under the classic engine.
+    /// banks). A single bank for a single-partition run.
     stats: Vec<PcfStats>,
     /// Recycled wire buffers, one arena per engine partition (fed by
     /// [`Protocol::reclaim`] / [`Protocol::part_reclaim`]).

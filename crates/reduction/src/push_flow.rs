@@ -27,7 +27,7 @@ use gr_topology::{Graph, NodeId};
 
 /// Push-flow protocol state (all nodes; flows arc-indexed).
 ///
-/// Flow *values* live in a structure-of-arrays [`FlowBank`] (one
+/// Flow *values* live in a structure-of-arrays flow bank (one
 /// contiguous, cache-line-aligned `f64` slab over all arcs); flow *weights*
 /// stay in a plain arc-indexed array. Both use the CSR
 /// `arc_base`/`neighbor_slot` indexing.

@@ -25,7 +25,7 @@ pub struct PushSum<P: Payload> {
     dim: usize,
     /// Recycled wire buffers, one arena per engine partition (fed by
     /// [`Protocol::reclaim`] / [`Protocol::part_reclaim`]; a single arena
-    /// under the classic engine).
+    /// for a single-partition run).
     pools: Vec<Vec<Mass<P>>>,
 }
 

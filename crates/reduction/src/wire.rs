@@ -25,7 +25,7 @@
 //!   truncation or garbage.
 //!
 //! Payload vectors encode as `[dim: u32 LE][dim × f64 LE]`; a
-//! [`Mass`](crate::Mass) appends its `f64` weight. Scalar (`f64`)
+//! [`Mass`] appends its `f64` weight. Scalar (`f64`)
 //! payloads use `dim == 1`, so a scalar run and a dim-1 vector run
 //! produce identical frames.
 
@@ -280,7 +280,7 @@ pub trait WireMsg: Sized {
     }
 }
 
-/// Push-sum / push-pull-sum / push-flow wire message: one mass.
+/// Push-sum / push-flow wire message: one mass.
 impl<P: Payload> WireMsg for Mass<P> {
     const KIND: u8 = 1;
 

@@ -5,7 +5,7 @@
 //! under faults.
 
 use gossip_reduce::netsim::{
-    DetectorModel, FaultPlan, LinkFailure, NodeCrash, Protocol, SimOptions, Simulator,
+    DelayModel, DetectorModel, FaultPlan, LinkFailure, NodeCrash, Protocol, SimOptions, Simulator,
 };
 use gossip_reduce::reduction::{
     AggregateKind, FlowUpdating, InitialData, PushCancelFlow, PushFlow, PushSum, ReductionProtocol,
@@ -90,10 +90,11 @@ fn reduction_protocols_are_thread_invariant() {
     sweep!("flow-updating", FlowUpdating::new(&g, &d));
 }
 
-/// PCF on a torus at partitions ∈ {1, 4}: both engines must converge to
-/// the true average despite loss, a dead link and a crash. (The two
-/// partition counts draw from different RNG streams, so the *runs*
-/// differ — the *limit* must not.)
+/// PCF on a torus at partitions ∈ {1, 4}, and at 4 with messages and
+/// probes delayed up to three rounds: every run must converge to the
+/// true average despite loss, a dead link and a crash. (The partition
+/// counts draw from different RNG streams, so the *runs* differ — the
+/// *limit* must not.)
 #[test]
 fn pcf_converges_under_partitioned_engine() {
     let g = torus2d(8, 8);
@@ -101,14 +102,14 @@ fn pcf_converges_under_partitioned_engine() {
     let total_v: f64 = (0..64).map(|i| *d.value(i)).sum();
     let total_w: f64 = (0..64).map(|i| d.weight(i)).sum();
 
-    for partitions in [1, 4] {
-        let mut sim = Simulator::with_options(
-            &g,
-            PushCancelFlow::new(&g, &d),
-            faulty_plan(),
-            7,
-            options(partitions, 4),
-        );
+    let delayed = DelayModel::Uniform { min: 0, max: 3 };
+    for (partitions, delay) in [(1, DelayModel::None), (4, DelayModel::None), (4, delayed)] {
+        let opts = SimOptions {
+            delay,
+            ..options(partitions, 4)
+        };
+        let mut sim =
+            Simulator::with_options(&g, PushCancelFlow::new(&g, &d), faulty_plan(), 7, opts);
         // Node 5 crashes at the start of round 30 and never restarts.
         // Exactly how much mass dies with it depends on the flow desync
         // at the excision instant, so the precise limit is run-specific;
@@ -129,13 +130,13 @@ fn pcf_converges_under_partitioned_engine() {
             let rel = ((e - mean) / mean).abs();
             assert!(
                 rel < 1e-9,
-                "partitions={partitions}: node {i} est {e} off consensus {mean} (rel {rel})"
+                "partitions={partitions}, {delay:?}: node {i} est {e} off consensus {mean} (rel {rel})"
             );
         }
         let true_avg = total_v / total_w;
         assert!(
             ((mean - true_avg) / true_avg).abs() < 0.05,
-            "partitions={partitions}: consensus {mean} far from true average {true_avg}"
+            "partitions={partitions}, {delay:?}: consensus {mean} far from true average {true_avg}"
         );
     }
 }
