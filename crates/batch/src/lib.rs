@@ -19,18 +19,18 @@
 //! wire-buffer pool. No protocol code changes; the slab layout falls out
 //! of the graph construction.
 //!
-//! [`BatchSim`] then drives per-tenant synchronous rounds exactly as the
-//! classic engine would, through the same fault code: each tenant owns a
-//! [`FaultRange`] over its node/arc block (the plan's queues, pending
-//! detections and a tenant-local dead-arc mask) and a [`Lane`] on the
-//! classic engine's three RNG streams seeded from *its own* seed, with its
-//! own [`SimStats`]. A tenant's node block never exchanges a message with
-//! another block, so:
+//! [`BatchSim`] then drives per-tenant synchronous rounds exactly as a
+//! single-partition simulator would, through the same fault code: each
+//! tenant owns a [`FaultRange`] over its node/arc block (the plan's
+//! queues, pending detections and a tenant-local dead-arc mask) and a
+//! [`Lane`] on the single-run RNG streams seeded from *its own* seed,
+//! with its own [`SimStats`]. A tenant's node block never exchanges a
+//! message with another block, so:
 //!
 //! * **batch-of-1 is bit-identical to the single-run engine** — with
 //!   `node_base = 0` every id, every schedule draw and every fault draw
-//!   replays the classic `Simulator` exactly (pinned against the golden
-//!   schedule hashes in `tests/golden_identity.rs`);
+//!   replays the single-partition `Simulator` exactly (pinned against
+//!   the golden schedule hashes in `tests/golden_identity.rs`);
 //! * **per-tenant results are invariant to batch composition and worker
 //!   count** — a tenant's block is order-isomorphic to its standalone
 //!   graph under the uniform id offset, its RNG streams are derived from
@@ -51,7 +51,7 @@
 //! [`WorkerPool`]: worker `w` owns a contiguous tenant chunk and routes
 //! protocol calls through the `part_*` hooks with its worker index, so
 //! the per-partition arenas (message pools, scratches) that the
-//! partitioned engine introduced double as per-worker arenas here. The
+//! simulator's partitions use double as per-worker arenas here. The
 //! pool is only engaged when the protocol declares
 //! [`PARALLEL_SAFE`](Protocol::PARALLEL_SAFE).
 //!

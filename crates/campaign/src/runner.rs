@@ -70,10 +70,10 @@ pub struct Exec {
     /// scenario's own choice). Unlike threads this *does* change
     /// results (partition count selects RNG streams), so reports
     /// produced under an override are comparable only to other runs
-    /// with the same override. The override applies to every scenario
-    /// the partitioned engine can express (zero-delay; async activation
-    /// flips to synchronous); delay-bearing scenarios keep their own
-    /// configuration rather than aborting the lane.
+    /// with the same override. The override applies to every zero-delay
+    /// scenario (async activation flips to synchronous); delay-bearing
+    /// scenarios keep their own configuration, so an override report
+    /// differs from the plain one only on zero-delay scenarios.
     pub partitions: Option<usize>,
 }
 
@@ -191,13 +191,10 @@ fn drive<P: Payload, Pr: ReductionProtocol>(
         options.threads = exec.sim_threads;
     }
     if let Some(p) = exec.partitions {
-        // A corpus-wide override must not abort the lane on the (few)
-        // scenarios whose execution model cannot run partitioned: the
-        // engine requires zero delay, so delay-bearing scenarios keep
-        // their own configuration and everything else gets the override.
-        // Zero-delay async-activation scenarios flip to synchronous
-        // activation — the partitioned engine is synchronous by
-        // construction.
+        // Delay-bearing scenarios keep their own configuration and every
+        // zero-delay scenario gets the override. Zero-delay
+        // async-activation scenarios flip to synchronous activation —
+        // partitions ≥ 2 are defined for synchronous rounds only.
         if p < 2 || options.delay == gr_netsim::DelayModel::None {
             options.partitions = p;
             if p >= 2 {
@@ -650,9 +647,8 @@ mod tests {
 
     #[test]
     fn partition_override_skips_delay_scenarios() {
-        // A corpus-wide `--partitions` override must not abort the lane
-        // on delay-bearing scenarios the partitioned engine cannot
-        // express: they keep their own configuration, byte-for-byte.
+        // A corpus-wide `--partitions` override leaves delay-bearing
+        // scenarios on their own configuration, byte-for-byte.
         let sc = stress_corpus(&[1])
             .into_iter()
             .find(|s| s.delay_max > 0)

@@ -250,7 +250,7 @@ impl Scenario {
             // (`SimConfigError::PartitionedAsync`). They may carry a
             // delay model.
             // Tenant scenarios likewise: the gr-batch executor replays
-            // the classic engine's synchronous zero-delay round.
+            // the simulator's synchronous zero-delay round.
             activation: if self.delay_max > 0 || self.partitions >= 2 || self.tenants >= 1 {
                 Activation::Synchronous
             } else {

@@ -338,7 +338,7 @@ impl PartitionPlan {
     }
 }
 
-/// Predicted per-round wall-clock of the partitioned engine at `p`
+/// Predicted per-round wall-clock of the round engine at `p`
 /// partitions: parallel flow work over `min(p, threads)` workers, plus
 /// `ROUND_PHASES` pool phases of `p` jobs each, plus the `p²` mailbox
 /// lane sweep. `p = 1` has no pool and no lanes — pure serial work.

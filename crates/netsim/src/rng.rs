@@ -28,19 +28,19 @@ pub enum RngStream {
     Faults,
     /// Initial data / workload generation.
     Workload,
-    /// Partner choice for one partition of the partitioned round engine.
+    /// Partner choice for one partition of a partitioned run.
     /// Distinct from [`RngStream::Schedule`] even for partition 0, so the
     /// partitioned schedule (any `P ≥ 2`) is one fixed deterministic
     /// function of `(seed, partition)` — independent of worker-thread
     /// count by construction.
     SchedulePart(u32),
-    /// Fault coin flips for one partition of the partitioned engine.
+    /// Fault coin flips for one partition of a partitioned run.
     FaultsPart(u32),
     /// The correlated-burst (Gilbert–Elliott) loss chain. Separate from
     /// [`RngStream::Faults`] so enabling bursts never perturbs the i.i.d.
     /// loss/flip draws — existing golden hashes stay bit-exact.
     Burst,
-    /// Burst chain for one partition of the partitioned engine.
+    /// Burst chain for one partition of a partitioned run.
     BurstPart(u32),
     /// Anything experiment-specific (run replication etc.).
     Aux(u64),

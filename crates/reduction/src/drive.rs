@@ -82,8 +82,9 @@ impl<Pr: ReductionProtocol> NodeDriver<Pr> {
 
     /// Arm a genuine (non-oracle) timeout failure detector: a neighbor
     /// that stays silent for more than `window` of this driver's *own*
-    /// iterations is suspected — [`Protocol::on_suspect`](gr_netsim::Protocol::on_suspect) runs (flow
-    /// protocols excise the edge and bump its incarnation) but the
+    /// iterations is suspected —
+    /// [`Protocol::on_suspect`](gr_netsim::Protocol::on_suspect) runs
+    /// (flow protocols excise the edge and bump its incarnation) but the
     /// neighbor **stays in the send rotation**. Keeping it addressed is
     /// what makes the detector safe: a suspect that was merely slow — or
     /// has restarted with fresh state — keeps receiving our messages
