@@ -1,14 +1,16 @@
-//! Flow-bank kernel throughput — SIMD vs scalar, side by side.
+//! Flow-bank kernel throughput — AVX2 build vs baseline build, side by
+//! side.
 //!
 //! The componentwise kernels in `gr_reduction::kernels` are the inner
 //! loop of every PF/PCF flow-bank operation; this group times the three
 //! shapes that dominate a round (accumulate = `add`, `scale`, and the
 //! PCF hardened fold = `fold2`) at payload dimensions straddling the
-//! 4-lane block width (3 = all remainder, 16 = whole blocks, 64 = the
-//! heap-spilled grid point). Each dimension runs the forced vector entry
-//! point and the scalar reference back to back, so a criterion run shows
-//! the speedup directly; on targets without a vector path the `simd`
-//! variants delegate to scalar and the pair reads ~1.0×.
+//! 4-lane AVX2 width (3 = below it, 16 = whole vectors, 64 = the
+//! heap-spilled grid point). Each dimension runs the forced AVX2 entry
+//! point (`simd`) and the baseline build of the same source (`scalar`)
+//! back to back, so a criterion run shows the speedup directly; on
+//! targets without AVX2 the `simd` variants delegate to the baseline
+//! build and the pair reads ~1.0×.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gr_reduction::kernels;

@@ -3,7 +3,7 @@
 //! Times one simulator round for PF / PCF / FU on hypercubes of dimension
 //! 6 / 8 / 10, fault-free and under the stress plan, plus the
 //! vector-payload grid on hc8 (dims 4 / 16 / 64 — straddling the
-//! `InlineVec` inline cap), with the same ids as the `BENCH_5.json`
+//! `InlineVec` inline cap), with the same ids as the `BENCH_6.json`
 //! kernels (`sim_step/<alg>/hc<dim>/<plan>` and
 //! `sim_step/<alg>/hc8/vec<dim>`). Criterion gives the statistical view
 //! for local investigation; `bench-report` produces the committed

@@ -4,7 +4,7 @@
 //! FU on hypercubes of dimension 6/8/10, fault-free and under a stress
 //! plan, the vector-payload grid on hc8, a full PCF round over a
 //! million-node torus through the partitioned engine, and the flow-bank
-//! component kernels in their SIMD and scalar variants) on a pinned
+//! component kernels in their AVX2 and baseline builds) on a pinned
 //! workload and emits `BENCH_6.json` in a stable schema. Each kernel
 //! also reports its steady-state heap-allocation rate (a counting shim
 //! around the system allocator, armed only during a counted block), so
@@ -22,19 +22,20 @@
 //! bench-report --out cur.json --baseline BENCH_6.json --tolerance 0.25
 //! bench-report --blocks 8                        # quicker, noisier
 //! bench-report --only torus1000x1000 --sim-threads 4   # scale kernel on 4 workers
-//! bench-report --simd-ab                         # interleaved SIMD vs scalar gate
+//! bench-report --simd-ab                         # interleaved AVX2 vs baseline gate
 //! ```
 //!
 //! `--simd-ab` runs only the flow-bank A/B harness: for every bank
-//! kernel × dimension it interleaves SIMD and scalar timing blocks
-//! pairwise and reports the median of the per-pair scalar/SIMD ratios —
-//! interleaving makes each pair share its slice of scheduler noise, so
-//! the median ratio is stable where two independent min-estimates are
-//! not. The run fails unless the PCF fold kernel (`fold2`) reaches
-//! `--simd-min-ratio` (default 1.3×) at a vector dimension, making the
-//! SIMD win a gated property rather than a claim. On hardware without a
-//! vector path the harness skips (exit 0) — the scalar fallback has
-//! nothing to beat.
+//! kernel × dimension it interleaves timing blocks of the AVX2 build
+//! (`simd` rows) and the baseline build of the same source (`scalar`
+//! rows) pairwise and reports the median of the per-pair
+//! baseline/AVX2 ratios — interleaving makes each pair share its slice
+//! of scheduler noise, so the median ratio is stable where two
+//! independent min-estimates are not. The run fails unless the PCF fold
+//! kernel (`fold2`) reaches `--simd-min-ratio` (default 1.3×) at a vector
+//! dimension, making the AVX2 win a gated property rather than a claim.
+//! On hardware without AVX2 the harness skips (exit 0) — only the
+//! baseline build runs there, so there is nothing to compare.
 //!
 //! `--sim-threads` sets the partitioned engine's worker-thread count for
 //! the scale kernel. Thread count never changes simulation results (the
@@ -264,9 +265,10 @@ fn bank_fill(len: usize, mut seed: u64) -> Vec<f64> {
 type BankOp = (&'static str, Box<dyn FnMut() -> f64>);
 
 /// The flow-bank kernel grid: each entry is `(kernel, dim, path)` plus a
-/// closure running one operation. `simd` uses the forced vector entry
-/// points (scalar delegation on targets without a vector path), so the
-/// pair is measurable regardless of the runtime dispatch state.
+/// closure running one operation. `simd` uses the forced AVX2 entry
+/// points (the baseline build on targets without AVX2) and `scalar` the
+/// baseline build, so the pair is measurable at every dimension,
+/// including the short ones dispatch never sends to AVX2.
 fn bank_kernel_ops(dim: usize) -> Vec<BankOp> {
     let src = bank_fill(dim, 1);
     let f1 = bank_fill(dim, 2);
@@ -470,10 +472,10 @@ fn run_all(
         }
     }
     // Flow-bank component kernels: the componentwise inner loops every
-    // PF/PCF bank operation reduces to, in their forced-SIMD and scalar
-    // variants side by side. `fold2` is the PCF hardened fold — the
-    // kernel the ≥1.3× SIMD acceptance gate (`--simd-ab`) is anchored
-    // to. Pure slice arithmetic, so every entry is accountable to zero
+    // PF/PCF bank operation reduces to, in their forced-AVX2 and baseline
+    // builds side by side. `fold2` is the PCF hardened fold — the kernel
+    // the ≥1.3× AVX2 acceptance gate (`--simd-ab`) is anchored to. Pure
+    // slice arithmetic, so every entry is accountable to zero
     // allocations.
     {
         const BANK_OPS: u64 = 1_000_000;
@@ -543,9 +545,9 @@ fn run_all(
     (kernels, partition_decision)
 }
 
-/// Interleaved SIMD-vs-scalar A/B harness over the flow-bank kernel
-/// grid. Each rep times one SIMD block then one scalar block back to
-/// back and records the pair's scalar/SIMD ratio; the reported figure is
+/// Interleaved AVX2-vs-baseline A/B harness over the flow-bank kernel
+/// grid. Each rep times one AVX2 block then one baseline block back to
+/// back and records the pair's baseline/AVX2 ratio; the reported figure is
 /// the median ratio, so a scheduler hiccup perturbs one pair instead of
 /// biasing a whole side. Returns `(kernel, dim, median_ratio)` rows.
 fn run_simd_ab(ops: u64, reps: usize) -> Vec<(String, usize, f64)> {
@@ -576,7 +578,7 @@ fn run_simd_ab(ops: u64, reps: usize) -> Vec<(String, usize, f64)> {
                 .collect();
             ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let median = ratios[ratios.len() / 2];
-            println!("  bank_kernels/{kernel}/dim{dim}: median scalar/simd ratio {median:.2}x");
+            println!("  bank_kernels/{kernel}/dim{dim}: median baseline/avx2 ratio {median:.2}x");
             rows.push((kernel, dim, median));
         }
     }
@@ -685,15 +687,15 @@ fn main() {
 
     if simd_ab {
         if !kernels::simd_supported() {
-            println!("simd-ab: no vector path on this target, nothing to gate (skipping)");
+            println!("simd-ab: no AVX2 build on this target, nothing to gate (skipping)");
             return;
         }
         println!(
-            "simd-ab: interleaved A/B over the flow-bank grid \
+            "simd-ab: interleaved AVX2/baseline A/B over the flow-bank grid \
              ({blocks} pairs/kernel, gate {simd_min_ratio:.2}x on fold2 vector dims)"
         );
         let rows = run_simd_ab(1_000_000, blocks);
-        // The gate: the PCF hardened fold must show the SIMD win at a
+        // The gate: the PCF hardened fold must show the AVX2 win at a
         // vector payload dimension (dim > LANES, i.e. 16 or 64 here).
         let best_fold2 = rows
             .iter()

@@ -20,8 +20,8 @@
 //! `--threads` fans the *corpus* out across workers (one scenario per
 //! worker); `--sim-threads` parallelises *inside* each simulation's
 //! partitioned round engine and never changes results. `--partitions`
-//! overrides the engine partition count for every scenario the engine
-//! can express (delay-bearing scenarios keep their own configuration) —
+//! overrides the engine partition count for every single-simulator
+//! scenario (multi-tenant batch scenarios run on the batch executor) —
 //! that one *does* change results (partition count selects RNG
 //! streams), so only compare reports run with the same override.
 

@@ -70,10 +70,10 @@ pub struct Exec {
     /// scenario's own choice). Unlike threads this *does* change
     /// results (partition count selects RNG streams), so reports
     /// produced under an override are comparable only to other runs
-    /// with the same override. The override applies to every zero-delay
-    /// scenario (async activation flips to synchronous); delay-bearing
-    /// scenarios keep their own configuration, so an override report
-    /// differs from the plain one only on zero-delay scenarios.
+    /// with the same override. The override applies to every
+    /// single-simulator scenario (async activation flips to synchronous);
+    /// multi-tenant batch scenarios run on the batch executor and ignore
+    /// it.
     pub partitions: Option<usize>,
 }
 
@@ -191,15 +191,11 @@ fn drive<P: Payload, Pr: ReductionProtocol>(
         options.threads = exec.sim_threads;
     }
     if let Some(p) = exec.partitions {
-        // Delay-bearing scenarios keep their own configuration and every
-        // zero-delay scenario gets the override. Zero-delay
-        // async-activation scenarios flip to synchronous activation —
+        // Async-activation scenarios flip to synchronous activation —
         // partitions ≥ 2 are defined for synchronous rounds only.
-        if p < 2 || options.delay == gr_netsim::DelayModel::None {
-            options.partitions = p;
-            if p >= 2 {
-                options.activation = gr_netsim::Activation::Synchronous;
-            }
+        options.partitions = p;
+        if p >= 2 {
+            options.activation = gr_netsim::Activation::Synchronous;
         }
     }
     // The corpus builders only produce valid execution models; a
@@ -614,57 +610,42 @@ mod tests {
 
     #[test]
     fn partition_override_is_thread_invariant() {
-        // Force a zero-delay stress scenario onto the partitioned engine
-        // and sweep the worker count: results must be byte-identical —
-        // sim threads are an execution hint, not identity.
-        let sc = stress_corpus(&[2])
+        // Force a zero-delay stress scenario and a delay-bearing one onto
+        // the partitioned engine and sweep the worker count: results must
+        // be byte-identical — sim threads are an execution hint, not
+        // identity.
+        let zero_delay = stress_corpus(&[2])
             .into_iter()
             .find(|s| s.template.starts_with("loss/") && s.delay_max == 0)
             .unwrap();
-        let exec1 = Exec {
-            sim_threads: 1,
-            partitions: Some(4),
-        };
-        let a = run_scenario_exec(&sc, exec1);
-        for sim_threads in [2, 4] {
-            let b = run_scenario_exec(
-                &sc,
-                Exec {
-                    sim_threads,
-                    partitions: Some(4),
-                },
-            );
-            assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(a.final_err.to_bits(), b.final_err.to_bits());
-            assert_eq!(a.violation, b.violation);
-        }
-        // And the override genuinely changed the execution relative to
-        // the classic engine (different RNG streams).
-        let classic = run_scenario(&sc);
-        assert_ne!(classic.stats, a.stats);
-    }
-
-    #[test]
-    fn partition_override_skips_delay_scenarios() {
-        // A corpus-wide `--partitions` override leaves delay-bearing
-        // scenarios on their own configuration, byte-for-byte.
-        let sc = stress_corpus(&[1])
+        let delayed = stress_corpus(&[1])
             .into_iter()
             .find(|s| s.delay_max > 0)
             .unwrap();
-        let overridden = run_scenario_exec(
-            &sc,
-            Exec {
+        for sc in [zero_delay, delayed] {
+            let exec1 = Exec {
                 sim_threads: 1,
                 partitions: Some(4),
-            },
-        );
-        let own = run_scenario(&sc);
-        assert_eq!(own.rounds, overridden.rounds);
-        assert_eq!(own.stats, overridden.stats);
-        assert_eq!(own.final_err.to_bits(), overridden.final_err.to_bits());
-        assert_eq!(own.violation, overridden.violation);
+            };
+            let a = run_scenario_exec(&sc, exec1);
+            for sim_threads in [2, 4] {
+                let b = run_scenario_exec(
+                    &sc,
+                    Exec {
+                        sim_threads,
+                        partitions: Some(4),
+                    },
+                );
+                assert_eq!(a.rounds, b.rounds, "{}", sc.canonical());
+                assert_eq!(a.stats, b.stats, "{}", sc.canonical());
+                assert_eq!(a.final_err.to_bits(), b.final_err.to_bits());
+                assert_eq!(a.violation, b.violation);
+            }
+            // And the override genuinely changed the execution relative
+            // to the scenario's own run (different RNG streams).
+            let own = run_scenario(&sc);
+            assert_ne!(own.stats, a.stats, "{}", sc.canonical());
+        }
     }
 
     #[test]

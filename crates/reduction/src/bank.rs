@@ -18,14 +18,14 @@
 //! to the bank; only the `dim`-sized value vectors move here.
 //!
 //! The componentwise kernels the protocols run over bank slices live in
-//! [`crate::kernels`] in lane-blocked SIMD form (AVX2/NEON with a
-//! structurally identical scalar fallback) and are re-exported here
-//! under their historical `bank::` names. Each one performs *exactly*
-//! the per-component IEEE-754 operations (in the same order) as the
+//! [`crate::kernels`] — one plain-loop source, compiled for the target's
+//! baseline ISA and again for AVX2 — and are re-exported here under their
+//! historical `bank::` names. Each one performs *exactly* the
+//! per-component IEEE-754 operations (in the same order) as the
 //! `Mass`-level code it replaced, so runs are bit-identical to the
 //! array-of-structs implementation — pinned by the golden-schedule
 //! hashes, the `payload_equiv` proptest, and the `kernel_equiv`
-//! SIMD-vs-scalar sweep.
+//! AVX2-vs-baseline sweep.
 
 /// One 64-byte cache line of components. The slab is a `Vec<Line>` so the
 /// allocation is 64-byte aligned without any unstable allocator API; it is
