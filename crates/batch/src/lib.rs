@@ -167,9 +167,6 @@ impl std::error::Error for BatchConfigError {}
 /// Execution knobs for a batch run.
 #[derive(Clone, Debug)]
 pub struct BatchOptions {
-    /// Partner-selection policy (instantiated per tenant; round-robin
-    /// cursors are tenant-local).
-    pub schedule: Schedule,
     /// Worker threads stepping tenant chunks. `1` runs on the caller's
     /// thread; clamped to `1` unless the protocol is
     /// [`PARALLEL_SAFE`](Protocol::PARALLEL_SAFE). Purely an execution
@@ -186,7 +183,6 @@ pub struct BatchOptions {
 impl Default for BatchOptions {
     fn default() -> Self {
         BatchOptions {
-            schedule: Schedule::uniform(),
             threads: 1,
             check_every: 0,
             target_accuracy: None,
@@ -322,7 +318,6 @@ struct Tenant {
     node_end: NodeId,
     faults: FaultRange,
     lane: Lane,
-    schedule: Schedule,
     round: u64,
     max_rounds: u64,
     active: bool,
@@ -465,7 +460,7 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
         let mut tenants = Vec::with_capacity(specs.len());
         for (spec, e) in specs.iter().zip(&host.extents) {
             inputs.extend_from_slice(&spec.values);
-            tenants.push(Tenant::new(spec, *e, &opts.schedule));
+            tenants.push(Tenant::new(spec, *e));
         }
         let workers = if P::PARALLEL_SAFE {
             opts.threads.min(tenants.len()).max(1)
@@ -743,9 +738,7 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
                 continue;
             }
             let alive = self.believed.list(graph, i);
-            let target = tn
-                .schedule
-                .pick(i - tn.node_base, alive, &mut tn.lane.sched_rng);
+            let target = Schedule::uniform().pick(i, alive, &mut tn.lane.sched_rng);
             let Some(target) = target else { continue };
             let msg = self.protocol.part_send(w, i, target);
             tn.lane.stats.sent += 1;
@@ -777,17 +770,13 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
 }
 
 impl Tenant {
-    fn new(spec: &TenantSpec, e: Extent, schedule: &Schedule) -> Tenant {
+    fn new(spec: &TenantSpec, e: Extent) -> Tenant {
         let nodes = e.nodes as usize;
         Tenant {
             node_base: e.node_base,
             node_end: e.node_base + e.nodes,
             faults: FaultRange::new(&spec.plan, e.node_base, nodes, e.arc_base, e.arcs, true),
             lane: Lane::single(spec.seed),
-            schedule: match schedule {
-                Schedule::UniformRandom => Schedule::uniform(),
-                Schedule::RoundRobin { .. } => Schedule::round_robin(nodes),
-            },
             round: 0,
             max_rounds: spec.max_rounds,
             active: spec.max_rounds > 0,

@@ -7,13 +7,11 @@
 //! concurrent reader thread.
 
 use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantSpec};
-use gr_netsim::Schedule;
 use gr_reduction::PushCancelFlow;
 use gr_topology::hypercube;
 
 fn opts_checked() -> BatchOptions {
     BatchOptions {
-        schedule: Schedule::uniform(),
         threads: 1,
         check_every: 1,
         target_accuracy: Some(1e-9),
@@ -94,7 +92,6 @@ fn snapshot_board_is_readable_while_stepping() {
         threads: 2,
         check_every: 4,
         target_accuracy: Some(1e-9),
-        ..BatchOptions::default()
     };
     let mut sim = BatchSim::new(&host, pcf, &specs, opts).unwrap();
     let board = sim.snapshots();

@@ -25,8 +25,8 @@
 
 use crate::hash::{fnv1a64, hex16};
 use gr_netsim::{
-    stream_rng, Activation, DelayModel, DetectorModel, FaultPlan, RngStream, SimConfigError,
-    SimOptions,
+    stream_rng, Activation, BurstModel, DelayModel, DetectorModel, FaultPlan, RngStream,
+    SimConfigError, SimOptions,
 };
 use gr_reduction::{AggregateKind, Algorithm, PhiMode};
 use gr_topology::{complete, hypercube, ring, torus2d, Graph, NodeId};
@@ -802,8 +802,8 @@ const CHAOS_HEAL_AT: u64 = 500;
 pub struct ChaosScript {
     /// i.i.d. per-message drop probability.
     pub drop: f64,
-    /// Gilbert–Elliott `(enter, exit, loss)` burst parameters.
-    pub burst: (f64, f64, f64),
+    /// Gilbert–Elliott burst loss, the same model in both injectors.
+    pub burst: BurstModel,
     /// One side of the scripted cut (the complement is the other).
     pub cut_members: Vec<NodeId>,
     /// When the cut fires (netsim rounds / transport ops).
@@ -821,7 +821,11 @@ pub fn chaos_script(topology: TopologyKind) -> ChaosScript {
     let n = topology.nodes() as NodeId;
     ChaosScript {
         drop: 0.02,
-        burst: (0.02, 0.3, 0.9),
+        burst: BurstModel {
+            enter: 0.02,
+            exit: 0.3,
+            loss: 0.9,
+        },
         cut_members: (0..n / 2).collect(),
         cut_at: CHAOS_CUT_AT,
         heal_at: CHAOS_HEAL_AT,
@@ -832,7 +836,8 @@ impl ChaosScript {
     /// Write the script into a scenario's fault fields (netsim injector).
     pub fn apply(&self, sc: &mut Scenario) {
         sc.loss = self.drop;
-        sc.burst = Some(self.burst);
+        let b = self.burst;
+        sc.burst = Some((b.enter, b.exit, b.loss));
         sc.net_partitions = vec![(self.cut_members.clone(), self.cut_at)];
         sc.net_partition_heals = vec![(self.cut_members.clone(), self.heal_at)];
     }
@@ -842,9 +847,7 @@ impl ChaosScript {
     pub fn chaos_plan(&self, seed: u64) -> gr_transport::ChaosPlan {
         gr_transport::ChaosPlan {
             drop: self.drop,
-            burst_enter: self.burst.0,
-            burst_exit: self.burst.1,
-            burst_loss: self.burst.2,
+            burst: Some(self.burst),
             cuts: vec![gr_transport::ChaosCut {
                 members: self.cut_members.clone(),
                 from_op: self.cut_at,
@@ -1194,14 +1197,14 @@ mod tests {
         // window included — that is what makes the chaos lane a sim-vs-
         // real referee rather than two unrelated fault setups.
         let tplan = chaos_script(sc.topology).chaos_plan(7);
+        assert_eq!(tplan.drop, 0.02);
         assert_eq!(
-            (
-                tplan.drop,
-                tplan.burst_enter,
-                tplan.burst_exit,
-                tplan.burst_loss
-            ),
-            (0.02, 0.02, 0.3, 0.9)
+            tplan.burst,
+            Some(BurstModel {
+                enter: 0.02,
+                exit: 0.3,
+                loss: 0.9
+            })
         );
         assert_eq!(tplan.cuts.len(), 1);
         assert_eq!(tplan.cuts[0].members, sc.net_partitions[0].0);

@@ -15,8 +15,8 @@
 //! once.
 
 use crate::faults::{
-    BurstModel, Corrupt, FaultPlan, LinkFailure, LinkHeal, NetPartition, NodeCrash, NodeRestart,
-    PartitionHeal,
+    BurstChain, Corrupt, FaultPlan, FaultVerdict, LinkFailure, LinkHeal, MessageFaults,
+    NetPartition, NodeCrash, NodeRestart, PartitionHeal,
 };
 use crate::rng::{stream_rng, RngStream};
 use crate::sim::{Protocol, SimStats};
@@ -35,10 +35,9 @@ pub struct Lane {
     pub sched_rng: StdRng,
     /// Loss, corruption and delay draws.
     pub(crate) fault_rng: StdRng,
-    /// Gilbert–Elliott chain stream and state. The RNG exists even with
+    /// Gilbert–Elliott chain on its own stream. The RNG exists even with
     /// bursts off but is never drawn from then.
-    burst_rng: StdRng,
-    burst_bad: bool,
+    burst: BurstChain,
     /// Counters accumulated by this lane (the engine decides when to
     /// merge them).
     pub stats: SimStats,
@@ -76,8 +75,7 @@ impl Lane {
         Lane {
             sched_rng: stream_rng(seed, sched),
             fault_rng: stream_rng(seed, faults),
-            burst_rng: stream_rng(seed, burst),
-            burst_bad: false,
+            burst: BurstChain::new(stream_rng(seed, burst)),
             stats: SimStats::default(),
             events: Vec::new(),
             trace: false,
@@ -239,7 +237,7 @@ impl<T: Clone> Queue<T> {
 /// The fault model of one contiguous node/arc range: the plan's
 /// scheduled-fault queues (in graph node ids, offset by `node_base`),
 /// pending oracle detections, a dead-arc bitmask indexed from `arc_base`,
-/// and the probabilistic loss/flip/burst parameters.
+/// and the per-message soft-fault model.
 ///
 /// The bitmask is range-local on purpose: batch workers fire faults for
 /// different tenants at the same time, and separate allocations keep two
@@ -269,9 +267,7 @@ pub struct FaultRange {
     /// False until the first crash or link death fires; lets `transit`
     /// skip every liveness check on the healthy path.
     physical_faults: bool,
-    loss: f64,
-    flip: f64,
-    burst: Option<BurstModel>,
+    msg: MessageFaults,
     restarted: Vec<NodeId>,
     resumed: Vec<(NodeId, NodeId)>,
 }
@@ -304,9 +300,7 @@ impl FaultRange {
             pending: Vec::new(),
             dead_arcs: vec![0; arcs.div_ceil(64)],
             physical_faults: false,
-            loss: 0.0,
-            flip: 0.0,
-            burst: None,
+            msg: MessageFaults::default(),
             restarted: Vec::new(),
             resumed: Vec::new(),
         };
@@ -362,9 +356,11 @@ impl FaultRange {
             }),
             from_round,
         );
-        self.loss = plan.msg_loss_prob;
-        self.flip = plan.bit_flip_prob;
-        self.burst = plan.burst;
+        self.msg = MessageFaults {
+            loss: plan.msg_loss_prob,
+            flip: plan.bit_flip_prob,
+            burst: plan.burst,
+        };
     }
 
     /// `true` while no physical fault has fired and no probabilistic
@@ -372,7 +368,7 @@ impl FaultRange {
     /// engines may skip it for a whole batch.
     #[inline]
     pub fn is_clean(&self) -> bool {
-        !self.physical_faults && self.loss <= 0.0 && self.flip <= 0.0 && self.burst.is_none()
+        !self.physical_faults && self.msg.is_off()
     }
 
     /// Nodes restarted by the last [`fire_due`](Self::fire_due): engines
@@ -646,9 +642,9 @@ impl FaultRange {
             && (!alive[src as usize] || !alive[dst as usize] || self.arc_is_dead(graph, src, dst))
     }
 
-    /// Apply the transit pipeline (dead link, burst chain, i.i.d. loss,
-    /// bit corruption) to one message of the current round in place,
-    /// drawing from `lane`'s streams; `true` means it survives.
+    /// Apply the transit pipeline to one message of the current round in
+    /// place: the dead-link check, then [`MessageFaults::decide`] on
+    /// `lane`'s streams. `true` means it survives.
     #[inline]
     pub fn transit<M: Corrupt>(
         &self,
@@ -665,32 +661,9 @@ impl FaultRange {
             lane.record(Event::LostDead { round, src, dst });
             return false;
         }
-        if let Some(b) = self.burst {
-            // Advance the Gilbert–Elliott chain one message, then flip the
-            // drop coin only while in the bad state — all on the dedicated
-            // burst stream, so the i.i.d. draws below are untouched.
-            let u = lane.burst_rng.random::<f64>();
-            lane.burst_bad = if lane.burst_bad {
-                u >= b.exit
-            } else {
-                u < b.enter
-            };
-            if lane.burst_bad && lane.burst_rng.random::<f64>() < b.loss {
-                lane.stats.lost_burst += 1;
-                lane.record(Event::LostBurst { round, src, dst });
-                return false;
-            }
-        }
-        if self.loss > 0.0 && lane.fault_rng.random::<f64>() < self.loss {
-            lane.stats.lost_random += 1;
-            lane.record(Event::LostRandom { round, src, dst });
-            return false;
-        }
-        if self.flip > 0.0 && lane.fault_rng.random::<f64>() < self.flip {
-            let bits = msg.corruptible_bits();
-            if bits > 0 {
-                let bit = lane.fault_rng.random_range(0..bits);
-                msg.flip_bit(bit);
+        match self.msg.decide(&mut lane.burst, &mut lane.fault_rng, msg) {
+            FaultVerdict::Pass => true,
+            FaultVerdict::Flipped(bit) => {
                 lane.stats.bit_flips += 1;
                 lane.record(Event::BitFlipped {
                     round,
@@ -698,9 +671,19 @@ impl FaultRange {
                     dst,
                     bit,
                 });
+                true
+            }
+            FaultVerdict::LostBurst => {
+                lane.stats.lost_burst += 1;
+                lane.record(Event::LostBurst { round, src, dst });
+                false
+            }
+            FaultVerdict::LostRandom => {
+                lane.stats.lost_random += 1;
+                lane.record(Event::LostRandom { round, src, dst });
+                false
             }
         }
-        true
     }
 
     /// The transit check for a liveness probe: dead endpoints, dead arcs
@@ -717,7 +700,7 @@ impl FaultRange {
         dst: NodeId,
     ) -> bool {
         let lost = self.blocked(graph, alive, src, dst)
-            || (self.loss > 0.0 && lane.fault_rng.random::<f64>() < self.loss);
+            || (self.msg.loss > 0.0 && lane.fault_rng.random::<f64>() < self.msg.loss);
         !lost
     }
 }

@@ -9,6 +9,8 @@
 
 use crate::options::SimConfigError;
 use gr_topology::{Graph, NodeId};
+use rand::rngs::StdRng;
+use rand::RngExt;
 
 /// A payload the fault injector can corrupt bit-wise.
 ///
@@ -160,6 +162,108 @@ pub struct BurstModel {
     pub exit: f64,
     /// Per-message drop probability while the chain is bad.
     pub loss: f64,
+}
+
+impl BurstModel {
+    /// Check that all three fields are probabilities (see
+    /// [`check_probability`]).
+    pub fn validate(&self) -> Result<(), SimConfigError> {
+        check_probability("burst.enter", self.enter)?;
+        check_probability("burst.exit", self.exit)?;
+        check_probability("burst.loss", self.loss)
+    }
+}
+
+/// `Ok` iff `p` lies in `[0, 1]`, else a typed error naming `field`:
+/// unchecked, 1.5 drops every message and NaN none, a silent wrong run.
+pub fn check_probability(field: &'static str, p: f64) -> Result<(), SimConfigError> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(())
+    } else {
+        Err(SimConfigError::ProbabilityOutOfRange { field })
+    }
+}
+
+/// One Gilbert–Elliott chain's state and the private RNG stream it
+/// advances on: one per engine lane, one per chaos endpoint.
+pub struct BurstChain {
+    rng: StdRng,
+    bad: bool,
+}
+
+impl BurstChain {
+    /// A chain in the good state drawing from `rng`.
+    pub fn new(rng: StdRng) -> BurstChain {
+        BurstChain { rng, bad: false }
+    }
+}
+
+/// What [`MessageFaults::decide`] did to one message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultVerdict {
+    /// The message crosses untouched.
+    Pass,
+    /// The message crosses with this bit flipped.
+    Flipped(u32),
+    /// The burst chain's bad state dropped the message.
+    LostBurst,
+    /// The i.i.d. loss coin dropped the message.
+    LostRandom,
+}
+
+/// The per-message soft-fault pipeline, shared by the round engine
+/// ([`FaultRange::transit`](crate::FaultRange::transit)) and the chaos
+/// transport layer: the burst chain, then the i.i.d. loss coin, then a
+/// bit flip.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct MessageFaults {
+    /// Per-message probability of silent loss.
+    pub loss: f64,
+    /// Per-message probability of one uniformly placed bit flip.
+    pub flip: f64,
+    /// Correlated-burst loss on top of `loss` (`None` = off).
+    pub burst: Option<BurstModel>,
+}
+
+impl MessageFaults {
+    /// `true` if [`decide`](Self::decide) passes every message without
+    /// drawing.
+    #[inline]
+    pub(crate) fn is_off(&self) -> bool {
+        self.loss <= 0.0 && self.flip <= 0.0 && self.burst.is_none()
+    }
+
+    /// Decide one message's fate, corrupting `msg` in place on a flip.
+    /// The chain advances once per message on its own stream, so turning
+    /// bursts on or off never moves a draw of `rng`; a zero rate draws
+    /// nothing.
+    #[inline]
+    pub fn decide<M: Corrupt>(
+        &self,
+        chain: &mut BurstChain,
+        rng: &mut StdRng,
+        msg: &mut M,
+    ) -> FaultVerdict {
+        if let Some(b) = self.burst {
+            let u = chain.rng.random::<f64>();
+            chain.bad = if chain.bad { u >= b.exit } else { u < b.enter };
+            if chain.bad && chain.rng.random::<f64>() < b.loss {
+                return FaultVerdict::LostBurst;
+            }
+        }
+        if self.loss > 0.0 && rng.random::<f64>() < self.loss {
+            return FaultVerdict::LostRandom;
+        }
+        if self.flip > 0.0 && rng.random::<f64>() < self.flip {
+            let bits = msg.corruptible_bits();
+            if bits > 0 {
+                let bit = rng.random_range(0..bits);
+                msg.flip_bit(bit);
+                return FaultVerdict::Flipped(bit);
+            }
+        }
+        FaultVerdict::Pass
+    }
 }
 
 /// A scripted bidirectional network partition: at `at_round` every link
@@ -330,12 +434,18 @@ impl FaultPlan {
             && self.partition_heals.is_empty()
     }
 
-    /// Check every scheduled event against the topology: link events must
-    /// name real edges, node events (and partition members) real nodes.
+    /// Check the plan: every rate must be a probability, link events
+    /// must name real edges, node events (and partition members) real
+    /// nodes.
     /// Run by [`Simulator::try_with_options`](crate::Simulator::try_with_options)
     /// so a typo'd plan is a typed [`SimConfigError`] at construction
     /// time, not a silent no-op or a fire-time panic.
     pub fn validate(&self, graph: &Graph) -> Result<(), SimConfigError> {
+        check_probability("msg_loss_prob", self.msg_loss_prob)?;
+        check_probability("bit_flip_prob", self.bit_flip_prob)?;
+        if let Some(b) = self.burst {
+            b.validate()?;
+        }
         let nodes = graph.len();
         let check_node = |node: NodeId| {
             if (node as usize) < nodes {

@@ -36,6 +36,7 @@
 
 mod calibrate;
 mod delivery;
+mod detector;
 mod fault_range;
 mod faults;
 mod options;
@@ -47,10 +48,11 @@ mod trace;
 
 pub use calibrate::MachineCosts;
 pub use delivery::{Delivery, RingDelivery};
+pub use detector::SilenceDetector;
 pub use fault_range::{Believed, FaultCtx, FaultRange, Lane};
 pub use faults::{
-    BurstModel, Corrupt, FaultPlan, LinkFailure, LinkHeal, NetPartition, NodeCrash, NodeRestart,
-    PartitionHeal,
+    check_probability, BurstChain, BurstModel, Corrupt, FaultPlan, FaultVerdict, LinkFailure,
+    LinkHeal, MessageFaults, NetPartition, NodeCrash, NodeRestart, PartitionHeal,
 };
 pub use options::{
     Activation, DelayModel, DetectorModel, PartitionModel, PartitionPlan, PartitionSource,

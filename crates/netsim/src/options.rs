@@ -142,6 +142,11 @@ pub enum SimConfigError {
         /// Other endpoint.
         b: gr_topology::NodeId,
     },
+    /// A fault rate is NaN or outside `[0, 1]`.
+    ProbabilityOutOfRange {
+        /// The offending field (e.g. `msg_loss_prob`, `burst.exit`).
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for SimConfigError {
@@ -176,6 +181,9 @@ impl std::fmt::Display for SimConfigError {
             }
             SimConfigError::FaultLinkMissing { a, b } => {
                 write!(f, "fault plan names nonexistent link ({a}, {b})")
+            }
+            SimConfigError::ProbabilityOutOfRange { field } => {
+                write!(f, "{field} probability outside [0,1] (or NaN)")
             }
         }
     }

@@ -42,9 +42,10 @@ impl Schedule {
     /// neighbor list, sorted). Returns `None` when the list is empty.
     ///
     /// Public because external round drivers (the multi-tenant batch
-    /// executor in `gr-batch`) must replay the simulator's exact draw
-    /// sequence: one `random_range(0..alive.len())` per uniform pick, one
-    /// cursor advance per round-robin pick. `node` only indexes the
+    /// executor in `gr-batch`, and `NodeDriver` in `gr-reduction`) pick
+    /// with the simulator's exact draw sequence: one
+    /// `random_range(0..alive.len())` per uniform pick, one cursor
+    /// advance per round-robin pick. `node` only indexes the
     /// round-robin cursor array, so drivers with their own node numbering
     /// may pass a driver-local index.
     pub fn pick(&mut self, node: NodeId, alive: &[NodeId], rng: &mut StdRng) -> Option<NodeId> {

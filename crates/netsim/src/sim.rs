@@ -1,6 +1,7 @@
 //! The round-driven simulator core.
 
 use crate::delivery::RingDelivery;
+use crate::detector::SilenceDetector;
 use crate::fault_range::{Believed, FaultCtx, FaultRange, Lane};
 use crate::faults::{Corrupt, FaultPlan};
 use crate::options::{Activation, DelayModel, DetectorModel, SimConfigError, SimOptions};
@@ -224,117 +225,6 @@ impl SimStats {
     }
 }
 
-/// Packs a timing-wheel / suspect-list entry: owner node in the high 32
-/// bits, global arc index in the low 32. Sorting packed entries ascending
-/// is exactly (node asc, arc asc) order.
-#[inline]
-fn pack_arc(node: NodeId, arc: usize) -> u64 {
-    ((node as u64) << 32) | arc as u64
-}
-
-/// O(active) timeout-detector state for one partition's arc range
-/// (`P == 1`: a single part covering every arc).
-///
-/// The legacy detector scanned every believed arc every round. Here each
-/// *monitored* arc — owner alive, neighbor believed — keeps exactly one
-/// entry in a timing wheel, parked in the slot of its current deadline
-/// `last_heard + window`. A round's scan touches only the entries whose
-/// slot comes due: an entry whose silence clock was reset re-parks at its
-/// new deadline, an entry that stopped being monitored is dropped
-/// (re-armed by the heal/restart/arrival paths that resume monitoring),
-/// and the remainder fire as suspicions — at exactly the round the full
-/// scan would have found them, which keeps golden detector hashes
-/// byte-identical.
-#[derive(Default)]
-struct DetectorPart {
-    /// First global arc index of this part's range; bit `arc - arc_start`
-    /// in the masks below. Per-part masks are separate allocations, so
-    /// parallel workers never touch the same word.
-    arc_start: usize,
-    /// `i` suspects `j` ⇔ bit for `arc(i→j)` set.
-    suspected: Vec<u64>,
-    /// Arc currently holds a timing-wheel entry.
-    in_wheel: Vec<u64>,
-    /// `wheel[deadline % wheel.len()]` holds the entries to examine when
-    /// `round ≡ deadline`; length `min(window, 4096) + 1` so a re-park
-    /// never lands back in the slot being drained (deadlines beyond one
-    /// lap just take extra no-op hops).
-    wheel: Vec<Vec<u64>>,
-    /// Scratch: entries due this round, sorted (node asc, arc desc) to
-    /// replay the legacy backward believed-list walk.
-    due: Vec<u64>,
-    /// Sorted packed entries for every suspected arc — the probe fan-out
-    /// iterates this instead of scanning the bitmask over all nodes.
-    suspects: Vec<u64>,
-}
-
-impl DetectorPart {
-    fn new(arc_start: usize, arc_end: usize, window: u64) -> Self {
-        let arcs = arc_end - arc_start;
-        let wheel_len = (window.min(4096) + 1) as usize;
-        DetectorPart {
-            arc_start,
-            suspected: vec![0; arcs.div_ceil(64)],
-            in_wheel: vec![0; arcs.div_ceil(64)],
-            wheel: (0..wheel_len).map(|_| Vec::new()).collect(),
-            due: Vec::new(),
-            suspects: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn is_suspected(&self, arc: usize) -> bool {
-        let a = arc - self.arc_start;
-        self.suspected[a / 64] & (1 << (a % 64)) != 0
-    }
-
-    #[inline]
-    fn set_suspected(&mut self, arc: usize) {
-        let a = arc - self.arc_start;
-        self.suspected[a / 64] |= 1 << (a % 64);
-    }
-
-    #[inline]
-    fn clear_suspected_bit(&mut self, arc: usize) {
-        let a = arc - self.arc_start;
-        self.suspected[a / 64] &= !(1 << (a % 64));
-    }
-
-    #[inline]
-    fn clear_in_wheel(&mut self, arc: usize) {
-        let a = arc - self.arc_start;
-        self.in_wheel[a / 64] &= !(1 << (a % 64));
-    }
-
-    /// Ensure `arc` (owned by `node`) has a wheel entry; parks it at
-    /// `deadline` if it had none. Callers pass the arc's current
-    /// `last_heard + window`, which is `> round` on every arm path.
-    #[inline]
-    fn arm(&mut self, node: NodeId, arc: usize, deadline: u64) {
-        let a = arc - self.arc_start;
-        let (w, b) = (a / 64, 1u64 << (a % 64));
-        if self.in_wheel[w] & b == 0 {
-            self.in_wheel[w] |= b;
-            let slot = (deadline % self.wheel.len() as u64) as usize;
-            self.wheel[slot].push(pack_arc(node, arc));
-        }
-    }
-
-    #[inline]
-    fn suspects_insert(&mut self, entry: u64) {
-        if let Err(pos) = self.suspects.binary_search(&entry) {
-            self.suspects.insert(pos, entry);
-        }
-    }
-
-    #[inline]
-    fn suspects_remove(&mut self, entry: u64) {
-        if let Ok(pos) = self.suspects.binary_search(&entry) {
-            self.suspects.remove(pos);
-        }
-    }
-}
-
 /// The simulator: drives a [`Protocol`] over a [`Graph`] under a
 /// [`FaultPlan`].
 pub struct Simulator<'g, P: Protocol> {
@@ -348,21 +238,14 @@ pub struct Simulator<'g, P: Protocol> {
     believed: Believed,
     activation: Activation,
     delay: DelayModel,
-    /// `true` when the timeout detector replaces the oracle: scheduled
-    /// faults are *not* reported to the protocol; silence is. Everything
-    /// the detector touches is gated on this flag, so the oracle path is
-    /// bit-identical to the pre-detector simulator.
-    detector_timeout: bool,
-    /// Silence threshold in rounds (only read when `detector_timeout`).
-    detector_window: u64,
-    /// `last_heard[arc_base(i) + neighbor_slot(i, j)]` = last round a
-    /// message from `j` reached `i`'s receive handler (timeout mode only;
-    /// empty under the oracle detector). One global array — partitions
-    /// touch element-disjoint, partition-contiguous ranges.
-    last_heard: Vec<u64>,
-    /// Per-partition timeout-detector state (one part covering all arcs
-    /// when `partitions == 1`); empty under the oracle detector.
-    det: Vec<DetectorPart>,
+    /// Per-partition timeout detectors over each partition's arc range,
+    /// ticked once per round (one covering all arcs when
+    /// `partitions == 1`). Empty under the oracle detector: scheduled
+    /// faults are then reported to the protocol instead of silence, and
+    /// everything the detector touches is gated on `det` being
+    /// non-empty, so the oracle path is bit-identical to the
+    /// pre-detector simulator.
+    det: Vec<SilenceDetector>,
     /// Resolved partition count; `1` runs one partition on the legacy
     /// single-run RNG streams, `≥ 2` gives each partition its own
     /// streams.
@@ -469,22 +352,11 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         options.validate()?;
         plan.validate(graph)?;
         let n = graph.len();
-        let (detector_timeout, detector_window) = match options.detector {
-            DetectorModel::Oracle => (false, 0),
-            DetectorModel::Timeout { window } => (true, window),
-        };
         let partition_plan = options.partition_plan(n, graph.arc_count());
         let partitions = partition_plan.partitions;
         let part_starts: Vec<NodeId> = (0..=partitions)
             .map(|p| (p * n / partitions) as NodeId)
             .collect();
-        let part_arc_start = |p: usize| -> usize {
-            if p == partitions {
-                graph.arc_count()
-            } else {
-                graph.arc_base(part_starts[p])
-            }
-        };
         let parts: Vec<Lane> = if partitions > 1 {
             (0..partitions)
                 .map(|p| Lane::partition(seed, p as u32))
@@ -492,32 +364,17 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         } else {
             vec![Lane::single(seed)]
         };
-        let det: Vec<DetectorPart> = if detector_timeout {
-            assert!(
-                graph.arc_count() <= u32::MAX as usize,
-                "timeout detector packs arc ids into 32 bits"
-            );
-            (0..partitions)
+        let det: Vec<SilenceDetector> = match options.detector {
+            DetectorModel::Oracle => Vec::new(),
+            DetectorModel::Timeout { window } => (0..partitions)
                 .map(|p| {
-                    let mut d = DetectorPart::new(
-                        part_arc_start(p),
-                        part_arc_start(p + 1),
-                        detector_window,
-                    );
-                    // Initially every arc is monitored with an untouched
-                    // silence clock (`last_heard == 0`).
-                    for i in part_starts[p]..part_starts[p + 1] {
-                        let base = graph.arc_base(i);
-                        for s in 0..graph.degree(i) {
-                            d.arm(i, base + s, detector_window);
-                        }
-                    }
-                    d
+                    let nodes = part_starts[p]..part_starts[p + 1];
+                    let owners = nodes.flat_map(|i| std::iter::repeat_n(i, graph.degree(i)));
+                    SilenceDetector::new(graph.arc_base(part_starts[p]), owners, window)
                 })
-                .collect()
-        } else {
-            Vec::new()
+                .collect(),
         };
+        let detector_timeout = !det.is_empty();
         let nlanes = partitions * partitions;
         let max_delay = options.delay.max_delay();
         let pool = if partitions > 1 && options.threads > 1 && P::PARALLEL_SAFE {
@@ -537,13 +394,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             believed: Believed::new(graph),
             activation: options.activation,
             delay: options.delay,
-            detector_timeout,
-            detector_window,
-            last_heard: if detector_timeout {
-                vec![0; graph.arc_count()]
-            } else {
-                Vec::new()
-            },
             det,
             partitions,
             partition_plan,
@@ -644,25 +494,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         p
     }
 
-    /// Forget any suspicion of `neighbor` by `node` and restart the arc's
-    /// silence clock (heal/restart bookkeeping). Also re-arms the arc's
-    /// timing-wheel entry: the arc is (back) under monitoring.
-    #[inline]
-    fn clear_suspected(&mut self, node: NodeId, neighbor: NodeId) {
-        if let Some(slot) = self.graph.neighbor_slot(node, neighbor) {
-            let arc = self.graph.arc_base(node) + slot;
-            self.last_heard[arc] = self.round;
-            let deadline = self.round.saturating_add(self.detector_window);
-            let p = self.part_of(node);
-            let det = &mut self.det[p];
-            if det.is_suspected(arc) {
-                det.clear_suspected_bit(arc);
-                det.suspects_remove(pack_arc(node, arc));
-            }
-            det.arm(node, arc, deadline);
-        }
-    }
-
     /// Phases 1–2, sequential in every configuration: fire the faults
     /// scheduled for this round and deliver due oracle detections (see
     /// [`FaultRange`]), then apply the engine-side effects of heals and
@@ -695,9 +526,15 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 lane.retain(|&(src, dst, _)| src != node && dst != node);
             }
         }
-        for k in 0..self.faults.resumed().len() {
-            let (node, neighbor) = self.faults.resumed()[k];
-            self.clear_suspected(node, neighbor);
+        // Heals and restarts resume monitoring: forget any suspicion
+        // (the fault range already re-admitted the neighbor) and restart
+        // the arc's silence clock.
+        for &(node, neighbor) in self.faults.resumed() {
+            if let Some(slot) = self.graph.neighbor_slot(node, neighbor) {
+                let arc = self.graph.arc_base(node) + slot;
+                let p = self.part_of(node);
+                self.det[p].heard(node, arc, self.round);
+            }
         }
     }
 
@@ -713,10 +550,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             .neighbor_slot(dst, src)
             .expect("delivery on a non-edge");
         let arc = self.graph.arc_base(dst) + slot;
-        let det = &mut self.det[p];
-        if det.is_suspected(arc) {
-            det.clear_suspected_bit(arc);
-            det.suspects_remove(pack_arc(dst, arc));
+        if self.det[p].heard(dst, arc, self.round) {
             self.believed.readmit(self.graph, dst, src);
             let lane = &mut self.parts[p];
             lane.stats.rehabilitated += 1;
@@ -727,9 +561,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             });
             self.protocol.on_rehabilitate(dst, src);
         }
-        self.last_heard[arc] = self.round;
-        let deadline = self.round.saturating_add(self.detector_window);
-        self.det[p].arm(dst, arc, deadline);
     }
 
     /// Count one delivery `src → dst` on lane `p`. The link-load counter
@@ -753,72 +584,24 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         }
     }
 
-    /// Timing-wheel maintenance for one detector part: drain the slot due
-    /// at `round` into `det.due` (the arcs to suspect), re-parking entries
-    /// whose silence clock was reset and dropping entries that stopped
-    /// being monitored. `det` is moved out of `self.det` by the caller,
-    /// so this borrows the rest of the simulator freely. Read-only on
-    /// simulator state; consumes no RNG.
-    fn collect_due(&mut self, det: &mut DetectorPart, round: u64) {
-        let wheel_len = det.wheel.len() as u64;
-        let si = (round % wheel_len) as usize;
-        let len0 = det.wheel[si].len();
-        det.due.clear();
-        for k in 0..len0 {
-            let e = det.wheel[si][k];
-            let node = (e >> 32) as NodeId;
-            let arc = (e & 0xFFFF_FFFF) as usize;
-            let deadline = self.last_heard[arc].saturating_add(self.detector_window);
-            if deadline > round {
-                // Heard from since parking: re-park at the new deadline
-                // (same-slot pushes land past `len0` and are not re-read).
-                let slot = (deadline % wheel_len) as usize;
-                det.wheel[slot].push(e);
-                continue;
-            }
-            // Due. The entry leaves the wheel either way: a suspicion
-            // stops monitoring until rehabilitation, and an unmonitored
-            // arc (owner dead / neighbor already excised) is re-armed by
-            // whichever heal/restart/arrival path resumes monitoring.
-            det.clear_in_wheel(arc);
-            if !self.alive_node[node as usize] {
-                continue;
-            }
-            let j = self.graph.neighbors(node)[arc - self.graph.arc_base(node)];
-            if self
-                .believed
-                .list(self.graph, node)
-                .binary_search(&j)
-                .is_err()
-            {
-                continue;
-            }
-            det.due.push(e);
-        }
-        det.wheel[si].drain(..len0);
-        // The legacy scan walked each believed list backwards: node
-        // ascending, neighbor (≡ arc, lists are sorted) descending.
-        det.due
-            .sort_unstable_by(|a, b| (a >> 32).cmp(&(b >> 32)).then(b.cmp(a)));
-    }
-
-    /// End-of-round silence scan over detector part `p` (timeout mode):
-    /// every alive node drops each believed neighbor it has not heard from
-    /// for `window` rounds. Suspicion is one-directional and purely local
-    /// — under delay or loss it can be wrong, which is the point.
-    /// O(due + arrivals), not O(believed arcs): see [`DetectorPart`].
+    /// End-of-round silence scan over partition `p`'s detector (timeout
+    /// mode): every alive node drops each believed neighbor it has not
+    /// heard from for `window` rounds. Suspicion is one-directional and
+    /// purely local — under delay or loss it can be wrong, which is the
+    /// point. O(due + arrivals), not O(believed arcs): see
+    /// [`SilenceDetector`].
     fn scan_silence(&mut self, p: usize) {
         let round = self.round;
-        let mut det = std::mem::take(&mut self.det[p]);
-        self.collect_due(&mut det, round);
-        for k in 0..det.due.len() {
-            let e = det.due[k];
-            let i = (e >> 32) as NodeId;
-            let arc = (e & 0xFFFF_FFFF) as usize;
-            let j = self.graph.neighbors(i)[arc - self.graph.arc_base(i)];
-            self.believed.remove(self.graph, i, j);
-            det.set_suspected(arc);
-            det.suspects_insert(e);
+        let (graph, alive, believed) = (self.graph, &self.alive_node, &self.believed);
+        // Only an alive owner's believed arcs are monitored; the rest are
+        // re-armed by whichever heal/restart/arrival resumes monitoring.
+        self.det[p].scan(round, |i, arc| {
+            let j = graph.neighbors(i)[arc - graph.arc_base(i)];
+            alive[i as usize] && believed.list(graph, i).binary_search(&j).is_ok()
+        });
+        for (i, arc) in self.det[p].due() {
+            let j = graph.neighbors(i)[arc - graph.arc_base(i)];
+            self.believed.remove(graph, i, j);
             let lane = &mut self.parts[p];
             lane.stats.suspected += 1;
             lane.record(Event::NodeSuspected {
@@ -828,7 +611,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             });
             self.protocol.on_suspect(i, j);
         }
-        self.det[p] = det;
     }
 
     /// Execute one round (synchronous) or `n` activations (asynchronous).
@@ -844,7 +626,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// phases run on the legacy single-run streams.
     pub fn step(&mut self) {
         self.fault_phase();
-        if self.detector_timeout {
+        if !self.det.is_empty() {
             self.par_run(Self::par_deliver_probes);
         }
         match self.activation {
@@ -854,7 +636,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             }
             Activation::Asynchronous => self.step_asynchronous(),
         }
-        if self.detector_timeout {
+        if !self.det.is_empty() {
             self.par_run(Self::par_scan);
         }
         self.merge_parts();
@@ -893,7 +675,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 .faults
                 .transit(lane, self.graph, &self.alive_node, i, target, &mut msg)
             {
-                if self.detector_timeout {
+                if !self.det.is_empty() {
                     self.note_arrival(0, target, i);
                 }
                 self.protocol.on_receive(target, i, &mut msg);
@@ -911,9 +693,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         if let Some(pool) = self.pool.take() {
             // SAFETY: each phase function touches only state owned by its
             // partition argument (parts[p], det[p], its mailbox row/column,
-            // partition-contiguous ranges of the believed lists and
-            // last_heard, and — per the PARALLEL_SAFE contract —
-            // partition-owned protocol state), plus shared state that is
+            // partition-contiguous ranges of the believed lists, and — per
+            // the PARALLEL_SAFE contract — partition-owned protocol
+            // state), plus shared state that is
             // read-only during parallel phases (graph, fault range,
             // alive mask, schedule cursors of own nodes).
             unsafe { pool.run_split(np, self, phase) };
@@ -988,7 +770,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                         &mut entry.2,
                     )
                 {
-                    if self.detector_timeout {
+                    if !self.det.is_empty() {
                         self.note_arrival(q, dst, src);
                     }
                     self.protocol.part_receive(q, dst, src, &mut entry.2);
@@ -1043,15 +825,12 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     fn par_scan(&mut self, p: usize) {
         self.scan_silence(p);
         let np = self.partitions;
-        // The suspect list is sorted by packed (node, arc): node-ascending,
-        // adjacency-slot-ascending order, which fixes the delay draws.
-        for k in 0..self.det[p].suspects.len() {
-            let e = self.det[p].suspects[k];
-            let i = (e >> 32) as NodeId;
+        // The suspect list is node-ascending, adjacency-slot-ascending,
+        // which fixes the delay draws.
+        for (i, arc) in self.det[p].suspects() {
             if !self.alive_node[i as usize] {
                 continue;
             }
-            let arc = (e & 0xFFFF_FFFF) as usize;
             let j = self.graph.neighbors(i)[arc - self.graph.arc_base(i)];
             // Probes issue at the end of round `r`, so a delay-`d` probe
             // is due at the start of round `r + 1 + d`; the arrival rounds
@@ -1342,6 +1121,28 @@ mod tests {
             err,
             SimConfigError::FaultNodeOutOfRange { node: 9, nodes: 3 }
         );
+        // A rate outside [0, 1] or NaN would silently drop everything or
+        // nothing; every probability field is checked.
+        for bad in [f64::NAN, 1.5, -0.1] {
+            type Set = fn(&mut FaultPlan, f64);
+            let set: [(&str, Set); 5] = [
+                ("msg_loss_prob", |p, x| p.msg_loss_prob = x),
+                ("bit_flip_prob", |p, x| p.bit_flip_prob = x),
+                ("burst.enter", |p, x| p.burst.as_mut().unwrap().enter = x),
+                ("burst.exit", |p, x| p.burst.as_mut().unwrap().exit = x),
+                ("burst.loss", |p, x| p.burst.as_mut().unwrap().loss = x),
+            ];
+            for (field, set) in set {
+                let mut plan = FaultPlan::none().with_burst(0.5, 0.5, 0.5);
+                set(&mut plan, bad);
+                let opts = SimOptions::default();
+                let err = Simulator::try_with_options(&g, Recorder::new(3), plan, 0, opts)
+                    .err()
+                    .unwrap();
+                assert_eq!(err, SimConfigError::ProbabilityOutOfRange { field });
+                assert!(err.to_string().contains(field));
+            }
+        }
     }
 
     #[test]

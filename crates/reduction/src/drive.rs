@@ -18,10 +18,9 @@
 //! to the graph but zero protocol forks.
 
 use crate::protocol::ReductionProtocol;
-use gr_netsim::{stream_rng, Delivery, RngStream};
+use gr_netsim::{stream_rng, Delivery, RngStream, Schedule, SilenceDetector};
 use gr_topology::{Graph, NodeId};
 use rand::rngs::StdRng;
-use rand::RngExt;
 
 /// Stream tag for per-node driver RNGs ("DRV" — distinct from every
 /// simulator stream, so a driver run never correlates with a netsim
@@ -35,7 +34,7 @@ const DRIVER_STREAM: u64 = 0x4452_5600;
 pub struct DriverStats {
     /// Iterations executed ([`NodeDriver::step`] calls).
     pub rounds: u64,
-    /// Messages pushed into the delivery layer (including replies).
+    /// Messages pushed into the delivery layer.
     pub sent: u64,
     /// Messages drained and handed to `on_receive`.
     pub delivered: u64,
@@ -53,13 +52,9 @@ pub struct NodeDriver<Pr: ReductionProtocol> {
     neighbors: Vec<NodeId>,
     rng: StdRng,
     stats: DriverStats,
-    /// Timeout-detector silence window in own iterations (`None`: off).
-    window: Option<u64>,
-    /// Iteration count at the last message from each neighbor (parallel
-    /// to `neighbors`; allocated only when the detector is armed).
-    last_heard: Vec<u64>,
-    /// Suspicion flag per neighbor (parallel to `neighbors`).
-    suspected: Vec<bool>,
+    /// Timeout detector over the neighbor slots, ticked once per own
+    /// iteration (`None`: off).
+    detector: Option<SilenceDetector>,
 }
 
 impl<Pr: ReductionProtocol> NodeDriver<Pr> {
@@ -74,15 +69,14 @@ impl<Pr: ReductionProtocol> NodeDriver<Pr> {
             neighbors: graph.neighbors(node).to_vec(),
             rng: stream_rng(seed, RngStream::Aux(DRIVER_STREAM ^ u64::from(node))),
             stats: DriverStats::default(),
-            window: None,
-            last_heard: Vec::new(),
-            suspected: Vec::new(),
+            detector: None,
         }
     }
 
-    /// Arm a genuine (non-oracle) timeout failure detector: a neighbor
-    /// that stays silent for more than `window` of this driver's *own*
-    /// iterations is suspected —
+    /// Arm a genuine (non-oracle) timeout failure detector, the
+    /// simulator's [`SilenceDetector`] ticked by this driver's *own*
+    /// iterations: a neighbor last heard in iteration `h` is suspected
+    /// at the end of iteration `h + window` —
     /// [`Protocol::on_suspect`](gr_netsim::Protocol::on_suspect) runs
     /// (flow protocols excise the edge and bump its incarnation) but the
     /// neighbor **stays in the send rotation**. Keeping it addressed is
@@ -98,9 +92,8 @@ impl<Pr: ReductionProtocol> NodeDriver<Pr> {
     #[must_use]
     pub fn with_timeout_detector(mut self, window: u64) -> Self {
         assert!(window > 0, "detector window must be positive");
-        self.window = Some(window);
-        self.last_heard = vec![0; self.neighbors.len()];
-        self.suspected = vec![false; self.neighbors.len()];
+        let owners = std::iter::repeat_n(self.node, self.neighbors.len());
+        self.detector = Some(SilenceDetector::new(0, owners, window));
         self
     }
 
@@ -108,12 +101,12 @@ impl<Pr: ReductionProtocol> NodeDriver<Pr> {
     /// Always `false` when no detector is armed or `neighbor` is not
     /// adjacent.
     pub fn suspects(&self, neighbor: NodeId) -> bool {
-        self.window.is_some()
-            && self
-                .neighbors
+        self.detector.as_ref().is_some_and(|det| {
+            self.neighbors
                 .iter()
                 .position(|&n| n == neighbor)
-                .is_some_and(|slot| self.suspected[slot])
+                .is_some_and(|slot| det.is_suspected(slot))
+        })
     }
 
     /// The node this driver animates.
@@ -147,8 +140,14 @@ impl<Pr: ReductionProtocol> NodeDriver<Pr> {
             self.proto.prewarm(self.node, from);
             self.proto.on_receive(self.node, from, &mut msg);
             self.proto.reclaim(msg);
-            if self.window.is_some() {
-                self.heard_from(from);
+            // After `on_receive`, so a flow protocol has already processed
+            // any incarnation resync the message carried.
+            if let Some(det) = self.detector.as_mut() {
+                let slot = self.neighbors.iter().position(|&n| n == from);
+                if slot.is_some_and(|slot| det.heard(self.node, slot, self.stats.rounds)) {
+                    self.stats.rehabilitated += 1;
+                    self.proto.on_rehabilitate(self.node, from);
+                }
             }
             n += 1;
         }
@@ -156,42 +155,27 @@ impl<Pr: ReductionProtocol> NodeDriver<Pr> {
         Ok(n)
     }
 
-    /// Detector bookkeeping for one arrival: refresh the silence clock
-    /// and rehabilitate the sender if it was under suspicion. Runs
-    /// *after* `on_receive`, so a flow protocol has already processed
-    /// any incarnation resync the message carried.
-    fn heard_from(&mut self, from: NodeId) {
-        if let Some(slot) = self.neighbors.iter().position(|&n| n == from) {
-            self.last_heard[slot] = self.stats.rounds;
-            if self.suspected[slot] {
-                self.suspected[slot] = false;
-                self.stats.rehabilitated += 1;
-                self.proto.on_rehabilitate(self.node, from);
-            }
-        }
-    }
-
     /// One iteration of the paper's execution model for this node: drain
-    /// arrivals, then push one message to a uniformly random neighbor.
-    /// Nodes with no neighbors only pump.
+    /// arrivals, push one message to a uniformly random neighbor, then
+    /// run the detector's end-of-iteration scan. Nodes with no neighbors
+    /// only pump.
     pub fn step<D: Delivery<Pr::Msg>>(&mut self, delivery: &mut D) -> Result<(), D::Error> {
         self.pump(delivery)?;
-        if !self.neighbors.is_empty() {
-            let target = self.neighbors[self.rng.random_range(0..self.neighbors.len())];
+        if let Some(target) = Schedule::uniform().pick(self.node, &self.neighbors, &mut self.rng) {
             let msg = self.proto.on_send(self.node, target);
             delivery.send(self.node, target, msg)?;
             self.stats.sent += 1;
         }
-        self.stats.rounds += 1;
-        if let Some(window) = self.window {
-            for slot in 0..self.neighbors.len() {
-                if !self.suspected[slot] && self.stats.rounds - self.last_heard[slot] > window {
-                    self.suspected[slot] = true;
-                    self.stats.suspected += 1;
-                    self.proto.on_suspect(self.node, self.neighbors[slot]);
-                }
+        if let Some(det) = self.detector.as_mut() {
+            // Suspects stay in the send rotation: see
+            // `with_timeout_detector`.
+            det.scan(self.stats.rounds, |_, _| true);
+            for (_, slot) in det.due() {
+                self.stats.suspected += 1;
+                self.proto.on_suspect(self.node, self.neighbors[slot]);
             }
         }
+        self.stats.rounds += 1;
         Ok(())
     }
 

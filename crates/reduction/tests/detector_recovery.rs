@@ -4,9 +4,11 @@
 //! reconciliation keeps the whole cycle mass-exact — on every builder
 //! topology, not just the hand-picked ones in the unit tests.
 
-use gr_netsim::{DelayModel, DetectorModel, FaultPlan, SimOptions, Simulator};
-use gr_reduction::{AggregateKind, InitialData, PushCancelFlow, ReductionProtocol};
-use gr_topology::{binary_tree, complete, grid2d, hypercube, ring, torus2d, Graph};
+use gr_netsim::{
+    DelayModel, Delivery, DetectorModel, Event, FaultPlan, RingDelivery, SimOptions, Simulator,
+};
+use gr_reduction::{AggregateKind, InitialData, NodeDriver, PushCancelFlow, ReductionProtocol};
+use gr_topology::{binary_tree, bus, complete, grid2d, hypercube, ring, torus2d, Graph, NodeId};
 use proptest::prelude::*;
 
 /// The cancellation handshake must stay *live* under sustained message
@@ -171,4 +173,139 @@ proptest! {
             "victim={victim} seed={seed} restart={restart_round}: err={err:e}"
         );
     }
+}
+
+/// A [`Delivery`] that drops every send while `open` is false: the same
+/// both-ways silence the simulator gets from a loss-1.0 plan.
+struct Gate<D> {
+    inner: D,
+    open: bool,
+}
+
+impl<M, D: Delivery<M>> Delivery<M> for Gate<D> {
+    type Error = D::Error;
+    fn send(&mut self, src: NodeId, dst: NodeId, msg: M) -> Result<(), D::Error> {
+        if self.open {
+            self.inner.send(src, dst, msg)
+        } else {
+            Ok(())
+        }
+    }
+    fn try_recv(&mut self, node: NodeId) -> Result<Option<(NodeId, M)>, D::Error> {
+        self.inner.try_recv(node)
+    }
+}
+
+/// What node 0 saw of node 1, in ticks: every arrival, the suspicion,
+/// the rehabilitation.
+struct Seen {
+    arrivals: Vec<u64>,
+    suspected: u64,
+    rehabilitated: u64,
+}
+
+impl Seen {
+    /// Check the shared suspicion rule against silence over ticks
+    /// `from..until`: suspected exactly `window` ticks after the last
+    /// arrival before the silence, rehabilitated on the first arrival
+    /// after it.
+    fn check(&self, engine: &str, window: u64, from: u64, until: u64) {
+        let last = *self.arrivals.iter().filter(|&&t| t <= from).max().unwrap();
+        let first = *self.arrivals.iter().find(|&&t| t >= until).unwrap();
+        assert!(
+            !self.arrivals.iter().any(|&t| last < t && t < first),
+            "{engine}: arrival inside the silence"
+        );
+        assert_eq!(self.suspected, last + window, "{engine}: suspicion tick");
+        assert_eq!(self.rehabilitated, first, "{engine}: rehabilitation tick");
+    }
+}
+
+/// One silence pattern through both detectors: the round engine's
+/// (`P = 1`, ticked per round) and `NodeDriver`'s (ticked per own
+/// iteration). Both links of `bus(2)` go silent over ticks
+/// `SILENT..HEAL`; both engines suspect the silent peer `WINDOW` ticks
+/// after their last recorded arrival and rehabilitate it on their first
+/// arrival after the silence. (The engine's first post-silence arrival
+/// is a liveness probe at the start of round `HEAL`, followed in the same
+/// round by a payload; a driver keeps the suspect in its rotation and
+/// hears its next payload one iteration later.)
+#[test]
+fn engine_and_driver_detectors_agree_on_one_silence() {
+    const WINDOW: u64 = 5;
+    const SILENT: u64 = 10;
+    const HEAL: u64 = 30;
+    const END: u64 = 40;
+    let g = bus(2);
+    let data = InitialData::with_kind(vec![10.0, -4.0], AggregateKind::Average);
+
+    let opts = SimOptions {
+        detector: DetectorModel::Timeout { window: WINDOW },
+        partitions: 1,
+        ..SimOptions::default()
+    };
+    let mut sim = Simulator::with_options(
+        &g,
+        PushCancelFlow::new(&g, &data),
+        FaultPlan::none(),
+        3,
+        opts,
+    );
+    sim.enable_trace(10_000);
+    sim.run(SILENT);
+    sim.set_fault_plan(FaultPlan::with_loss(1.0));
+    sim.run(HEAL - SILENT);
+    sim.set_fault_plan(FaultPlan::none());
+    sim.run(END - HEAL);
+    let events: Vec<Event> = sim.trace().unwrap().events().cloned().collect();
+    let only = |want: fn(&Event) -> bool| -> Vec<u64> {
+        events
+            .iter()
+            .filter(|e| want(e))
+            .map(Event::round)
+            .collect()
+    };
+    let sim_seen = Seen {
+        arrivals: only(|e| matches!(e, Event::Delivered { src: 1, dst: 0, .. })),
+        suspected: only(|e| matches!(e, Event::NodeSuspected { node: 0, .. }))[0],
+        rehabilitated: only(|e| matches!(e, Event::NodeRehabilitated { node: 0, .. }))[0],
+    };
+    sim_seen.check("simulator", WINDOW, SILENT, HEAL);
+    assert_eq!(sim.stats().suspected, 2, "each side suspects once");
+
+    let mut ring = Gate {
+        inner: RingDelivery::new(0),
+        open: true,
+    };
+    let mut drivers: Vec<_> = (0..2)
+        .map(|i| {
+            NodeDriver::new(i, PushCancelFlow::new(&g, &data), &g, 3).with_timeout_detector(WINDOW)
+        })
+        .collect();
+    let mut drv_seen = Seen {
+        arrivals: Vec::new(),
+        suspected: 0,
+        rehabilitated: 0,
+    };
+    for tick in 0..END {
+        ring.open = !(SILENT..HEAL).contains(&tick);
+        let before = drivers[0].stats();
+        for d in drivers.iter_mut() {
+            d.step(&mut ring).unwrap();
+        }
+        ring.inner.advance_round();
+        let after = drivers[0].stats();
+        if after.delivered > before.delivered {
+            drv_seen.arrivals.push(tick);
+        }
+        if after.suspected > before.suspected {
+            drv_seen.suspected = tick;
+        }
+        if after.rehabilitated > before.rehabilitated {
+            drv_seen.rehabilitated = tick;
+        }
+    }
+    drv_seen.check("driver", WINDOW, SILENT, HEAL);
+    assert_eq!(drivers[0].stats().suspected, 1);
+    assert_eq!(drivers[0].stats().rehabilitated, 1);
 }

@@ -30,7 +30,7 @@
 //! audit, since killed mass makes the prior reference void.
 
 use gr_experiments::Opts;
-use gr_netsim::Delivery;
+use gr_netsim::{BurstModel, Delivery};
 use gr_reduction::{AggregateKind, InitialData, Payload, PcfMsg, PushCancelFlow, WireMsg};
 use gr_topology::{hypercube, Graph, NodeId};
 use gr_transport::{
@@ -172,9 +172,11 @@ fn main() {
     // be set with or without it (any nonzero rate/cut enables the layer).
     let chaos_on = o.bool("chaos", false);
     let drop = o.f64("chaos-drop", if chaos_on { 0.05 } else { 0.0 });
-    let burst_enter = o.f64("chaos-burst-enter", if chaos_on { 0.02 } else { 0.0 });
-    let burst_exit = o.f64("chaos-burst-exit", 0.25);
-    let burst_loss = o.f64("chaos-burst-loss", 0.9);
+    let burst = BurstModel {
+        enter: o.f64("chaos-burst-enter", if chaos_on { 0.02 } else { 0.0 }),
+        exit: o.f64("chaos-burst-exit", 0.25),
+        loss: o.f64("chaos-burst-loss", 0.9),
+    };
     let duplicate = o.f64("chaos-dup", if chaos_on { 0.02 } else { 0.0 });
     let corrupt = o.f64("chaos-corrupt", 0.0);
     let delay = o.f64("chaos-delay", if chaos_on { 0.05 } else { 0.0 });
@@ -192,9 +194,7 @@ fn main() {
     let n = graph.len();
     let mut plan = ChaosPlan {
         drop,
-        burst_enter,
-        burst_exit,
-        burst_loss,
+        burst: (burst.enter > 0.0).then_some(burst),
         duplicate,
         corrupt,
         delay,
@@ -208,6 +208,10 @@ fn main() {
             from_op: cut_from,
             until_op: cut_until,
         });
+    }
+    if let Err(e) = plan.check_rates().and(burst.validate()) {
+        eprintln!("transport-run: --chaos-*: {e}");
+        std::process::exit(2);
     }
     let plan = (!plan.is_passthrough()).then_some(plan);
     if churn as usize >= n {

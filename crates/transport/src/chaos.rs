@@ -9,11 +9,17 @@
 //! flips, duplication, delay/reorder holdback, and scripted bidirectional
 //! network partitions with heal.
 //!
-//! **Determinism.** All decisions for one node's endpoint come from a
-//! dedicated RNG stream derived from `(plan seed, node id)` and an
-//! operation clock that ticks once per chaos-layer operation. Given the
-//! same sequence of sends, an endpoint makes the same decisions — thread
-//! scheduling moves *when* a decision happens, never *what* is decided.
+//! **One fault pipeline.** Burst loss, i.i.d. drops and bit flips are
+//! netsim's own [`MessageFaults::decide`], the function the simulator's
+//! transit check calls; only the cut, delay and duplicate stages are
+//! chaos-specific.
+//!
+//! **Determinism.** All decisions for one node's endpoint come from two
+//! RNG streams derived from `(plan seed, node id)` — one for the burst
+//! chain, one for everything else — and an operation clock that ticks
+//! once per chaos-layer operation. Given the same sequence of sends, an
+//! endpoint makes the same decisions — thread scheduling moves *when* a
+//! decision happens, never *what* is decided.
 //! The injected-fault process is therefore reproducible given the seed
 //! even though the interleaving underneath is real.
 //!
@@ -24,7 +30,10 @@
 //! delivery substrate.
 
 use crate::WireStats;
-use gr_netsim::{stream_rng, Corrupt, Delivery, RngStream};
+use gr_netsim::{
+    check_probability, stream_rng, BurstChain, BurstModel, Corrupt, Delivery, FaultVerdict,
+    MessageFaults, RngStream, SimConfigError,
+};
 use gr_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -33,6 +42,10 @@ use rand::RngExt;
 /// and simulator streams, so chaos decisions never correlate with partner
 /// picks drawn from the same master seed).
 const CHAOS_STREAM: u64 = 0x4348_414F;
+/// Stream tag for per-node burst chains ("CHBU"), kept apart from
+/// [`CHAOS_STREAM`] as netsim keeps [`RngStream::Burst`] apart from its
+/// fault stream: turning bursts on never moves another decision.
+const CHAOS_BURST_STREAM: u64 = 0x4348_4255;
 
 /// A scripted bidirectional partition: while the chaos clock of a node is
 /// inside `[from_op, until_op)`, every frame crossing the boundary of
@@ -69,13 +82,9 @@ pub struct ChaosPlan {
     pub seed: u64,
     /// I.i.d. drop probability per frame.
     pub drop: f64,
-    /// Gilbert–Elliott good→bad transition probability (per frame).
-    pub burst_enter: f64,
-    /// Gilbert–Elliott bad→good transition probability (per frame); the
-    /// mean burst length is `1 / burst_exit`.
-    pub burst_exit: f64,
-    /// Drop probability per frame while the chain is in the bad state.
-    pub burst_loss: f64,
+    /// Gilbert–Elliott correlated burst loss, advanced once per frame
+    /// (`None` = off).
+    pub burst: Option<BurstModel>,
     /// Probability a surviving frame is sent twice.
     pub duplicate: f64,
     /// Probability a surviving frame has one uniformly chosen payload bit
@@ -97,9 +106,7 @@ impl ChaosPlan {
         ChaosPlan {
             seed,
             drop: 0.0,
-            burst_enter: 0.0,
-            burst_exit: 0.0,
-            burst_loss: 0.0,
+            burst: None,
             duplicate: 0.0,
             corrupt: 0.0,
             delay: 0.0,
@@ -111,34 +118,28 @@ impl ChaosPlan {
     /// `true` if this plan can never alter traffic.
     pub fn is_passthrough(&self) -> bool {
         self.drop == 0.0
-            && (self.burst_enter == 0.0 || self.burst_loss == 0.0)
+            && self.burst.is_none_or(|b| b.enter == 0.0 || b.loss == 0.0)
             && self.duplicate == 0.0
             && self.corrupt == 0.0
             && self.delay == 0.0
             && self.cuts.is_empty()
     }
 
-    /// Every rate that is a probability, with its name (for validation).
-    fn rates(&self) -> [(&'static str, f64); 7] {
-        [
-            ("drop", self.drop),
-            ("burst_enter", self.burst_enter),
-            ("burst_exit", self.burst_exit),
-            ("burst_loss", self.burst_loss),
-            ("duplicate", self.duplicate),
-            ("corrupt", self.corrupt),
-            ("delay", self.delay),
-        ]
+    /// Check that every rate is a probability, with the simulator's
+    /// [`check_probability`].
+    pub fn check_rates(&self) -> Result<(), SimConfigError> {
+        check_probability("drop", self.drop)?;
+        check_probability("duplicate", self.duplicate)?;
+        check_probability("corrupt", self.corrupt)?;
+        check_probability("delay", self.delay)?;
+        self.burst.as_ref().map_or(Ok(()), BurstModel::validate)
     }
 
-    /// Panics if any probability is outside `[0, 1]` or a cut's window is
-    /// empty or inverted.
+    /// Panics if any probability is NaN or outside `[0, 1]`, or a cut's
+    /// window is empty or inverted.
     fn assert_valid(&self) {
-        for (name, p) in self.rates() {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "chaos {name} probability {p} outside [0,1]"
-            );
+        if let Err(e) = self.check_rates() {
+            panic!("chaos {e}");
         }
         for c in &self.cuts {
             assert!(
@@ -208,12 +209,12 @@ pub struct ChaosDelivery<D, M> {
     inner: D,
     node: NodeId,
     plan: ChaosPlan,
+    faults: MessageFaults,
     rng: StdRng,
+    burst: BurstChain,
     /// Chaos clock: ticks once per `send`/`try_recv` call. Partition
     /// windows and delay due-times are measured on it.
     op: u64,
-    /// Gilbert–Elliott chain state (`true` = bad).
-    burst_bad: bool,
     /// Held-back frames: `(due op, dst, msg)` in hold order.
     held: Vec<(u64, NodeId, M)>,
     stats: ChaosStats,
@@ -231,12 +232,20 @@ impl<D, M> ChaosDelivery<D, M> {
             inner,
             node,
             plan: plan.clone(),
+            faults: MessageFaults {
+                loss: plan.drop,
+                flip: plan.corrupt,
+                burst: plan.burst,
+            },
             rng: stream_rng(
                 plan.seed,
                 RngStream::Aux(CHAOS_STREAM ^ (u64::from(node) << 32)),
             ),
+            burst: BurstChain::new(stream_rng(
+                plan.seed,
+                RngStream::Aux(CHAOS_BURST_STREAM ^ (u64::from(node) << 32)),
+            )),
             op: 0,
-            burst_bad: false,
             held: Vec::new(),
             stats: ChaosStats::default(),
         }
@@ -298,32 +307,21 @@ where
             self.stats.note(ACT_CUT, op);
             return Ok(());
         }
-        // Correlated-burst chain: advance once per frame, then flip the
-        // loss coin only while bad — same draw discipline as netsim.
-        if self.plan.burst_enter > 0.0 {
-            let u = self.rng.random::<f64>();
-            self.burst_bad = if self.burst_bad {
-                u >= self.plan.burst_exit
-            } else {
-                u < self.plan.burst_enter
-            };
-            if self.burst_bad && self.rng.random::<f64>() < self.plan.burst_loss {
+        match self.faults.decide(&mut self.burst, &mut self.rng, &mut msg) {
+            FaultVerdict::Pass => {}
+            FaultVerdict::Flipped(_) => {
+                self.stats.corrupted += 1;
+                self.stats.note(ACT_CORRUPT, op);
+            }
+            FaultVerdict::LostBurst => {
                 self.stats.drops += 1;
                 self.stats.note(ACT_BURST, op);
                 return Ok(());
             }
-        }
-        if self.plan.drop > 0.0 && self.rng.random::<f64>() < self.plan.drop {
-            self.stats.drops += 1;
-            self.stats.note(ACT_DROP, op);
-            return Ok(());
-        }
-        if self.plan.corrupt > 0.0 && self.rng.random::<f64>() < self.plan.corrupt {
-            let bits = msg.corruptible_bits();
-            if bits > 0 {
-                msg.flip_bit(self.rng.random_range(0..bits));
-                self.stats.corrupted += 1;
-                self.stats.note(ACT_CORRUPT, op);
+            FaultVerdict::LostRandom => {
+                self.stats.drops += 1;
+                self.stats.note(ACT_DROP, op);
+                return Ok(());
             }
         }
         if self.plan.delay > 0.0 && self.rng.random::<f64>() < self.plan.delay {
@@ -372,9 +370,11 @@ mod tests {
     fn full_chaos(seed: u64) -> ChaosPlan {
         ChaosPlan {
             drop: 0.2,
-            burst_enter: 0.2,
-            burst_exit: 0.3,
-            burst_loss: 0.9,
+            burst: Some(BurstModel {
+                enter: 0.2,
+                exit: 0.3,
+                loss: 0.9,
+            }),
             duplicate: 0.1,
             corrupt: 0.1,
             delay: 0.2,
@@ -420,6 +420,25 @@ mod tests {
             a.send(0, 1, Mass::new(i as f64, 1.0)).unwrap();
         }
         assert_ne!(a.chaos_stats().decision_digest, s1.decision_digest);
+    }
+
+    /// With bursts off, the decision sequence is a fixed function of
+    /// `(seed, node)`: pinned, so a change to the shared fault pipeline
+    /// cannot move it unnoticed.
+    #[test]
+    fn burst_off_decisions_are_pinned() {
+        let plan = ChaosPlan {
+            burst: None,
+            ..full_chaos(9)
+        };
+        for (node, digest) in [(0, 12975463841410278134), (1, 11054630746076145935)] {
+            let eps = mem_cluster::<Mass<f64>>(2, 4096).unwrap();
+            let mut a = ChaosDelivery::new(eps.into_iter().next().unwrap(), node, &plan);
+            for i in 0..500 {
+                a.send(node, 1 - node, Mass::new(i as f64, 1.0)).unwrap();
+            }
+            assert_eq!(a.chaos_stats().decision_digest, digest, "node {node}");
+        }
     }
 
     #[test]

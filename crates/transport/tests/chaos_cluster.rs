@@ -8,6 +8,7 @@
 //! estimate spread plus the self-consistency audit (the killed mass makes
 //! the original reference void, by design).
 
+use gr_netsim::BurstModel;
 use gr_reduction::{AggregateKind, InitialData, PushCancelFlow};
 use gr_topology::{hypercube, NodeId};
 use gr_transport::{
@@ -24,9 +25,11 @@ fn chaos_scenario(seed: u64) -> Result<ClusterResult, TransportError> {
     let data = InitialData::with_kind(values, AggregateKind::Average);
     let plan = ChaosPlan {
         drop: 0.02,
-        burst_enter: 0.02,
-        burst_exit: 0.3,
-        burst_loss: 0.9,
+        burst: Some(BurstModel {
+            enter: 0.02,
+            exit: 0.3,
+            loss: 0.9,
+        }),
         cuts: vec![ChaosCut {
             // The low half of the hypercube goes dark to the high half
             // mid-run, then heals.
