@@ -70,7 +70,7 @@ use std::sync::Arc;
 
 use gr_netsim::{
     Believed, FaultCtx, FaultPlan, FaultRange, Lane, Protocol, Schedule, SimConfigError, SimStats,
-    WorkerPool,
+    WorkerPool, PREWARM_LOOKAHEAD,
 };
 use gr_reduction::{
     AggregateKind, FlowUpdating, InitialData, PushCancelFlow, PushFlow, ReductionProtocol,
@@ -426,8 +426,11 @@ pub struct BatchSim<'h, P: TenantProtocol> {
     /// Queued streaming updates per tenant, applied at its next round
     /// boundary: `(union node, new value)` in push order.
     updates: Vec<Vec<(NodeId, f64)>>,
-    /// Per-worker wire buffers (one round's sends of one tenant).
-    send_bufs: Vec<Vec<(NodeId, NodeId, <P as Protocol>::Msg)>>,
+    /// Per-worker `(sender, partner)` list of one tenant's send sweep.
+    pick_bufs: Vec<Vec<(NodeId, NodeId)>>,
+    /// Per-worker wire buffers, `send_bufs[w][k]` shipped along
+    /// `pick_bufs[w][k]`.
+    send_bufs: Vec<Vec<<P as Protocol>::Msg>>,
     workers: usize,
     pool: Option<WorkerPool>,
     board: Arc<SnapshotBoard>,
@@ -480,6 +483,7 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
             alive_node: vec![true; n],
             believed: Believed::new(graph),
             inputs,
+            pick_bufs: vec![Vec::new(); workers],
             send_bufs: (0..workers).map(|_| Vec::new()).collect(),
             workers,
             pool,
@@ -597,9 +601,9 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
             // every mutable touch is tenant-owned (the tenant struct and
             // its fault range, its update queue, its contiguous node/arc
             // ranges of the strided vectors, its nodes' protocol state per
-            // the PARALLEL_SAFE contract) or worker-owned (send_bufs[w],
-            // the protocol's part-`w` arenas). The snapshot board is
-            // written through atomics.
+            // the PARALLEL_SAFE contract) or worker-owned (pick_bufs[w],
+            // send_bufs[w], the protocol's part-`w` arenas). The snapshot
+            // board is written through atomics.
             unsafe { pool.run_split(nw, self, |sim, w| sim.run_worker(w)) };
             self.pool = Some(pool);
         } else {
@@ -723,49 +727,53 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
         self.tenants[t].converged = converged;
     }
 
-    /// Phases 3–5 for tenant `t` on worker `w`: every alive node sends
-    /// once (partner from the tenant's schedule stream), then in-order
-    /// delivery through the fault pipeline — the simulator's zero-delay
-    /// single-partition synchronous round, node ids offset by the tenant
-    /// base.
+    /// Phases 3–5 for tenant `t` on worker `w`: every alive node's
+    /// partner from the tenant's schedule stream, then every send in node
+    /// order, then in-order delivery through the fault pipeline — the
+    /// simulator's zero-delay single-partition synchronous round, node ids
+    /// offset by the tenant base. As in the simulator, knowing every pick
+    /// before the first send lets both sweeps prefetch
+    /// [`PREWARM_LOOKAHEAD`] entries ahead.
     fn sync_round(&mut self, w: usize, t: usize) {
         let graph = &self.host.graph;
         let tn = &mut self.tenants[t];
-        let mut buf = std::mem::take(&mut self.send_bufs[w]);
-        debug_assert!(buf.is_empty());
+        let mut picks = std::mem::take(&mut self.pick_bufs[w]);
+        let mut msgs = std::mem::take(&mut self.send_bufs[w]);
+        debug_assert!(picks.is_empty() && msgs.is_empty());
         for i in tn.node_base..tn.node_end {
             if !self.alive_node[i as usize] {
                 continue;
             }
             let alive = self.believed.list(graph, i);
-            let target = Schedule::uniform().pick(i, alive, &mut tn.lane.sched_rng);
-            let Some(target) = target else { continue };
-            let msg = self.protocol.part_send(w, i, target);
-            tn.lane.stats.sent += 1;
-            buf.push((i, target, msg));
-        }
-        let clean = tn.faults.is_clean();
-        const LOOKAHEAD: usize = 8;
-        for k in 0..buf.len() {
-            if let Some(ahead) = buf.get(k + LOOKAHEAD) {
-                self.protocol.prewarm(ahead.1, ahead.0);
+            if let Some(target) = Schedule::uniform().pick(i, alive, &mut tn.lane.sched_rng) {
+                picks.push((i, target));
             }
-            let entry = &mut buf[k];
-            let (src, dst) = (entry.0, entry.1);
+        }
+        for (k, &(i, target)) in picks.iter().enumerate() {
+            if let Some(&(ahead, to)) = picks.get(k + PREWARM_LOOKAHEAD) {
+                self.protocol.prewarm(ahead, to);
+            }
+            msgs.push(self.protocol.part_send(w, i, target));
+        }
+        tn.lane.stats.sent += picks.len() as u64;
+        let clean = tn.faults.is_clean();
+        for (k, msg) in msgs.iter_mut().enumerate() {
+            if let Some(&(src, dst)) = picks.get(k + PREWARM_LOOKAHEAD) {
+                self.protocol.prewarm(dst, src);
+            }
+            let (src, dst) = picks[k];
             let alive = &self.alive_node;
-            if clean
-                || tn
-                    .faults
-                    .transit(&mut tn.lane, graph, alive, src, dst, &mut entry.2)
-            {
-                self.protocol.part_receive(w, dst, src, &mut entry.2);
+            if clean || tn.faults.transit(&mut tn.lane, graph, alive, src, dst, msg) {
+                self.protocol.part_receive(w, dst, src, msg);
                 tn.lane.stats.delivered += 1;
             }
         }
-        for (_, _, msg) in buf.drain(..) {
+        for msg in msgs.drain(..) {
             self.protocol.part_reclaim(w, msg);
         }
-        self.send_bufs[w] = buf;
+        picks.clear();
+        self.pick_bufs[w] = picks;
+        self.send_bufs[w] = msgs;
     }
 }
 

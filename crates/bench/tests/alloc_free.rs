@@ -1,45 +1,48 @@
-//! Proof that the simulator's steady-state round loop is allocation-free.
+//! Proof that the steady-state round loop is allocation-free: on the
+//! single-partition simulator and on the batch executor; and that a
+//! four-partition simulator running the timeout detector allocates only
+//! to grow buffers to new high-water marks.
 //!
 //! A counting shim around the system allocator is installed as the global
-//! allocator for this (single-test) binary; the test warms a fault-free
-//! PCF run past the transient — delivery buckets at capacity, believed
+//! allocator for this binary; each test warms a fault-free PCF run past
+//! the transient — delivery buckets and send lists at capacity, believed
 //! lists built, the protocol converged into its fold steady state — then
 //! counts heap traffic across 1000 further rounds. The count must be
 //! exactly zero: one stray `Vec` in the per-message path would show up
 //! here as thousands of allocations.
 //!
-//! Arming is thread-local: libtest's main thread waits out the test on an
-//! mpmc event channel whose waker registration allocates lazily, and on a
-//! loaded single-core host that re-park can be preempted into the counting
-//! window. Only the measuring thread's allocations may count.
+//! Counting is thread-local: libtest's main thread waits out the tests on
+//! an mpmc event channel whose waker registration allocates lazily, and
+//! on a loaded single-core host that re-park can be preempted into the
+//! counting window; the tests themselves run on parallel threads. Only
+//! the measuring thread's allocations may count.
 
-use gr_netsim::{FaultPlan, Simulator};
+use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantSpec};
+use gr_netsim::{DetectorModel, FaultPlan, SimOptions, Simulator};
 use gr_reduction::{AggregateKind, InitialData, PushCancelFlow};
 use gr_topology::hypercube;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Forwards to [`System`], counting `alloc`/`realloc` calls made by the
-/// thread that armed it.
+/// Forwards to [`System`], counting `alloc`/`realloc` calls made by a
+/// thread inside [`count_allocs`].
 struct CountingAlloc;
 
 thread_local! {
-    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// `Some(count)` while the thread is counting.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
 }
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// Whether the current thread armed the counter. `try_with` (not `with`)
-/// so allocations during TLS teardown never panic inside the allocator.
-fn armed() -> bool {
-    ARMED.try_with(Cell::get).unwrap_or(false)
+/// Count one allocation if the current thread is counting. `try_with`
+/// (not `with`) so allocations during TLS teardown never panic inside the
+/// allocator.
+fn note_alloc() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get().map(|n| n + 1)));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -48,15 +51,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Heap allocations the current thread makes while running `f`.
+fn count_allocs(f: impl FnOnce()) -> u64 {
+    ALLOCS.with(|c| c.set(Some(0)));
+    f();
+    ALLOCS.with(|c| c.take()).expect("counting was armed")
+}
 
 #[test]
 fn steady_state_rounds_do_not_allocate() {
@@ -68,13 +76,68 @@ fn steady_state_rounds_do_not_allocate() {
     // and let the PCF fold handshake settle into its periodic regime.
     sim.run(64);
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.with(|a| a.set(true));
-    sim.run(1000);
-    ARMED.with(|a| a.set(false));
-
-    let n = ALLOCS.load(Ordering::SeqCst);
+    let n = count_allocs(|| sim.run(1000));
     assert_eq!(n, 0, "steady-state hot loop performed {n} heap allocations");
     // The rounds actually ran.
     assert_eq!(sim.stats().rounds, 1064);
+}
+
+/// With four partitions the round is allocation-free only amortised.
+/// Three buffers fill to a high-water mark that keeps rising, ever more
+/// rarely, long after the transient: each cross-partition mailbox lane
+/// (a binomial message count per round), each timing-wheel slot (a random
+/// entry count), and each partition's PCF message pool (its size is a
+/// zero-drift random walk, since a partition gets back as many buffers as
+/// its nodes receive, not as many as they send). So this pins fewer
+/// allocations than rounds: any per-round or per-message allocation
+/// fails it by orders of magnitude.
+#[test]
+fn partitioned_timeout_rounds_allocate_less_than_once_per_round() {
+    let g = hypercube(6);
+    let data = InitialData::uniform_random(g.len(), AggregateKind::Average, 2);
+    // A window no fault-free silence reaches (a degree-6 arc stays silent
+    // for 200 rounds with probability (5/6)^200): the detector runs every
+    // round, with its arrival bookkeeping and wheel scan, and never fires.
+    let opts = SimOptions {
+        partitions: 4,
+        detector: DetectorModel::Timeout { window: 200 },
+        ..SimOptions::default()
+    };
+    let pcf = PushCancelFlow::new(&g, &data);
+    let mut sim = Simulator::with_options(&g, pcf, FaultPlan::none(), 2, opts);
+    sim.run(2000);
+
+    let n = count_allocs(|| sim.run(1000));
+    assert!(
+        n < 1000,
+        "partitioned rounds performed {n} heap allocations in 1000 rounds"
+    );
+    assert_eq!(sim.stats().rounds, 3000);
+    assert_eq!(sim.stats().suspected, 0);
+}
+
+#[test]
+fn batch_rounds_do_not_allocate() {
+    let specs: Vec<TenantSpec> = (0..8)
+        .map(|t| {
+            let g = hypercube(4);
+            let values = (0..g.len()).map(|i| (i + t) as f64).collect();
+            TenantSpec::clean(g, 10 + t as u64, values, 2000)
+        })
+        .collect();
+    let host = BatchHost::assemble(&specs).expect("valid batch");
+    let data = host.union_data(&specs);
+    let pcf = PushCancelFlow::new(host.graph(), &data);
+    // Convergence checks and snapshot publishing are part of the round.
+    let opts = BatchOptions {
+        check_every: 8,
+        target_accuracy: Some(1e-9),
+        ..BatchOptions::default()
+    };
+    let mut sim = BatchSim::new(&host, pcf, &specs, opts).expect("valid options");
+    sim.run(64);
+
+    let n = count_allocs(|| sim.run(1000));
+    assert_eq!(n, 0, "batch round performed {n} heap allocations");
+    assert_eq!(sim.tenant_stats(0).rounds, 1064);
 }

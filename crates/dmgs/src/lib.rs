@@ -100,13 +100,13 @@ fn owner(row: usize, nodes: usize) -> NodeId {
 }
 
 /// Run one SUM reduction of `dim`-vectors and return every node's final
-/// estimate plus the rounds it took.
+/// estimate (node-major, `dim` per node) plus the rounds it took.
 fn vector_sum_reduction(
     graph: &Graph,
     locals: Vec<Vec<f64>>,
     cfg: &DmgsConfig,
     reduction_idx: u64,
-) -> (Vec<Vec<f64>>, u64) {
+) -> (Vec<f64>, u64) {
     // Sums are computed as N·average: every node knows the node count (a
     // standard assumption in this setting), and average weighting (all
     // w_i = 1) keeps the gossip weights concentrated around 1, which is
@@ -143,10 +143,8 @@ fn vector_sum_reduction(
         }
     };
     // average → sum
-    for est in &mut estimates {
-        for x in est.iter_mut() {
-            *x *= n;
-        }
+    for x in &mut estimates {
+        *x *= n;
     }
     (estimates, rounds)
 }
@@ -158,7 +156,7 @@ fn drive<Pr: ReductionProtocol>(
     plan: FaultPlan,
     seed: u64,
     cfg: &DmgsConfig,
-) -> (Vec<Vec<f64>>, u64) {
+) -> (Vec<f64>, u64) {
     let refs = data.reference();
     // Normwise tolerance: the reduction is accepted when every node's
     // estimate of every component is within ε·‖reference‖∞ of the truth
@@ -173,14 +171,11 @@ fn drive<Pr: ReductionProtocol>(
     let n = graph.len();
     let mut sim = Simulator::new(graph, protocol, plan, seed);
     let mut buf = vec![0.0; dim];
-    let snapshot = |sim: &Simulator<'_, Pr>| -> Vec<Vec<f64>> {
-        (0..n as NodeId)
-            .map(|i| {
-                let mut v = vec![0.0; dim];
-                sim.protocol().write_estimate(i, &mut v);
-                v
-            })
-            .collect()
+    // Every node's estimate, node-major, into one reused `n × dim` buffer.
+    let snapshot = |sim: &Simulator<'_, Pr>, out: &mut [f64]| {
+        for (i, row) in out.chunks_exact_mut(dim).enumerate() {
+            sim.protocol().write_estimate(i as NodeId, row);
+        }
     };
     // Track the most accurate snapshot seen: if the target is unreachable
     // (PF at scale — the phenomenon Fig. 8 demonstrates) the reduction
@@ -190,7 +185,7 @@ fn drive<Pr: ReductionProtocol>(
     // redistribution sees it moving and would not report it); see
     // `gr_reduction::LocalConvergence` for the node-local mechanism.
     let mut best_worst = f64::INFINITY;
-    let mut best_snapshot: Option<Vec<Vec<f64>>> = None;
+    let mut best = vec![0.0; n * dim];
     loop {
         // Check every 8 rounds: estimate inspection is O(n·dim).
         sim.run(8);
@@ -208,13 +203,18 @@ fn drive<Pr: ReductionProtocol>(
         }
         if worst < best_worst {
             best_worst = worst;
-            best_snapshot = Some(snapshot(&sim));
+            snapshot(&sim, &mut best);
         }
+        // Within target is always an improvement: an earlier check within
+        // target would have returned.
         if worst <= tol {
-            return (snapshot(&sim), sim.round());
+            return (best, sim.round());
         }
         if sim.round() >= cfg.max_rounds_per_reduction {
-            return (best_snapshot.unwrap_or_else(|| snapshot(&sim)), sim.round());
+            if best_worst == f64::INFINITY {
+                snapshot(&sim, &mut best);
+            }
+            return (best, sim.round());
         }
     }
 }
@@ -263,8 +263,7 @@ pub fn dmgs(v: &Matrix, graph: &Graph, cfg: &DmgsConfig) -> DmgsResult {
         // Node-local epilogue: every node derives ITS row of R from ITS
         // estimate and updates ITS rows of the working matrix.
         let mut rkk_per_node = vec![0.0; nodes];
-        for node in 0..nodes {
-            let est = &estimates[node];
+        for (node, est) in estimates.chunks_exact(dim).enumerate() {
             let rkk = est[0].sqrt();
             assert!(
                 rkk.is_finite() && rkk > 0.0,
@@ -397,9 +396,9 @@ pub fn dmcgs(v: &Matrix, graph: &Graph, cfg: &DmgsConfig) -> DmgsResult {
             }
             let (estimates, rounds) = vector_sum_reduction(graph, locals, cfg, (2 * j) as u64);
             total_rounds += rounds;
-            for node in 0..nodes {
+            for (node, est) in estimates.chunks_exact(j).enumerate() {
                 for k in 0..j {
-                    r_per_node[node][(k, j)] = estimates[node][k];
+                    r_per_node[node][(k, j)] = est[k];
                 }
             }
         }
@@ -420,8 +419,8 @@ pub fn dmcgs(v: &Matrix, graph: &Graph, cfg: &DmgsConfig) -> DmgsResult {
         let (estimates, rounds) = vector_sum_reduction(graph, locals, cfg, (2 * j + 1) as u64);
         total_rounds += rounds;
         let mut rjj = vec![0.0; nodes];
-        for node in 0..nodes {
-            let norm = estimates[node][0].sqrt();
+        for (node, est) in estimates.iter().enumerate() {
+            let norm = est.sqrt();
             assert!(
                 norm.is_finite() && norm > 0.0,
                 "rank-deficient or destroyed column {j} at node {node}"

@@ -61,5 +61,5 @@ pub use options::{
 pub use par::WorkerPool;
 pub use rng::{stream_rng, RngStream};
 pub use schedule::Schedule;
-pub use sim::{Protocol, SimStats, Simulator};
+pub use sim::{Protocol, SimStats, Simulator, PREWARM_LOOKAHEAD};
 pub use trace::{Event, Trace};

@@ -10,6 +10,11 @@ use crate::trace::{Event, Trace};
 use gr_topology::{Graph, NodeId};
 use rand::RngExt;
 
+/// How many entries ahead the synchronous send and deliver sweeps call
+/// [`Protocol::prewarm`]: far enough for a prefetched line to land before
+/// its handler runs, near enough that it is not evicted first.
+pub const PREWARM_LOOKAHEAD: usize = 8;
+
 /// A gossip protocol as seen by the simulator.
 ///
 /// The protocol object owns the state of *all* nodes (structure-of-arrays —
@@ -34,15 +39,18 @@ pub trait Protocol {
     /// after the call either way.
     fn on_receive(&mut self, node: NodeId, from: NodeId, msg: &mut Self::Msg);
 
-    /// Hint that `on_receive(node, from, _)` is about to run. The delivery
-    /// loop calls this a few messages ahead so implementations can prefetch
-    /// the per-arc state the handler will touch — receivers arrive in
-    /// random order, so those accesses otherwise stall on a cache miss
-    /// right on the critical path. Must not mutate observable state.
-    /// Default: do nothing.
+    /// Hint that node `node` is about to touch its arc toward `peer`:
+    /// either `on_receive(node, peer, _)` / `part_receive` (a message from
+    /// `peer` arrives) or `on_send(node, peer)` / `part_send` (`node` sends
+    /// to `peer`). The synchronous send and deliver sweeps call this
+    /// [`PREWARM_LOOKAHEAD`] entries ahead so implementations can prefetch
+    /// the per-node and per-arc state the handler will touch — partners
+    /// are drawn at random and receivers arrive in random order, so those
+    /// accesses otherwise stall on a cache miss right on the critical
+    /// path. Must not mutate observable state. Default: do nothing.
     #[inline]
-    fn prewarm(&self, node: NodeId, from: NodeId) {
-        let _ = (node, from);
+    fn prewarm(&self, node: NodeId, peer: NodeId) {
+        let _ = (node, peer);
     }
 
     /// Node `node` has detected that the link to `neighbor` is permanently
@@ -262,6 +270,9 @@ pub struct Simulator<'g, P: Protocol> {
     /// trace events merge into the global sinks in fixed lane order at the
     /// end of every round, so the result is independent of thread count.
     parts: Vec<Lane>,
+    /// Per-partition `(sender, partner)` list of the current send sweep,
+    /// kept between rounds so the sweep never allocates.
+    picks: Vec<Vec<(NodeId, NodeId)>>,
     /// Mailbox lanes, `lanes[p * partitions + q]` = messages in flight
     /// from partition `p` to partition `q`. Each lane is a
     /// [`RingDelivery`] with one slot per possible delay (a single reused
@@ -399,6 +410,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             partition_plan,
             part_starts,
             parts,
+            picks: vec![Vec::new(); partitions],
             lanes: (0..nlanes).map(|_| RingDelivery::new(max_delay)).collect(),
             probe_lanes: if detector_timeout {
                 (0..nlanes).map(|_| RingDelivery::new(max_delay)).collect()
@@ -707,19 +719,31 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         }
     }
 
-    /// Send phase for partition `p`: node order within the partition,
-    /// partner picks from `p`'s own schedule stream, each message's delay
-    /// from `p`'s fault stream, and the message shipped into the due slot
-    /// of the `(p, target-partition)` mailbox lane.
+    /// Send phase for partition `p`, in two passes over its nodes in node
+    /// order. The first draws every alive node's partner from `p`'s own
+    /// schedule stream; the second sends, takes each message's delay from
+    /// `p`'s fault stream and ships it into the due slot of the
+    /// `(p, target-partition)` mailbox lane. Partners are random, so each
+    /// sender's arc state is cold: knowing every pick up front lets the
+    /// second pass prefetch the arc [`PREWARM_LOOKAHEAD`] sends ahead.
+    /// The two passes draw from different streams, so splitting them
+    /// leaves every draw where it was.
     fn par_send(&mut self, p: usize) {
         let np = self.partitions;
+        let mut picks = std::mem::take(&mut self.picks[p]);
         for i in self.part_starts[p]..self.part_starts[p + 1] {
             if !self.alive_node[i as usize] {
                 continue;
             }
             let alive = self.believed.list(self.graph, i);
-            let target = self.schedule.pick(i, alive, &mut self.parts[p].sched_rng);
-            let Some(target) = target else { continue };
+            if let Some(target) = self.schedule.pick(i, alive, &mut self.parts[p].sched_rng) {
+                picks.push((i, target));
+            }
+        }
+        for (k, &(i, target)) in picks.iter().enumerate() {
+            if let Some(&(ahead, to)) = picks.get(k + PREWARM_LOOKAHEAD) {
+                self.protocol.prewarm(ahead, to);
+            }
             let msg = self.protocol.part_send(p, i, target);
             let lane = &mut self.parts[p];
             lane.stats.sent += 1;
@@ -733,6 +757,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             let out = &mut self.lanes[p * np + q];
             out.ship_at(out.slot_of(self.round + d), i, target, msg);
         }
+        picks.clear();
+        self.picks[p] = picks;
     }
 
     /// Deliver phase for partition `q`: drain the slot due this round of
@@ -750,12 +776,11 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         // Receivers are in random order while a batch is walked
         // sequentially: warm the state a few deliveries ahead so the
         // handler's first loads come out of cache.
-        const LOOKAHEAD: usize = 8;
         for p in 0..np {
             let li = p * np + q;
             let mut batch = self.lanes[li].take_slot(slot);
             for k in 0..batch.len() {
-                if let Some(ahead) = batch.get(k + LOOKAHEAD) {
+                if let Some(ahead) = batch.get(k + PREWARM_LOOKAHEAD) {
                     self.protocol.prewarm(ahead.1, ahead.0);
                 }
                 let entry = &mut batch[k];

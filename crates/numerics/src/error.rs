@@ -57,13 +57,15 @@ impl RelErr {
         }
     }
 
-    /// As [`RelErr::of`], but sorting inside the caller-supplied scratch
-    /// buffer instead of allocating one — the per-sample path of the run
-    /// loop calls this every few rounds and stays allocation-free once the
-    /// buffer is warm. Bitwise-identical to [`RelErr::of`]: it replicates
-    /// the [`Summary`] NaN filter, its compensated mean, and its
-    /// linear-interpolation quantile (`pos = q·(n−1)`, floor/ceil bracket,
-    /// lerp) operation for operation.
+    /// As [`RelErr::of`], but in the caller-supplied scratch buffer
+    /// instead of a fresh one, and by selection instead of a full sort —
+    /// the per-sample path of the run loop calls this every few rounds and
+    /// stays allocation-free once the buffer is warm. Bitwise-identical to
+    /// [`RelErr::of`]: it replicates the [`Summary`] NaN filter, its
+    /// compensated mean, its linear-interpolation quantile (`pos =
+    /// q·(n−1)`, floor/ceil bracket, lerp) operation for operation, and
+    /// the stable sort's choice among equal values — which, NaNs aside,
+    /// differ in bits only as `+0.0` and `-0.0`.
     pub fn of_with_scratch<I: IntoIterator<Item = f64>>(
         estimates: I,
         reference: Dd,
@@ -77,27 +79,57 @@ impl RelErr {
                 scratch.push(x);
             }
         }
-        scratch.sort_by(|a, b| a.partial_cmp(b).expect("NaNs were filtered"));
         let n = scratch.len();
-        let max = scratch.last().copied().unwrap_or(f64::NAN);
         let mean = if n == 0 {
             f64::NAN
         } else {
             acc.value() / n as f64
         };
-        let median = match n {
-            0 => f64::NAN,
-            1 => scratch[0],
-            _ => {
-                let pos = 0.5 * (n - 1) as f64;
-                let lo = pos.floor() as usize;
-                let hi = pos.ceil() as usize;
-                let frac = pos - lo as f64;
-                scratch[lo] * (1.0 - frac) + scratch[hi] * frac
-            }
-        };
+        let (max, median) = max_and_median(scratch);
         RelErr { max, median, mean }
     }
+}
+
+/// `(max, median)` of the NaN-free `xs`, bit for bit as [`Summary`] reads
+/// them off its stable sort, but by selection: O(n) instead of a sort.
+/// Leaves `xs` permuted.
+fn max_and_median(xs: &mut [f64]) -> (f64, f64) {
+    let n = xs.len();
+    if n == 0 {
+        return (f64::NAN, f64::NAN);
+    }
+    // Equal values differ in bits only as +0.0 and -0.0, and a stable sort
+    // keeps them in input order. So the max is the last of the largest
+    // values in input order, and a zero order statistic is read off the
+    // input before selection permutes it.
+    let max = xs[1..]
+        .iter()
+        .fold(xs[0], |m, &x| if x >= m { x } else { m });
+    if n == 1 {
+        return (max, xs[0]);
+    }
+    let below_zero = xs.iter().filter(|&&x| x < 0.0).count();
+    let zeros = xs.iter().filter(|&&x| x == 0.0).count();
+    let zero_at = |k: usize| {
+        let rank = k.checked_sub(below_zero).filter(|&r| r < zeros)?;
+        xs.iter().copied().filter(|&x| x == 0.0).nth(rank)
+    };
+    let pos = 0.5 * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let frac = pos - lo as f64;
+    let (zero_lo, zero_hi) = (zero_at(lo), zero_at(hi));
+    let by = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaNs were filtered");
+    let (_, &mut at_lo, above) = xs.select_nth_unstable_by(lo, by);
+    // `above` holds the order statistics past `lo`, so its least element
+    // is the one at `lo + 1`.
+    let at_hi = if hi == lo {
+        at_lo
+    } else {
+        above.iter().copied().fold(f64::INFINITY, f64::min)
+    };
+    let (x_lo, x_hi) = (zero_lo.unwrap_or(at_lo), zero_hi.unwrap_or(at_hi));
+    (max, x_lo * (1.0 - frac) + x_hi * frac)
 }
 
 /// Max over nodes of the local relative error — the headline metric of
@@ -166,6 +198,24 @@ mod tests {
         let r = Dd::from_f64(1.0) + 1e-25;
         let e = relative_error(1.0, r);
         assert!((e - 1e-25).abs() < 1e-35, "got {e}");
+    }
+
+    proptest::proptest! {
+        /// Selection reads the same bits as the stable sort, including
+        /// which of +0.0 and -0.0 lands at an order statistic — a case
+        /// `relative_error`'s outputs do not reach.
+        #[test]
+        fn max_and_median_match_the_sorted_summary(
+            picks in proptest::collection::vec(0usize..8, 0..40),
+        ) {
+            const POOL: [f64; 8] =
+                [0.0, -0.0, 5e-324, -1.5, 1.5, 2.0, f64::INFINITY, f64::NEG_INFINITY];
+            let mut xs: Vec<f64> = picks.iter().map(|&k| POOL[k]).collect();
+            let s = Summary::from_iter(xs.iter().copied());
+            let (max, median) = max_and_median(&mut xs);
+            proptest::prop_assert_eq!(max.to_bits(), s.max().to_bits());
+            proptest::prop_assert_eq!(median.to_bits(), s.median().to_bits());
+        }
     }
 
     #[test]
