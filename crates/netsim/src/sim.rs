@@ -704,12 +704,12 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         let np = self.partitions;
         if let Some(pool) = self.pool.take() {
             // SAFETY: each phase function touches only state owned by its
-            // partition argument (parts[p], det[p], its mailbox row/column,
-            // partition-contiguous ranges of the believed lists, and — per
-            // the PARALLEL_SAFE contract — partition-owned protocol
-            // state), plus shared state that is
-            // read-only during parallel phases (graph, fault range,
-            // alive mask, schedule cursors of own nodes).
+            // partition argument (parts[p], det[p], picks[p], its mailbox
+            // row/column, partition-contiguous ranges of the believed
+            // lists, and — per the PARALLEL_SAFE contract — partition-owned
+            // protocol state), plus shared state that is read-only during
+            // parallel phases (graph, fault range, alive mask, schedule
+            // cursors of own nodes).
             unsafe { pool.run_split(np, self, phase) };
             self.pool = Some(pool);
         } else {

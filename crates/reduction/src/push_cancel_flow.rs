@@ -206,13 +206,6 @@ const FOLDED: usize = 2;
 const BASE: usize = 3;
 /// Vector variables per arc in the bank.
 const FIELDS: usize = 4;
-/// Arc state (control lines plus bank rows) below this size stays cached
-/// across a round, so [`Protocol::prewarm`] prefetching it only adds work.
-/// On a 2-vCPU Xeon with 2 MiB of L2 per core, a hypercube-10 round (1 MB
-/// of scalar arc state) ran 9% slower with the send-side prefetch and 2%
-/// faster with no prefetch at all, while hypercube-14 (22 MB) reached
-/// accuracy 26% sooner with it.
-const PREFETCH_MIN_BYTES: usize = 2 << 20;
 
 /// The flow slot a control value designates (`c ∈ {1, 2}` maps to bank
 /// field `F1`/`F2`); its partner ([`pas_idx`]) is the passive one.
@@ -310,9 +303,6 @@ pub struct PushCancelFlow<'g, P: Payload> {
     /// keep heap-spilled payloads (dim above the inline cap)
     /// allocation-free on the hot path.
     scratches: Vec<Mass<P>>,
-    /// The arc state outgrows the caches: [`Protocol::prewarm`] prefetches
-    /// (see [`PREFETCH_MIN_BYTES`]).
-    prefetch: bool,
 }
 
 impl<'g, P: Payload> PushCancelFlow<'g, P> {
@@ -343,8 +333,6 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
             stats: vec![PcfStats::default()],
             pools: vec![Vec::new()],
             scratches: vec![Mass::zero(dim)],
-            prefetch: arcs * (std::mem::size_of::<ArcCtl>() + FIELDS * dim * 8)
-                >= PREFETCH_MIN_BYTES,
         }
     }
 
@@ -676,22 +664,20 @@ impl<'g, P: Payload> Protocol for PushCancelFlow<'g, P> {
         // `receive_impl(_, node, peer, _)` start with: arc (node, peer)'s
         // control word and bank row, and `node`'s record. The arc index is
         // recomputed there, but the neighbor scan is cheap next to the
-        // miss this hides — when there is a miss to hide.
+        // miss this hides.
         #[cfg(target_arch = "x86_64")]
-        if self.prefetch {
-            if let Some(slot) = self.graph.neighbor_slot(node, peer) {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                let idx = self.graph.arc_base(node) + slot;
-                // SAFETY: prefetch has no memory effects; both pointers are
-                // in-bounds elements of live allocations.
-                unsafe {
-                    _mm_prefetch((&raw const self.ctl[idx]).cast::<i8>(), _MM_HINT_T0);
-                    _mm_prefetch(self.bank.slice(idx, F1).as_ptr().cast::<i8>(), _MM_HINT_T0);
-                    _mm_prefetch(
-                        (&raw const self.nodes[node as usize]).cast::<i8>(),
-                        _MM_HINT_T0,
-                    );
-                }
+        if let Some(slot) = self.graph.neighbor_slot(node, peer) {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let idx = self.graph.arc_base(node) + slot;
+            // SAFETY: prefetch has no memory effects; both pointers are
+            // in-bounds elements of live allocations.
+            unsafe {
+                _mm_prefetch((&raw const self.ctl[idx]).cast::<i8>(), _MM_HINT_T0);
+                _mm_prefetch(self.bank.slice(idx, F1).as_ptr().cast::<i8>(), _MM_HINT_T0);
+                _mm_prefetch(
+                    (&raw const self.nodes[node as usize]).cast::<i8>(),
+                    _MM_HINT_T0,
+                );
             }
         }
     }
