@@ -549,16 +549,6 @@ impl<'h, P: TenantProtocol> BatchSim<'h, P> {
         self.protocol.estimate(tn.node_base + node)
     }
 
-    /// `true` if tenant-local `node` of tenant `t` is alive.
-    pub fn tenant_node_alive(&self, t: usize, node: NodeId) -> bool {
-        let tn = &self.tenants[t];
-        assert!(
-            node < tn.node_end - tn.node_base,
-            "node out of tenant range"
-        );
-        self.alive_node[(tn.node_base + node) as usize]
-    }
-
     /// Tenant `t`'s alive nodes in *union-graph* ids, ascending — the
     /// id space the protocol's introspection hooks (estimates, mass,
     /// flows) speak, so external checkers can audit a tenant in place.

@@ -14,7 +14,7 @@
 use crate::oracle::{Oracle, Violation};
 use crate::scenario::{Scenario, Workload};
 use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantProtocol, TenantSpec};
-use gr_netsim::{Protocol, SimStats, Simulator, Trace};
+use gr_netsim::{SimStats, Simulator, Trace};
 use gr_numerics::{relative_error, Dd};
 use gr_reduction::{
     mass_reference, AggregateKind, Algorithm, FlowUpdating, InitialData, InlineVec, Payload,
@@ -202,7 +202,7 @@ fn drive<P: Payload, Pr: ReductionProtocol>(
     // hand-built scenario (or an incompatible partition override) that
     // violates the netsim config rules is reported through the typed
     // `SimConfigError` here.
-    let mut sim = Simulator::try_with_options(graph, protocol, sc.fault_plan(), sc.seed, options)
+    let mut sim = Simulator::try_with_options(graph, protocol, sc.plan.clone(), sc.seed, options)
         .unwrap_or_else(|e| panic!("scenario {}: invalid execution model: {e}", sc.hash()));
     if let Some(cap) = trace_capacity {
         sim.enable_trace(cap);
@@ -237,7 +237,7 @@ fn drive<P: Payload, Pr: ReductionProtocol>(
         let (err, worst_node) = worst_error(sim.protocol(), &refs, &alive);
         oracle.note_error(round, err);
 
-        let edges = mutual_edges(&sim, &alive);
+        let edges = mutual_edges(&alive, |i| sim.believed_alive(i));
         let mut violation = oracle.check_step(sim.protocol(), &alive, &edges, round);
         let converged = sc.target_accuracy > 0.0 && err <= sc.target_accuracy;
         if violation.is_none() && (converged || done) {
@@ -277,7 +277,6 @@ fn run_batch_scenario(sc: &Scenario, exec: Exec) -> ScenarioResult {
         "tenant scenarios are scalar-average workloads"
     );
     let graph = sc.topology.build();
-    let plan = sc.fault_plan();
     let specs: Vec<TenantSpec> = (0..sc.tenants)
         .map(|t| {
             let seed = sc.seed.wrapping_add(t as u64);
@@ -286,7 +285,7 @@ fn run_batch_scenario(sc: &Scenario, exec: Exec) -> ScenarioResult {
             TenantSpec {
                 graph: graph.clone(),
                 seed,
-                plan: plan.clone(),
+                plan: sc.plan.clone(),
                 values,
                 max_rounds: sc.max_rounds,
             }
@@ -372,7 +371,7 @@ fn drive_batch<P: TenantProtocol + ReductionProtocol>(
             oracles[t].note_error(round, err);
             errs[t] = (err, worst_node);
             if violation.is_none() {
-                let edges = batch_mutual_edges(&sim, &alive);
+                let edges = mutual_edges(&alive, |i| sim.believed_alive(i));
                 violation = oracles[t]
                     .check_step(sim.protocol(), &alive, &edges, round)
                     .map(|v| localize_violation(v, t, node_base));
@@ -428,22 +427,6 @@ fn localize_violation(v: Violation, tenant: usize, node_base: NodeId) -> Violati
     }
 }
 
-/// [`mutual_edges`] over a batch tenant's alive set (union-graph ids).
-fn batch_mutual_edges<P: TenantProtocol>(
-    sim: &BatchSim<'_, P>,
-    alive: &[NodeId],
-) -> Vec<(NodeId, NodeId)> {
-    let mut edges = Vec::new();
-    for &i in alive {
-        for &j in sim.believed_alive(i) {
-            if j > i && alive.binary_search(&j).is_ok() && sim.believed_alive(j).contains(&i) {
-                edges.push((i, j));
-            }
-        }
-    }
-    edges
-}
-
 /// Max relative error over the alive set, with the worst node attributed
 /// (ties break to the lowest node id; an all-zero-error run attributes to
 /// the first alive node).
@@ -474,12 +457,16 @@ fn worst_error<Pr: ReductionProtocol + ?Sized>(
 /// Edges `(i, j)`, `i < j`, whose endpoints are both alive and mutually
 /// believe each other alive — the set over which flow antisymmetry is a
 /// meaningful claim (after a detected failure both endpoints have reset
-/// their flow state for the edge).
-fn mutual_edges<Pr: Protocol>(sim: &Simulator<'_, Pr>, alive: &[NodeId]) -> Vec<(NodeId, NodeId)> {
+/// their flow state for the edge). `believed` is the engine's
+/// believed-alive list (a simulator's, or a batch's in union-graph ids).
+fn mutual_edges<'a>(
+    alive: &[NodeId],
+    believed: impl Fn(NodeId) -> &'a [NodeId],
+) -> Vec<(NodeId, NodeId)> {
     let mut edges = Vec::new();
     for &i in alive {
-        for &j in sim.believed_alive(i) {
-            if j > i && alive.binary_search(&j).is_ok() && sim.believed_alive(j).contains(&i) {
+        for &j in believed(i) {
+            if j > i && alive.binary_search(&j).is_ok() && believed(j).contains(&i) {
                 edges.push((i, j));
             }
         }

@@ -130,11 +130,6 @@ impl TopologyKind {
     }
 }
 
-/// Scheduled link failures `(a, b, round)`.
-pub type LinkFailures = Vec<(NodeId, NodeId, u64)>;
-/// Scheduled node crashes `(node, round)`.
-pub type Crashes = Vec<(NodeId, u64)>;
-
 /// One fully concrete campaign case.
 #[derive(Clone, Debug)]
 pub struct Scenario {
@@ -156,37 +151,17 @@ pub struct Scenario {
     /// Early-exit accuracy (and the sanity convergence threshold);
     /// `0.0` disables early exit (stress runs its full fault window).
     pub target_accuracy: f64,
-    /// Per-message loss probability.
-    pub loss: f64,
-    /// Per-message bit-flip probability.
-    pub bit_flips: f64,
+    /// The netsim fault plan: loss and bit-flip rates, burst loss,
+    /// scheduled link failures/heals (detected per the scenario's
+    /// detector model), node crashes/restarts and scripted network
+    /// partitions/heals.
+    pub plan: FaultPlan,
     /// Largest per-message delay in rounds (`DelayModel::Uniform{0, max}`
     /// when nonzero). Nonzero delay forces synchronous activation — see
     /// the module docs.
     pub delay_max: u64,
     /// Timeout-detector window in rounds (`0` = the oracle detector).
     pub detector_window: u64,
-    /// Scheduled link failures `(a, b, round)`, detected per the
-    /// scenario's detector model.
-    pub link_failures: LinkFailures,
-    /// Scheduled link heals `(a, b, round)` — the failed link returns to
-    /// service and both endpoints re-admit each other.
-    pub link_heals: LinkFailures,
-    /// Scheduled node crashes `(node, round)`.
-    pub crashes: Crashes,
-    /// Scheduled node restarts `(node, round)` — the crashed node rejoins
-    /// with fresh initial state and must be counted exactly once.
-    pub restarts: Crashes,
-    /// Gilbert–Elliott correlated-burst loss `(enter, exit, loss)` on top
-    /// of the i.i.d. model (`None` = off). The chain draws from its own
-    /// RNG stream, so turning it on never perturbs the i.i.d. draws.
-    pub burst: Option<(f64, f64, f64)>,
-    /// Scripted bidirectional network partitions `(members, round)` —
-    /// every link between the group and its complement dies at once.
-    pub net_partitions: Vec<(Vec<NodeId>, u64)>,
-    /// Scripted partition heals `(members, round)` — the group's severed
-    /// boundary links return to service.
-    pub net_partition_heals: Vec<(Vec<NodeId>, u64)>,
     /// Engine partition count (`0` = the classic single-partition
     /// engine). A value ≥ 2 opts into the partitioned round engine —
     /// synchronous activation, zero delay — and is part of the scenario's
@@ -207,37 +182,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The netsim fault plan for this scenario.
-    pub fn fault_plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan {
-            msg_loss_prob: self.loss,
-            bit_flip_prob: self.bit_flips,
-            ..FaultPlan::default()
-        };
-        for &(a, b, round) in &self.link_failures {
-            plan = plan.fail_link(a, b, round);
-        }
-        for &(a, b, round) in &self.link_heals {
-            plan = plan.heal_link(a, b, round);
-        }
-        for &(node, round) in &self.crashes {
-            plan = plan.crash_node(node, round);
-        }
-        for &(node, round) in &self.restarts {
-            plan = plan.restart_node(node, round);
-        }
-        if let Some((enter, exit, loss)) = self.burst {
-            plan = plan.with_burst(enter, exit, loss);
-        }
-        for (members, round) in &self.net_partitions {
-            plan = plan.partition(members.clone(), *round);
-        }
-        for (members, round) in &self.net_partition_heals {
-            plan = plan.heal_partition(members.clone(), *round);
-        }
-        plan
-    }
-
     /// The execution-model options this scenario runs under. Nonzero
     /// delay forces synchronous activation (asynchronous activation
     /// models atomic exchanges — the combination is a
@@ -287,6 +231,27 @@ impl Scenario {
     /// of silently replaying the wrong case (v2 added workload, delay,
     /// detector window, link heals and node restarts).
     pub fn canonical(&self) -> String {
+        let plan = &self.plan;
+        let links: Vec<_> = plan
+            .link_failures
+            .iter()
+            .map(|f| (f.a, f.b, f.at_round))
+            .collect();
+        let heals: Vec<_> = plan
+            .link_heals
+            .iter()
+            .map(|h| (h.a, h.b, h.at_round))
+            .collect();
+        let crashes: Vec<_> = plan
+            .node_crashes
+            .iter()
+            .map(|c| (c.node, c.at_round))
+            .collect();
+        let restarts: Vec<_> = plan
+            .node_restarts
+            .iter()
+            .map(|r| (r.node, r.at_round))
+            .collect();
         let mut s = format!(
             "v2|{}|{}|{}|{}|wl={}|seed={}|rounds={}|acc={:e}|loss={:e}|flips={:e}\
              |delay={}|window={}|links={:?}|heals={:?}|crashes={:?}|restarts={:?}",
@@ -298,14 +263,14 @@ impl Scenario {
             self.seed,
             self.max_rounds,
             self.target_accuracy,
-            self.loss,
-            self.bit_flips,
+            plan.msg_loss_prob,
+            plan.bit_flip_prob,
             self.delay_max,
             self.detector_window,
-            self.link_failures,
-            self.link_heals,
-            self.crashes,
-            self.restarts,
+            links,
+            heals,
+            crashes,
+            restarts,
         );
         // Appended only when set, so every pre-partitioning fingerprint
         // stays byte-identical (same reason the encoding is versioned).
@@ -314,14 +279,24 @@ impl Scenario {
         }
         // Same discipline for the chaos fields (burst loss, scripted
         // network partitions): pre-chaos fingerprints must not move.
-        if let Some(burst) = self.burst {
-            s.push_str(&format!("|burst={burst:?}"));
+        if let Some(b) = plan.burst {
+            s.push_str(&format!("|burst={:?}", (b.enter, b.exit, b.loss)));
         }
-        if !self.net_partitions.is_empty() {
-            s.push_str(&format!("|cuts={:?}", self.net_partitions));
+        if !plan.partitions.is_empty() {
+            let cuts: Vec<_> = plan
+                .partitions
+                .iter()
+                .map(|p| (&p.members, p.at_round))
+                .collect();
+            s.push_str(&format!("|cuts={cuts:?}"));
         }
-        if !self.net_partition_heals.is_empty() {
-            s.push_str(&format!("|cutheals={:?}", self.net_partition_heals));
+        if !plan.partition_heals.is_empty() {
+            let heals: Vec<_> = plan
+                .partition_heals
+                .iter()
+                .map(|h| (&h.members, h.at_round))
+                .collect();
+            s.push_str(&format!("|cutheals={heals:?}"));
         }
         // And for the multi-tenant batch field: pre-batch fingerprints
         // stay byte-identical.
@@ -341,12 +316,13 @@ impl Scenario {
     /// restarts) count — they perturb the system exactly like a fault
     /// does, so the window restarts at the last of them.
     pub fn last_fault_round(&self) -> u64 {
-        let links = self.link_failures.iter().map(|&(_, _, r)| r);
-        let heals = self.link_heals.iter().map(|&(_, _, r)| r);
-        let crashes = self.crashes.iter().map(|&(_, r)| r);
-        let restarts = self.restarts.iter().map(|&(_, r)| r);
-        let cuts = self.net_partitions.iter().map(|&(_, r)| r);
-        let cut_heals = self.net_partition_heals.iter().map(|&(_, r)| r);
+        let plan = &self.plan;
+        let links = plan.link_failures.iter().map(|f| f.at_round);
+        let heals = plan.link_heals.iter().map(|h| h.at_round);
+        let crashes = plan.node_crashes.iter().map(|c| c.at_round);
+        let restarts = plan.node_restarts.iter().map(|r| r.at_round);
+        let cuts = plan.partitions.iter().map(|p| p.at_round);
+        let cut_heals = plan.partition_heals.iter().map(|h| h.at_round);
         links
             .chain(heals)
             .chain(crashes)
@@ -359,9 +335,9 @@ impl Scenario {
 
     /// `true` if the plan contains scheduled (permanent) faults.
     pub fn has_scheduled_faults(&self) -> bool {
-        !self.link_failures.is_empty()
-            || !self.crashes.is_empty()
-            || !self.net_partitions.is_empty()
+        !self.plan.link_failures.is_empty()
+            || !self.plan.node_crashes.is_empty()
+            || !self.plan.partitions.is_empty()
     }
 }
 
@@ -413,17 +389,9 @@ fn base_scenario(
             Lane::Sanity => SANITY_ACCURACY,
             Lane::Stress => 0.0,
         },
-        loss: 0.0,
-        bit_flips: 0.0,
+        plan: FaultPlan::none(),
         delay_max: 0,
         detector_window: 0,
-        link_failures: Vec::new(),
-        link_heals: Vec::new(),
-        crashes: Vec::new(),
-        restarts: Vec::new(),
-        burst: None,
-        net_partitions: Vec::new(),
-        net_partition_heals: Vec::new(),
         partitions: 0,
         tenants: 0,
     }
@@ -515,14 +483,11 @@ pub fn stress_corpus(seeds: &[u64]) -> Vec<Scenario> {
             let template = format!("{kind}/{}", topology.label());
             for algorithm in algorithms {
                 for &seed in seeds {
-                    let (link_failures, crashes) =
-                        place_faults(topology, &template, algorithm, seed, n_links, n_crashes);
                     let mut sc =
                         base_scenario(Lane::Stress, template.clone(), topology, algorithm, seed);
-                    sc.loss = loss;
-                    sc.bit_flips = flips;
-                    sc.link_failures = link_failures;
-                    sc.crashes = crashes;
+                    sc.plan.msg_loss_prob = loss;
+                    sc.plan.bit_flip_prob = flips;
+                    place_faults(&mut sc, n_links, n_crashes);
                     corpus.push(sc);
                 }
             }
@@ -588,27 +553,24 @@ pub fn stress_corpus(seeds: &[u64]) -> Vec<Scenario> {
         let template = format!("{kind}/{}", topology.label());
         for algorithm in algorithms {
             for &seed in seeds {
-                let (link_failures, crashes) =
-                    place_faults(topology, &template, algorithm, seed, n_links, n_crashes);
                 let mut sc =
                     base_scenario(Lane::Stress, template.clone(), topology, algorithm, seed);
-                sc.loss = loss;
+                sc.plan.msg_loss_prob = loss;
                 sc.delay_max = delay_max;
                 sc.detector_window = window;
+                place_faults(&mut sc, n_links, n_crashes);
+                let mut plan = std::mem::take(&mut sc.plan);
                 if heal {
-                    sc.link_heals = link_failures
-                        .iter()
-                        .map(|&(a, b, r)| (a, b, r + RECOVER_AFTER))
-                        .collect();
+                    for f in plan.link_failures.clone() {
+                        plan = plan.heal_link(f.a, f.b, f.at_round + RECOVER_AFTER);
+                    }
                 }
                 if restart {
-                    sc.restarts = crashes
-                        .iter()
-                        .map(|&(node, r)| (node, r + RECOVER_AFTER))
-                        .collect();
+                    for c in plan.node_crashes.clone() {
+                        plan = plan.restart_node(c.node, c.at_round + RECOVER_AFTER);
+                    }
                 }
-                sc.link_failures = link_failures;
-                sc.crashes = crashes;
+                sc.plan = plan;
                 corpus.push(sc);
             }
         }
@@ -657,15 +619,12 @@ pub fn stress_corpus(seeds: &[u64]) -> Vec<Scenario> {
             let template = format!("scale-{}/{}", workload.label(), topology.label());
             for algorithm in algorithms {
                 for &seed in seeds {
-                    let (link_failures, crashes) =
-                        place_faults(topology, &template, algorithm, seed, 2, 1);
                     let mut sc =
                         base_scenario(Lane::Stress, template.clone(), topology, algorithm, seed);
                     sc.workload = workload;
                     sc.max_rounds = rounds;
-                    sc.loss = 0.02;
-                    sc.link_failures = link_failures;
-                    sc.crashes = crashes;
+                    sc.plan.msg_loss_prob = 0.02;
+                    place_faults(&mut sc, 2, 1);
                     corpus.push(sc);
                 }
             }
@@ -693,7 +652,7 @@ pub fn stress_corpus(seeds: &[u64]) -> Vec<Scenario> {
             seed,
         );
         sc.max_rounds = 8;
-        sc.loss = 0.01;
+        sc.plan.msg_loss_prob = 0.01;
         sc.partitions = 16;
         corpus.push(sc);
     }
@@ -712,11 +671,9 @@ pub fn stress_corpus(seeds: &[u64]) -> Vec<Scenario> {
     let template = "tenants/hc6-shared-faults".to_string();
     for algorithm in algorithms {
         for &seed in seeds {
-            let (link_failures, crashes) = place_faults(topology, &template, algorithm, seed, 2, 1);
             let mut sc = base_scenario(Lane::Stress, template.clone(), topology, algorithm, seed);
-            sc.loss = 0.02;
-            sc.link_failures = link_failures;
-            sc.crashes = crashes;
+            sc.plan.msg_loss_prob = 0.02;
+            place_faults(&mut sc, 2, 1);
             sc.tenants = TENANT_COUNT;
             corpus.push(sc);
         }
@@ -730,26 +687,23 @@ pub fn stress_corpus(seeds: &[u64]) -> Vec<Scenario> {
 /// barely notices (24 × 64 nodes × 900 rounds per scenario).
 const TENANT_COUNT: usize = 24;
 
-/// Draw scheduled fault placements from a scenario-identity-keyed RNG
-/// stream. Placement is independent of the simulation's own streams, so
-/// turning faults on never perturbs the schedule (the netsim stream
-/// separation carried one level up).
-fn place_faults(
-    topology: TopologyKind,
-    template: &str,
-    algorithm: Algorithm,
-    seed: u64,
-    n_links: usize,
-    n_crashes: usize,
-) -> (LinkFailures, Crashes) {
-    let identity = format!("{template}|{}|{seed}", algorithm.label());
-    let mut rng = stream_rng(seed ^ fnv1a64(identity.as_bytes()), RngStream::Aux(0xFA17));
-    let graph = topology.build();
+/// Add `n_links` link failures and `n_crashes` node crashes to the
+/// scenario's plan, drawn from a scenario-identity-keyed RNG stream.
+/// Placement is independent of the simulation's own streams, so turning
+/// faults on never perturbs the schedule (the netsim stream separation
+/// carried one level up).
+fn place_faults(sc: &mut Scenario, n_links: usize, n_crashes: usize) {
+    let identity = format!("{}|{}|{}", sc.template, sc.algorithm.label(), sc.seed);
+    let mut rng = stream_rng(
+        sc.seed ^ fnv1a64(identity.as_bytes()),
+        RngStream::Aux(0xFA17),
+    );
+    let graph = sc.topology.build();
     let n = graph.len() as NodeId;
+    let mut plan = std::mem::take(&mut sc.plan);
 
-    let mut link_failures: LinkFailures = Vec::new();
     let mut guard = 0;
-    while link_failures.len() < n_links && guard < 1000 {
+    while plan.link_failures.len() < n_links && guard < 1000 {
         guard += 1;
         let a = rng.random_range(0..n);
         let nbrs = graph.neighbors(a);
@@ -758,24 +712,22 @@ fn place_faults(
         }
         let b = nbrs[rng.random_range(0..nbrs.len())];
         let (lo, hi) = (a.min(b), a.max(b));
-        if link_failures.iter().any(|&(x, y, _)| (x, y) == (lo, hi)) {
+        if plan.link_failures.iter().any(|f| (f.a, f.b) == (lo, hi)) {
             continue;
         }
-        link_failures.push((lo, hi, rng.random_range(FAULT_FROM..FAULT_UNTIL)));
+        plan = plan.fail_link(lo, hi, rng.random_range(FAULT_FROM..FAULT_UNTIL));
     }
 
-    let mut crashes: Vec<(NodeId, u64)> = Vec::new();
     guard = 0;
-    while crashes.len() < n_crashes && guard < 1000 {
+    while plan.node_crashes.len() < n_crashes && guard < 1000 {
         guard += 1;
         let node = rng.random_range(0..n);
-        if crashes.iter().any(|&(c, _)| c == node) {
+        if plan.node_crashes.iter().any(|c| c.node == node) {
             continue;
         }
-        crashes.push((node, rng.random_range(FAULT_FROM..FAULT_UNTIL)));
+        plan = plan.crash_node(node, rng.random_range(FAULT_FROM..FAULT_UNTIL));
     }
-
-    (link_failures, crashes)
+    sc.plan = plan;
 }
 
 /// Round at which the chaos script's partition cuts the topology in half.
@@ -833,13 +785,16 @@ pub fn chaos_script(topology: TopologyKind) -> ChaosScript {
 }
 
 impl ChaosScript {
-    /// Write the script into a scenario's fault fields (netsim injector).
+    /// Write the script into a scenario's fault plan (netsim injector).
     pub fn apply(&self, sc: &mut Scenario) {
-        sc.loss = self.drop;
         let b = self.burst;
-        sc.burst = Some((b.enter, b.exit, b.loss));
-        sc.net_partitions = vec![(self.cut_members.clone(), self.cut_at)];
-        sc.net_partition_heals = vec![(self.cut_members.clone(), self.heal_at)];
+        sc.plan = FaultPlan {
+            msg_loss_prob: self.drop,
+            ..std::mem::take(&mut sc.plan)
+        }
+        .with_burst(b.enter, b.exit, b.loss)
+        .partition(self.cut_members.clone(), self.cut_at)
+        .heal_partition(self.cut_members.clone(), self.heal_at);
     }
 
     /// The same script as a real-transport chaos plan (the `--mode chaos`
@@ -911,7 +866,7 @@ mod tests {
     #[test]
     fn sanity_corpus_is_fault_free() {
         for sc in sanity_corpus(&[1]) {
-            assert!(sc.fault_plan().is_failure_free(), "{}", sc.canonical());
+            assert!(sc.plan.is_failure_free(), "{}", sc.canonical());
             assert_eq!(sc.lane, Lane::Sanity);
         }
     }
@@ -923,7 +878,7 @@ mod tests {
             .iter()
             .find(|s| s.template.starts_with("crash/"))
             .unwrap();
-        assert_eq!(crash.crashes.len(), 2);
+        assert_eq!(crash.plan.node_crashes.len(), 2);
         assert!(crash.has_scheduled_faults());
         assert!(crash.last_fault_round() >= FAULT_FROM);
         assert!(crash.last_fault_round() < FAULT_UNTIL);
@@ -931,7 +886,7 @@ mod tests {
             .iter()
             .find(|s| s.template.starts_with("flips/"))
             .unwrap();
-        assert!(flips.bit_flips > 0.0);
+        assert!(flips.plan.bit_flip_prob > 0.0);
         assert!(!flips.has_scheduled_faults());
     }
 
@@ -942,11 +897,11 @@ mod tests {
                 continue; // nothing to validate — skip the graph build
             }
             let g = sc.topology.build();
-            for &(a, b, _) in &sc.link_failures {
-                assert!(g.neighbors(a).contains(&b), "{}", sc.canonical());
+            for f in &sc.plan.link_failures {
+                assert!(g.neighbors(f.a).contains(&f.b), "{}", sc.canonical());
             }
-            for &(node, _) in &sc.crashes {
-                assert!((node as usize) < g.len());
+            for c in &sc.plan.node_crashes {
+                assert!((c.node as usize) < g.len());
             }
         }
     }
@@ -979,7 +934,7 @@ mod tests {
         assert_eq!(opts.activation, Activation::Synchronous);
         assert_eq!(opts.delay, DelayModel::Uniform { min: 0, max: 3 });
         assert_eq!(opts.detector, DetectorModel::Timeout { window: 10 });
-        assert_eq!(sc.link_heals.len(), sc.link_failures.len());
+        assert_eq!(sc.plan.link_heals.len(), sc.plan.link_failures.len());
         // A hand-built async + delay scenario is rejected with the typed
         // error rather than a panic.
         let mut bad = sc.clone();
@@ -994,31 +949,33 @@ mod tests {
     fn recovery_events_follow_their_faults() {
         let corpus = stress_corpus(&[1, 2]);
         for sc in &corpus {
-            for &(a, b, heal_round) in &sc.link_heals {
+            for heal in &sc.plan.link_heals {
                 let fail = sc
+                    .plan
                     .link_failures
                     .iter()
-                    .find(|&&(x, y, _)| (x, y) == (a, b))
+                    .find(|f| (f.a, f.b) == (heal.a, heal.b))
                     .expect("every heal undoes a scheduled failure");
-                assert!(heal_round > fail.2, "{}", sc.canonical());
-                assert!(sc.last_fault_round() >= heal_round);
+                assert!(heal.at_round > fail.at_round, "{}", sc.canonical());
+                assert!(sc.last_fault_round() >= heal.at_round);
             }
-            for &(node, restart_round) in &sc.restarts {
+            for restart in &sc.plan.node_restarts {
                 let crash = sc
-                    .crashes
+                    .plan
+                    .node_crashes
                     .iter()
-                    .find(|&&(c, _)| c == node)
+                    .find(|c| c.node == restart.node)
                     .expect("every restart undoes a scheduled crash");
-                assert!(restart_round > crash.1, "{}", sc.canonical());
-                assert!(restart_round < sc.max_rounds);
+                assert!(restart.at_round > crash.at_round, "{}", sc.canonical());
+                assert!(restart.at_round < sc.max_rounds);
             }
         }
         let restart = corpus
             .iter()
             .find(|s| s.template.starts_with("restart/"))
             .unwrap();
-        assert_eq!(restart.restarts.len(), 1);
-        assert_eq!(restart.crashes.len(), 1);
+        assert_eq!(restart.plan.node_restarts.len(), 1);
+        assert_eq!(restart.plan.node_crashes.len(), 1);
     }
 
     #[test]
@@ -1036,8 +993,8 @@ mod tests {
                 .iter()
                 .find(|s| s.template == label)
                 .unwrap_or_else(|| panic!("missing scale template {label}"));
-            assert_eq!(sc.link_failures.len(), 2, "{label}");
-            assert_eq!(sc.crashes.len(), 1, "{label}");
+            assert_eq!(sc.plan.link_failures.len(), 2, "{label}");
+            assert_eq!(sc.plan.node_crashes.len(), 1, "{label}");
             assert!(sc.has_scheduled_faults());
             assert!(sc.max_rounds > STRESS_ROUNDS, "{label}");
             assert_eq!(sc.validate(), Ok(()));
@@ -1141,8 +1098,8 @@ mod tests {
             assert_eq!(sc.tenants, TENANT_COUNT);
             assert_eq!(sc.topology, TopologyKind::Hypercube(6));
             // Shared scheduled faults, in tenant-local coordinates.
-            assert_eq!(sc.link_failures.len(), 2);
-            assert_eq!(sc.crashes.len(), 1);
+            assert_eq!(sc.plan.link_failures.len(), 2);
+            assert_eq!(sc.plan.node_crashes.len(), 1);
             // The batch engine's regime: zero delay, oracle detection,
             // synchronous activation.
             assert_eq!(sc.delay_max, 0);
@@ -1157,7 +1114,7 @@ mod tests {
         // Every pre-chaos scenario's canonical encoding must stay
         // byte-identical, or all committed fingerprints break.
         for sc in sanity_corpus(&[1]).iter().chain(stress_corpus(&[1]).iter()) {
-            if sc.burst.is_none() && sc.net_partitions.is_empty() {
+            if sc.plan.burst.is_none() && sc.plan.partitions.is_empty() {
                 let c = sc.canonical();
                 assert!(!c.contains("burst="), "{c}");
                 assert!(!c.contains("cuts="), "{c}");
@@ -1181,17 +1138,16 @@ mod tests {
             .collect();
         assert_eq!(cases.len(), 12, "4 algorithms x 3 seeds");
         let sc = cases[0];
-        assert_eq!(sc.burst, Some((0.02, 0.3, 0.9)));
-        assert_eq!(sc.net_partitions.len(), 1);
-        assert_eq!(sc.net_partitions[0].0, (0..16).collect::<Vec<NodeId>>());
-        assert_eq!(sc.net_partitions[0].1, CHAOS_CUT_AT);
-        assert_eq!(sc.net_partition_heals[0].1, CHAOS_HEAL_AT);
+        let plan = &sc.plan;
+        let b = plan.burst.expect("chaos burst");
+        assert_eq!((b.enter, b.exit, b.loss), (0.02, 0.3, 0.9));
+        assert_eq!(plan.partitions.len(), 1);
+        assert_eq!(plan.partitions[0].members, (0..16).collect::<Vec<NodeId>>());
+        assert_eq!(plan.partitions[0].at_round, CHAOS_CUT_AT);
+        assert_eq!(plan.partition_heals[0].at_round, CHAOS_HEAL_AT);
         assert!(sc.has_scheduled_faults());
         assert_eq!(sc.last_fault_round(), CHAOS_HEAL_AT);
         assert_eq!(sc.validate(), Ok(()));
-        let plan = sc.fault_plan();
-        assert!(plan.burst.is_some());
-        assert_eq!(plan.partitions.len(), 1);
         assert_eq!(plan.partition_heals.len(), 1);
         // The transport-side plan mirrors the same script, members and
         // window included — that is what makes the chaos lane a sim-vs-
@@ -1207,7 +1163,7 @@ mod tests {
             })
         );
         assert_eq!(tplan.cuts.len(), 1);
-        assert_eq!(tplan.cuts[0].members, sc.net_partitions[0].0);
+        assert_eq!(tplan.cuts[0].members, plan.partitions[0].members);
         assert_eq!(
             (tplan.cuts[0].from_op, tplan.cuts[0].until_op),
             (CHAOS_CUT_AT, CHAOS_HEAL_AT)

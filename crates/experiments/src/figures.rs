@@ -949,37 +949,6 @@ pub fn equivalence_check(cube_dim: u32, rounds: u64, seed: u64) -> f64 {
     worst
 }
 
-/// Convenience wrapper used by tests: run one small accuracy point and
-/// return (PF best err, PCF best err).
-pub fn small_accuracy_gap(exp: u32, seed: u64) -> (f64, f64) {
-    let n = 8usize.pow(exp);
-    let graph = torus_of_exp(exp);
-    let data = InitialData::uniform_random(n, AggregateKind::Average, seed);
-    let cfg = RunConfig {
-        target_accuracy: Some(1e-15),
-        max_rounds: 60_000,
-        record_every: 0,
-        plateau_window: Some(3000),
-    };
-    let pf = run_reduction(
-        Algorithm::PushFlow,
-        &graph,
-        &data,
-        FaultPlan::none(),
-        seed,
-        cfg,
-    );
-    let pcf = run_reduction(
-        Algorithm::PushCancelFlow(PhiMode::Eager),
-        &graph,
-        &data,
-        FaultPlan::none(),
-        seed,
-        cfg,
-    );
-    (pf.best_max_err, pcf.best_max_err)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

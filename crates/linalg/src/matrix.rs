@@ -54,15 +54,6 @@ impl Matrix {
         }
     }
 
-    /// Build from a flat row-major buffer.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "buffer/shape mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Seeded matrix with i.i.d. uniform `[-1, 1)` entries — the "random
     /// matrices V" of the paper's Fig. 8 study.
     pub fn random_uniform(rows: usize, cols: usize, seed: u64) -> Self {
@@ -102,11 +93,6 @@ impl Matrix {
     /// Row `i` as a slice.
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Row `i` as a mutable slice.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Column `j` copied into a vector.

@@ -386,7 +386,7 @@ impl FaultRange {
 
     #[inline]
     fn arc_bit(&self, graph: &Graph, src: NodeId, dst: NodeId) -> Option<(usize, u64)> {
-        let arc = graph.arc_base(src) + graph.neighbor_slot(src, dst)? - self.arc_base;
+        let arc = graph.arc(src, dst)? - self.arc_base;
         Some((arc / 64, 1 << (arc % 64)))
     }
 

@@ -447,8 +447,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// Delivered messages over arc `src → dst`, if counting is enabled.
     pub fn link_load(&self, src: NodeId, dst: NodeId) -> Option<u64> {
         let counts = self.link_load.as_ref()?;
-        let slot = self.graph.neighbor_slot(src, dst)?;
-        Some(counts[self.graph.arc_base(src) + slot])
+        Some(counts[self.graph.arc(src, dst)?])
     }
 
     /// The protocol (for estimate inspection between rounds).
@@ -542,8 +541,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         // (the fault range already re-admitted the neighbor) and restart
         // the arc's silence clock.
         for &(node, neighbor) in self.faults.resumed() {
-            if let Some(slot) = self.graph.neighbor_slot(node, neighbor) {
-                let arc = self.graph.arc_base(node) + slot;
+            if let Some(arc) = self.graph.arc(node, neighbor) {
                 let p = self.part_of(node);
                 self.det[p].heard(node, arc, self.round);
             }
@@ -557,11 +555,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// then processes the message over it.
     #[inline]
     fn note_arrival(&mut self, p: usize, dst: NodeId, src: NodeId) {
-        let slot = self
-            .graph
-            .neighbor_slot(dst, src)
-            .expect("delivery on a non-edge");
-        let arc = self.graph.arc_base(dst) + slot;
+        let arc = self.graph.arc(dst, src).expect("delivery on a non-edge");
         if self.det[p].heard(dst, arc, self.round) {
             self.believed.readmit(self.graph, dst, src);
             let lane = &mut self.parts[p];
@@ -590,8 +584,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             dst,
         });
         if let Some(counts) = self.link_load.as_mut() {
-            if let Some(slot) = self.graph.neighbor_slot(src, dst) {
-                counts[self.graph.arc_base(src) + slot] += 1;
+            if let Some(arc) = self.graph.arc(src, dst) {
+                counts[arc] += 1;
             }
         }
     }

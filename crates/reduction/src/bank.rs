@@ -5,8 +5,8 @@
 //! own heap object: vector payloads scatter across the allocator and every
 //! componentwise update walks a pointer. A [`FlowBank`] instead packs *all*
 //! value components of *all* arcs into one contiguous, 64-byte-aligned
-//! `f64` slab, indexed by the same CSR `arc_base`/`neighbor_slot` scheme as
-//! the rest of the per-arc state:
+//! `f64` slab, indexed by the same CSR arc index
+//! ([`gr_topology::Graph::arc`]) as the rest of the per-arc state:
 //!
 //! ```text
 //! offset(arc, field) = (arc * fields + field) * dim

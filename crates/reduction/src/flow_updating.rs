@@ -63,11 +63,6 @@ pub struct FlowUpdating<'g, P: Payload> {
     /// Recycled wire buffers, one arena per engine partition (fed by
     /// [`Protocol::reclaim`] / [`Protocol::part_reclaim`]).
     pools: Vec<Vec<FuMsg<P>>>,
-    /// Reused estimate / pairwise-average buffers for `on_send`, one pair
-    /// per engine partition — keep heap-spilled payloads (dim above the
-    /// inline cap) allocation-free on the hot path.
-    scratch_e: Vec<P>,
-    scratch_a: Vec<P>,
 }
 
 impl<'g, P: Payload> FlowUpdating<'g, P> {
@@ -96,33 +91,31 @@ impl<'g, P: Payload> FlowUpdating<'g, P> {
             nbr_est: vec![P::zeros(dim); arcs],
             dim,
             pools: vec![Vec::new()],
-            scratch_e: vec![P::zeros(dim)],
-            scratch_a: vec![P::zeros(dim)],
         }
-    }
-
-    #[inline]
-    fn arc(&self, i: NodeId, j: NodeId) -> usize {
-        let slot = self
-            .graph
-            .neighbor_slot(i, j)
-            .expect("message/failure on a non-edge");
-        self.graph.arc_base(i) + slot
     }
 
     /// The flow variable `f_{i,j}` (inspection hook).
     pub fn flow(&self, i: NodeId, j: NodeId) -> &P {
-        &self.flows[self.arc(i, j)]
+        &self.flows[self.graph.arc(i, j).expect("not an edge")]
     }
 
-    /// `e_i = v_i − Σ_j f_{i,j}` (plain f64 arithmetic, like PF).
+    /// `e_i = v_i − Σ_j f_{i,j}` (into a fresh buffer; see `write_live_value`).
     pub fn estimate_value(&self, i: NodeId) -> P {
-        let mut e = self.init[i as usize].clone();
+        let mut e = P::zeros(self.dim);
+        self.write_live_value(i, &mut e);
+        e
+    }
+
+    /// Write `e_i = v_i − Σ_j f_{i,j}` into `e` (plain f64 arithmetic,
+    /// like PF) — the one definition of the estimate, shared by the
+    /// oracle side ([`Self::estimate_value`]) and the send side.
+    #[inline]
+    fn write_live_value(&self, i: NodeId, e: &mut P) {
+        e.copy_from_components(self.init[i as usize].components());
         let base = self.graph.arc_base(i);
         for slot in 0..self.graph.degree(i) {
             e.sub_assign(&self.flows[base + slot]);
         }
-        e
     }
 
     /// Replace node `i`'s local input value mid-run (live monitoring —
@@ -147,48 +140,28 @@ impl<'g, P: Payload> FlowUpdating<'g, P> {
         // Pairwise flow update: compute the average `a` of my estimate and
         // my belief about the target's, then set the flow so that my value
         // becomes exactly `a` and (by antisymmetry) the target's would too.
-        let idx = self.arc(node, target);
-        let FlowUpdating {
-            graph,
-            init,
-            flows,
-            nbr_est,
-            scratch_e,
-            scratch_a,
-            pools,
-            ..
-        } = self;
-        let scratch_e = &mut scratch_e[part];
-        let scratch_a = &mut scratch_a[part];
-        // e_i into the scratch buffer ([`Self::estimate_value`] with the
-        // same operation order, minus the allocation).
-        scratch_e.copy_from_components(init[node as usize].components());
-        let base = graph.arc_base(node);
-        for slot in 0..graph.degree(node) {
-            scratch_e.sub_assign(&flows[base + slot]);
-        }
+        let idx = self.graph.arc(node, target).expect("send on a non-edge");
+        let dim = self.dim;
+        let mut msg = self.pools[part].pop().unwrap_or_else(|| FuMsg {
+            flow: P::zeros(dim),
+            estimate: P::zeros(dim),
+        });
+        // The recycled buffer's `flow` holds e_i and its `estimate` the
+        // average a, so the hot path never allocates whatever the payload
+        // dimension; `flow` is overwritten with the flow at the end.
+        let (e, a) = (&mut msg.flow, &mut msg.estimate);
+        self.write_live_value(node, e);
         // a = (e + nbr_est)/2
-        scratch_a.copy_from_components(scratch_e.components());
-        scratch_a.add_assign(&nbr_est[idx]);
-        scratch_a.scale(0.5);
+        a.copy_from_components(e.components());
+        a.add_assign(&self.nbr_est[idx]);
+        a.scale(0.5);
         // f += e − a  (moves my estimate to a); e is dead after this, so
         // its buffer doubles as the delta.
-        scratch_e.sub_assign(scratch_a);
-        flows[idx].add_assign(scratch_e);
-        nbr_est[idx].copy_from_components(scratch_a.components());
-        // Recycled buffers are fully overwritten, so the wire bytes are
-        // identical to a freshly cloned message.
-        match pools[part].pop() {
-            Some(mut msg) => {
-                msg.flow.copy_from_components(flows[idx].components());
-                msg.estimate.copy_from_components(scratch_a.components());
-                msg
-            }
-            None => FuMsg {
-                flow: flows[idx].clone(),
-                estimate: scratch_a.clone(),
-            },
-        }
+        e.sub_assign(a);
+        self.flows[idx].add_assign(e);
+        self.nbr_est[idx].copy_from_components(a.components());
+        e.copy_from_components(self.flows[idx].components());
+        msg
     }
 }
 
@@ -202,9 +175,6 @@ impl<'g, P: Payload> Protocol for FlowUpdating<'g, P> {
 
     fn set_partitions(&mut self, partitions: usize) {
         self.pools.resize_with(partitions, Vec::new);
-        let dim = self.dim;
-        self.scratch_e.resize_with(partitions, || P::zeros(dim));
-        self.scratch_a.resize_with(partitions, || P::zeros(dim));
     }
 
     fn on_send(&mut self, node: NodeId, target: NodeId) -> FuMsg<P> {
@@ -216,7 +186,7 @@ impl<'g, P: Payload> Protocol for FlowUpdating<'g, P> {
     }
 
     fn on_receive(&mut self, node: NodeId, from: NodeId, msg: &mut FuMsg<P>) {
-        let idx = self.arc(node, from);
+        let idx = self.graph.arc(node, from).expect("message on a non-edge");
         // Steal the payloads in place of copying them: the buffer slot is
         // dead after this call (see the `Protocol` docs).
         msg.flow.negate();
@@ -233,7 +203,10 @@ impl<'g, P: Payload> Protocol for FlowUpdating<'g, P> {
     }
 
     fn on_link_failed(&mut self, node: NodeId, neighbor: NodeId) {
-        let idx = self.arc(node, neighbor);
+        let idx = self
+            .graph
+            .arc(node, neighbor)
+            .expect("failure on a non-edge");
         self.flows[idx] = P::zeros(self.dim);
         self.nbr_est[idx] = P::zeros(self.dim);
     }

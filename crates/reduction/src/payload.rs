@@ -7,10 +7,20 @@
 //! a scalar. [`Mass`] bundles the two — it is simultaneously the unit of
 //! initial data, the flow-variable type of PF/PCF, and the wire payload.
 
+use crate::kernels;
 use gr_netsim::Corrupt;
 use std::fmt;
 
 /// The value component of a mass: scalar `f64` or a fixed-dimension vector.
+///
+/// An implementation provides only storage: [`Payload::zeros`],
+/// [`Payload::from_components`] and the two component views. Every
+/// arithmetic method is provided here, once, over those views and the
+/// dispatching [`kernels`], so `f64`, `Vec<f64>` and
+/// [`InlineVec`] run exactly the same componentwise loops (a scalar is a
+/// one-component slice, below the kernels' vector width). Like the
+/// kernels, the one-line wrappers are `#[inline(always)]`, so a scalar
+/// operation stays a single instruction in the protocols' hot loops.
 ///
 /// All arithmetic is plain IEEE-754 — deliberately so: the numerical
 /// weaknesses of push-flow that the paper analyses *are* plain-f64
@@ -20,39 +30,22 @@ pub trait Payload: Clone + PartialEq + fmt::Debug + Corrupt + Send + 'static {
     /// A zero value of dimension `dim`.
     fn zeros(dim: usize) -> Self;
 
-    /// Number of scalar components.
-    fn dim(&self) -> usize;
-
-    /// `self += rhs` componentwise.
-    fn add_assign(&mut self, rhs: &Self);
-
-    /// `self -= rhs` componentwise.
-    fn sub_assign(&mut self, rhs: &Self);
-
-    /// `self = -self`.
-    fn negate(&mut self);
-
-    /// `self *= s`.
-    fn scale(&mut self, s: f64);
-
-    /// Set every component to exactly `+0.0` (keeping the allocation of
-    /// vector payloads). Unlike `scale(0.0)` this also clears non-finite
-    /// components, so it is the right primitive for zeroing a possibly
-    /// corrupted flow.
-    fn set_zero(&mut self);
-
-    /// IEEE semantic equality of every component (`0.0 == -0.0`, NaN never
-    /// equal). This is the conservation test `f_{j,i} = −f_{i,j}` of the
-    /// PCF pseudocode: it holds exactly when the last exchange on the edge
-    /// completed, because receivers produce their flow by negating the
-    /// sender's bits.
-    fn eq_components(&self, rhs: &Self) -> bool;
-
-    /// `true` iff `self == -rhs` componentwise (without allocating).
-    fn is_neg_of(&self, rhs: &Self) -> bool;
-
     /// Read-only view of the scalar components.
     fn components(&self) -> &[f64];
+
+    /// Mutable view of the scalar components.
+    ///
+    /// The slice aliases the payload's storage, so componentwise kernels
+    /// (the structure-of-arrays flow banks) can update a payload in place
+    /// without routing every operation through a `Self`-typed temporary.
+    fn components_mut(&mut self) -> &mut [f64];
+
+    /// Build a payload from scalar components.
+    ///
+    /// # Panics
+    /// Implementations panic if the slice length does not fit the type
+    /// (scalar payloads require exactly one component).
+    fn from_components(comps: &[f64]) -> Self;
 
     /// Whether a payload of this type can have `dim` components: `true`
     /// for vector payloads, `dim == 1` for a scalar. Decoders check it
@@ -62,26 +55,76 @@ pub trait Payload: Clone + PartialEq + fmt::Debug + Corrupt + Send + 'static {
         true
     }
 
-    /// Build a payload from scalar components.
-    ///
-    /// # Panics
-    /// Implementations panic if the slice length does not fit the type
-    /// (scalar payloads require exactly one component).
-    fn from_components(comps: &[f64]) -> Self;
+    /// Number of scalar components.
+    #[inline(always)]
+    fn dim(&self) -> usize {
+        self.components().len()
+    }
 
-    /// Mutable view of the scalar components.
-    ///
-    /// The slice aliases the payload's storage, so componentwise kernels
-    /// (the structure-of-arrays flow banks) can update a payload in place
-    /// without routing every operation through a `Self`-typed temporary.
-    fn components_mut(&mut self) -> &mut [f64];
+    /// `self += rhs` componentwise.
+    #[inline(always)]
+    fn add_assign(&mut self, rhs: &Self) {
+        kernels::add(self.components_mut(), rhs.components());
+    }
 
-    /// Overwrite `self` with `comps`, reusing the existing allocation
+    /// `self -= rhs` componentwise.
+    #[inline(always)]
+    fn sub_assign(&mut self, rhs: &Self) {
+        kernels::sub(self.components_mut(), rhs.components());
+    }
+
+    /// `self = -self` (a sign-bit flip per component, exact for every bit
+    /// pattern including NaN).
+    #[inline(always)]
+    fn negate(&mut self) {
+        kernels::neg(self.components_mut());
+    }
+
+    /// `self *= s`.
+    #[inline(always)]
+    fn scale(&mut self, s: f64) {
+        kernels::scale(self.components_mut(), s);
+    }
+
+    /// Set every component to exactly `+0.0` (keeping the allocation of
+    /// vector payloads). Unlike `scale(0.0)` this also clears non-finite
+    /// components, so it is the right primitive for zeroing a possibly
+    /// corrupted flow.
+    #[inline(always)]
+    fn set_zero(&mut self) {
+        self.components_mut().fill(0.0);
+    }
+
+    /// IEEE semantic equality of every component (`0.0 == -0.0`, NaN never
+    /// equal). This is the conservation test `f_{j,i} = −f_{i,j}` of the
+    /// PCF pseudocode: it holds exactly when the last exchange on the edge
+    /// completed, because receivers produce their flow by negating the
+    /// sender's bits.
+    #[inline(always)]
+    fn eq_components(&self, rhs: &Self) -> bool {
+        let (a, b) = (self.components(), rhs.components());
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
+    }
+
+    /// `true` iff `self == -rhs` componentwise (without allocating).
+    #[inline(always)]
+    fn is_neg_of(&self, rhs: &Self) -> bool {
+        kernels::is_neg(self.components(), rhs.components())
+    }
+
+    /// Overwrite `self` with `comps`, reusing the existing storage
     /// whenever the dimension already matches (it always does on the
     /// steady-state paths — payload dimensions are fixed per run). This is
     /// the no-alloc counterpart of [`Payload::from_components`] used when
     /// refilling recycled wire buffers.
-    fn copy_from_components(&mut self, comps: &[f64]);
+    #[inline(always)]
+    fn copy_from_components(&mut self, comps: &[f64]) {
+        if self.dim() == comps.len() {
+            self.components_mut().copy_from_slice(comps);
+        } else {
+            *self = Self::from_components(comps);
+        }
+    }
 }
 
 impl Payload for f64 {
@@ -91,44 +134,12 @@ impl Payload for f64 {
         0.0
     }
     #[inline]
-    fn dim(&self) -> usize {
-        1
-    }
-    #[inline]
-    fn add_assign(&mut self, rhs: &Self) {
-        *self += *rhs;
-    }
-    #[inline]
-    fn sub_assign(&mut self, rhs: &Self) {
-        *self -= *rhs;
-    }
-    #[inline]
-    fn negate(&mut self) {
-        *self = -*self;
-    }
-    #[inline]
-    fn scale(&mut self, s: f64) {
-        *self *= s;
-    }
-    #[inline]
-    fn set_zero(&mut self) {
-        *self = 0.0;
-    }
-    #[inline]
-    fn eq_components(&self, rhs: &Self) -> bool {
-        *self == *rhs
-    }
-    #[inline]
-    fn is_neg_of(&self, rhs: &Self) -> bool {
-        *self == -*rhs
-    }
-    #[inline]
     fn components(&self) -> &[f64] {
         std::slice::from_ref(self)
     }
     #[inline]
-    fn admits_dim(dim: usize) -> bool {
-        dim == 1
+    fn components_mut(&mut self) -> &mut [f64] {
+        std::slice::from_mut(self)
     }
     #[inline]
     fn from_components(comps: &[f64]) -> Self {
@@ -136,13 +147,8 @@ impl Payload for f64 {
         comps[0]
     }
     #[inline]
-    fn components_mut(&mut self) -> &mut [f64] {
-        std::slice::from_mut(self)
-    }
-    #[inline]
-    fn copy_from_components(&mut self, comps: &[f64]) {
-        assert_eq!(comps.len(), 1, "scalar payload has one component");
-        *self = comps[0];
+    fn admits_dim(dim: usize) -> bool {
+        dim == 1
     }
 }
 
@@ -150,48 +156,16 @@ impl Payload for Vec<f64> {
     fn zeros(dim: usize) -> Self {
         vec![0.0; dim]
     }
-    fn dim(&self) -> usize {
-        self.len()
-    }
-    fn add_assign(&mut self, rhs: &Self) {
-        debug_assert_eq!(self.len(), rhs.len());
-        crate::kernels::add(self, rhs);
-    }
-    fn sub_assign(&mut self, rhs: &Self) {
-        debug_assert_eq!(self.len(), rhs.len());
-        crate::kernels::sub(self, rhs);
-    }
-    fn negate(&mut self) {
-        crate::kernels::neg(self);
-    }
-    fn scale(&mut self, s: f64) {
-        crate::kernels::scale(self, s);
-    }
-    fn set_zero(&mut self) {
-        self.fill(0.0);
-    }
-    fn eq_components(&self, rhs: &Self) -> bool {
-        self.len() == rhs.len() && self.iter().zip(rhs).all(|(a, b)| a == b)
-    }
-    fn is_neg_of(&self, rhs: &Self) -> bool {
-        crate::kernels::is_neg(self, rhs)
-    }
+    #[inline]
     fn components(&self) -> &[f64] {
+        self
+    }
+    #[inline]
+    fn components_mut(&mut self) -> &mut [f64] {
         self
     }
     fn from_components(comps: &[f64]) -> Self {
         comps.to_vec()
-    }
-    fn components_mut(&mut self) -> &mut [f64] {
-        self
-    }
-    fn copy_from_components(&mut self, comps: &[f64]) {
-        if self.len() == comps.len() {
-            self.copy_from_slice(comps);
-        } else {
-            self.clear();
-            self.extend_from_slice(comps);
-        }
     }
 }
 
@@ -215,16 +189,17 @@ enum Repr {
 /// dimensions up to [`INLINE_CAP`] are stored inline so cloning a mass or
 /// refilling a wire buffer never touches the allocator.
 ///
-/// Every operation routes through [`InlineVec::as_slice`] /
-/// [`InlineVec::as_mut_slice`] and reuses the exact componentwise loops of
-/// the `Vec<f64>` impl, so a run over `InlineVec` payloads replays the
-/// `Vec<f64>` run bit for bit (pinned by the `payload_equiv` proptest).
+/// The impl provides storage only; the arithmetic is [`Payload`]'s
+/// provided methods over [`InlineVec::as_slice`] /
+/// [`InlineVec::as_mut_slice`] — the same code every payload type runs —
+/// so a run over `InlineVec` payloads replays the `Vec<f64>` run bit for
+/// bit (pinned by the `payload_equiv` proptest).
 #[derive(Debug)]
 pub struct InlineVec(Repr);
 
 impl InlineVec {
     /// Read-only view of the components.
-    #[inline]
+    #[inline(always)]
     pub fn as_slice(&self) -> &[f64] {
         match &self.0 {
             Repr::Inline { len, buf } => &buf[..*len as usize],
@@ -233,7 +208,7 @@ impl InlineVec {
     }
 
     /// Mutable view of the components.
-    #[inline]
+    #[inline(always)]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         match &mut self.0 {
             Repr::Inline { len, buf } => &mut buf[..*len as usize],
@@ -301,52 +276,18 @@ impl Payload for InlineVec {
             InlineVec(Repr::Heap(vec![0.0; dim]))
         }
     }
-    fn dim(&self) -> usize {
-        self.as_slice().len()
-    }
-    fn add_assign(&mut self, rhs: &Self) {
-        let (a, b) = (self.as_mut_slice(), rhs.as_slice());
-        debug_assert_eq!(a.len(), b.len());
-        crate::kernels::add(a, b);
-    }
-    fn sub_assign(&mut self, rhs: &Self) {
-        let (a, b) = (self.as_mut_slice(), rhs.as_slice());
-        debug_assert_eq!(a.len(), b.len());
-        crate::kernels::sub(a, b);
-    }
-    fn negate(&mut self) {
-        crate::kernels::neg(self.as_mut_slice());
-    }
-    fn scale(&mut self, s: f64) {
-        crate::kernels::scale(self.as_mut_slice(), s);
-    }
-    fn set_zero(&mut self) {
-        self.as_mut_slice().fill(0.0);
-    }
-    fn eq_components(&self, rhs: &Self) -> bool {
-        let (a, b) = (self.as_slice(), rhs.as_slice());
-        a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a == b)
-    }
-    fn is_neg_of(&self, rhs: &Self) -> bool {
-        crate::kernels::is_neg(self.as_slice(), rhs.as_slice())
-    }
+    #[inline(always)]
     fn components(&self) -> &[f64] {
         self.as_slice()
+    }
+    #[inline(always)]
+    fn components_mut(&mut self) -> &mut [f64] {
+        self.as_mut_slice()
     }
     fn from_components(comps: &[f64]) -> Self {
         let mut v = Self::zeros(comps.len());
         v.as_mut_slice().copy_from_slice(comps);
         v
-    }
-    fn components_mut(&mut self) -> &mut [f64] {
-        self.as_mut_slice()
-    }
-    fn copy_from_components(&mut self, comps: &[f64]) {
-        if self.as_slice().len() == comps.len() {
-            self.as_mut_slice().copy_from_slice(comps);
-        } else {
-            *self = Self::from_components(comps);
-        }
     }
 }
 
@@ -483,6 +424,108 @@ mod tests {
         assert!(x.is_neg_of(&10.0));
         assert_eq!(x.components(), &[-10.0]);
         assert_eq!(f64::zeros(1), 0.0);
+    }
+
+    /// Operands for the table test: signed zeros, infinities, a
+    /// subnormal, a signalling NaN with a non-canonical payload, and
+    /// ordinary values of both signs and extreme exponents.
+    const TABLE: [f64; 12] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE / 8.0, // subnormal
+        -5e-324,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        1.5,
+        -3.25,
+        1e300,
+        -7.0,
+        0.1,
+    ];
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every provided method of `P` against a per-component reference
+    /// loop, compared on `to_bits()`, at each of `dims`.
+    fn check_provided_arithmetic<P: Payload>(dims: &[usize]) {
+        use std::hint::black_box;
+        for &dim in dims {
+            for shift in 0..TABLE.len() {
+                let a: Vec<f64> = (0..dim).map(|k| TABLE[(k + shift) % TABLE.len()]).collect();
+                let b: Vec<f64> = (0..dim)
+                    .map(|k| TABLE[(3 * k + 5 + shift) % TABLE.len()])
+                    .collect();
+                let (pa, pb) = (P::from_components(&a), P::from_components(&b));
+                assert_eq!(pa.dim(), dim);
+                let (ra, rb) = (black_box(&a), black_box(&b));
+
+                let mut x = pa.clone();
+                x.add_assign(&pb);
+                let want: Vec<f64> = ra.iter().zip(rb).map(|(p, q)| p + q).collect();
+                assert_eq!(bits(x.components()), bits(&want), "add dim {dim}");
+
+                let mut x = pa.clone();
+                x.sub_assign(&pb);
+                let want: Vec<f64> = ra.iter().zip(rb).map(|(p, q)| p - q).collect();
+                assert_eq!(bits(x.components()), bits(&want), "sub dim {dim}");
+
+                let mut x = pa.clone();
+                x.negate();
+                let want: Vec<u64> = a.iter().map(|p| p.to_bits() ^ (1 << 63)).collect();
+                assert_eq!(bits(x.components()), want, "negate dim {dim}");
+
+                for s in [2.0, -0.5, 0.0, -0.0, f64::INFINITY, TABLE[6]] {
+                    let mut x = pa.clone();
+                    x.scale(s);
+                    let s = black_box(s);
+                    let want: Vec<f64> = ra.iter().map(|p| p * s).collect();
+                    assert_eq!(bits(x.components()), bits(&want), "scale {s} dim {dim}");
+                }
+
+                let mut x = pa.clone();
+                x.set_zero();
+                assert_eq!(bits(x.components()), vec![0; dim], "set_zero dim {dim}");
+
+                // IEEE semantics: 0 == −0, NaN never equal.
+                let eq = |p: &[f64], q: &[f64]| p.iter().zip(q).all(|(u, v)| u == v);
+                assert_eq!(pa.eq_components(&pb), eq(&a, &b), "eq dim {dim}");
+                assert_eq!(pa.eq_components(&pa), eq(&a, &a), "eq self dim {dim}");
+                let mut neg = pa.clone();
+                neg.negate();
+                let is_neg = |p: &[f64], q: &[f64]| p.iter().zip(q).all(|(u, v)| *u == -*v);
+                assert_eq!(pa.is_neg_of(&neg), is_neg(&a, neg.components()));
+                assert_eq!(pa.is_neg_of(&pb), is_neg(&a, &b), "is_neg dim {dim}");
+                assert_eq!(pa.is_neg_of(&neg), !a.iter().any(|v| v.is_nan()));
+
+                let mut x = P::zeros(dim);
+                x.copy_from_components(&b);
+                assert_eq!(bits(x.components()), bits(&b), "copy dim {dim}");
+            }
+        }
+        // Signed zeros compare equal and are each other's negation.
+        let (z, nz) = (P::from_components(&[0.0]), P::from_components(&[-0.0]));
+        assert!(z.eq_components(&nz) && z.is_neg_of(&nz) && z.is_neg_of(&z));
+    }
+
+    #[test]
+    fn provided_arithmetic_matches_reference_bits() {
+        check_provided_arithmetic::<f64>(&[1]);
+        check_provided_arithmetic::<Vec<f64>>(&[1, 3, 4, 7, 16, 24]);
+        // Inline up to the cap, heap-spilled above it.
+        check_provided_arithmetic::<InlineVec>(&[1, 3, 4, 7, INLINE_CAP, INLINE_CAP + 1, 24]);
+        for (dim, inline) in [(INLINE_CAP, true), (INLINE_CAP + 1, false)] {
+            assert_eq!(InlineVec::zeros(dim).is_inline(), inline);
+        }
+        // A dimension change goes through `from_components`.
+        let mut v = vec![1.0; 3];
+        v.copy_from_components(&[2.0, -0.0]);
+        assert_eq!(bits(&v), bits(&[2.0, -0.0]));
+        let mut iv = InlineVec::zeros(3);
+        iv.copy_from_components(&[4.0; INLINE_CAP + 2]);
+        assert!(!iv.is_inline() && iv.components() == [4.0; INLINE_CAP + 2]);
     }
 
     #[test]

@@ -299,9 +299,11 @@ pub struct PushCancelFlow<'g, P: Payload> {
     /// Recycled wire buffers, one arena per engine partition (fed by
     /// [`Protocol::reclaim`] / [`Protocol::part_reclaim`]).
     pools: Vec<Vec<PcfMsg<P>>>,
-    /// Reused estimate buffers for `on_send`, one per engine partition —
-    /// keep heap-spilled payloads (dim above the inline cap)
-    /// allocation-free on the hot path.
+    /// Reused estimate buffers for `on_send`, one per engine partition.
+    /// The estimate does not go into the recycled wire buffer, as PF's
+    /// and FU's do: on hc14 a partition's pool cycles thousands of
+    /// buffers, cold by the time a send pops one, and `scale-faults` ran
+    /// about 4% slower when the estimate waited on that buffer.
     scratches: Vec<Mass<P>>,
 }
 
@@ -379,19 +381,10 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
         total
     }
 
-    #[inline]
-    fn arc(&self, i: NodeId, j: NodeId) -> usize {
-        let slot = self
-            .graph
-            .neighbor_slot(i, j)
-            .expect("message/failure on a non-edge");
-        self.graph.arc_base(i) + slot
-    }
-
     /// Flow `f_{i,j,slot}` (test/inspection hook; `slot` is 1 or 2;
     /// materialises a `Mass` from the flow bank).
     pub fn flow(&self, i: NodeId, j: NodeId, slot: u8) -> Mass<P> {
-        let idx = self.arc(i, j);
+        let idx = self.graph.arc(i, j).expect("not an edge");
         let field = match slot {
             1 => F1,
             2 => F2,
@@ -403,14 +396,9 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
         )
     }
 
-    /// The active-slot indicator `c_{i,j}`.
-    pub fn active_slot(&self, i: NodeId, j: NodeId) -> u8 {
-        self.ctl[self.arc(i, j)].c
-    }
-
     /// The role-swap counter `r_{i,j}`.
     pub fn swap_round(&self, i: NodeId, j: NodeId) -> u64 {
-        self.ctl[self.arc(i, j)].r
+        self.ctl[self.graph.arc(i, j).expect("not an edge")].r
     }
 
     /// The sum-of-flows accumulator `ϕ_i` (diagnostic; its exact meaning
@@ -419,62 +407,50 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
         &self.nodes[i as usize].phi
     }
 
-    /// Live data `e_i` (see module docs for the per-mode formula).
+    /// Live data `e_i` (into a fresh buffer; see `write_live_mass`).
     pub fn estimate_mass(&self, i: NodeId) -> Mass<P> {
-        let node = &self.nodes[i as usize];
-        let mut e = node.init.clone();
-        e.sub_assign(&node.phi);
-        if self.mode == PhiMode::Hardened {
-            // Fused slice kernel over the node's contiguous arc-row range:
-            // per arc, subtract F1 then F2 in slot order — the same
-            // per-component operations in the same order as the former
-            // per-slot loop. Value components and the weight are
-            // independent accumulators, so splitting the weight into its
-            // own (order-preserving) loop is bit-identical too.
-            let base = self.graph.arc_base(i);
-            let deg = self.graph.degree(i);
-            bank::sub_leading2_rows(
-                e.value.components_mut(),
-                self.bank.arc_rows(base, deg),
-                FIELDS,
-            );
-            for s in &self.ctl[base..base + deg] {
-                e.weight -= s.w[F1];
-                e.weight -= s.w[F2];
-            }
-        }
+        let mut e = Mass::zero(self.dim);
+        Self::write_live_mass(
+            self.graph,
+            self.mode,
+            &self.nodes,
+            &self.ctl,
+            &self.bank,
+            i,
+            &mut e,
+        );
         e
     }
 
-    /// [`Self::estimate_mass`] into partition `part`'s reused scratch
-    /// buffer (same operation order, so results are bit-identical) — the
-    /// hot-path variant that never allocates, whatever the payload
-    /// dimension.
-    fn fill_scratch_estimate(&mut self, part: usize, i: NodeId) {
-        let PushCancelFlow {
-            graph,
-            mode,
-            nodes,
-            ctl,
-            bank,
-            scratches,
-            ..
-        } = self;
-        let scratch = &mut scratches[part];
+    /// Write the live data `e_i` into `e` (see the module docs for the
+    /// per-mode formula) — the one definition of the estimate, shared by
+    /// the oracle side ([`Self::estimate_mass`]) and the send side.
+    #[inline(always)]
+    fn write_live_mass(
+        graph: &Graph,
+        mode: PhiMode,
+        nodes: &[NodeState<P>],
+        ctl: &[ArcCtl],
+        fbank: &FlowBank,
+        i: NodeId,
+        e: &mut Mass<P>,
+    ) {
         let node = &nodes[i as usize];
-        scratch.copy_from(&node.init);
-        scratch.sub_assign(&node.phi);
-        if *mode == PhiMode::Hardened {
+        e.copy_from(&node.init);
+        e.sub_assign(&node.phi);
+        if mode == PhiMode::Hardened {
+            // Fused slice kernel over the node's contiguous arc-row range:
+            // per arc, subtract F1 then F2 in slot order — the same
+            // per-component operations in the same order as a per-slot
+            // loop. Value components and the weight are independent
+            // accumulators, so splitting the weight into its own
+            // (order-preserving) loop is bit-identical too.
             let base = graph.arc_base(i);
             let deg = graph.degree(i);
-            bank::sub_leading2_rows(
-                scratch.value.components_mut(),
-                bank.arc_rows(base, deg),
-                FIELDS,
-            );
+            bank::sub_leading2_rows(e.value.components_mut(), fbank.arc_rows(base, deg), FIELDS);
             for s in &ctl[base..base + deg] {
-                scratch.weight -= s.w[F1];
-                scratch.weight -= s.w[F2];
+                e.weight -= s.w[F1];
+                e.weight -= s.w[F2];
             }
         }
     }
@@ -503,7 +479,40 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
             .fold(0.0f64, |a, c| a.max(c.abs()))
     }
 
-    /// Fold a passive flow into the estimate bookkeeping and zero it.
+    /// The PF overwrite rule (Fig. 5 lines 11–12) on flow slot `field`
+    /// of arc `idx`, against the peer's flow `f_ji`: in eager mode first
+    /// `ϕ ← ϕ − (f_ij + f_ji)` (fused per component), then `f_ij ← −f_ji`,
+    /// value and weight. Receipt applies it to the active slot, to a
+    /// non-conserved passive slot (case iii), to the active slot of a fold
+    /// acknowledgement, and to re-sync a passive slot against the peer's
+    /// advertised fold. Always inlined: with four call sites in the
+    /// receive handler, plain `#[inline]` left it an out-of-line call on
+    /// every receipt.
+    #[inline(always)]
+    fn overwrite(
+        mode: PhiMode,
+        phi: &mut Mass<P>,
+        s: &mut ArcCtl,
+        fbank: &mut FlowBank,
+        idx: usize,
+        field: usize,
+        f_ji: &Mass<P>,
+    ) {
+        if mode == PhiMode::Eager {
+            bank::sub_sum(
+                phi.value.components_mut(),
+                fbank.slice(idx, field),
+                f_ji.value.components(),
+            );
+            phi.weight -= s.w[field] + f_ji.weight;
+        }
+        bank::store_neg(fbank.slice_mut(idx, field), f_ji.value.components());
+        s.w[field] = -f_ji.weight;
+    }
+
+    /// Fold a passive flow into the estimate bookkeeping and zero it,
+    /// recording the folded value in the [`FOLDED`] field first (it is
+    /// advertised so the peer can verify its matching fold).
     /// In eager mode ϕ already contains the flow (ϕ tracks the running
     /// sum), so zeroing the slot *is* the fold; in hardened mode the flow
     /// is moved into ϕ explicitly. Either way `e_i` is unchanged.
@@ -520,6 +529,8 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
         field: usize,
         stats: &mut PcfStats,
     ) {
+        fbank.copy_field(idx, field, FOLDED);
+        s.w[FOLDED] = s.w[field];
         {
             let (f, base) = fbank.src_dst(idx, field, BASE);
             if mode == PhiMode::Hardened {
@@ -580,9 +591,7 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
     /// [`Protocol::on_send`] against partition `part`'s arenas.
     fn send_impl(&mut self, part: usize, node: NodeId, target: NodeId) -> PcfMsg<P> {
         // Fig. 5 lines 30–33.
-        let idx = self.arc(node, target);
-        self.fill_scratch_estimate(part, node);
-        self.scratches[part].scale(0.5);
+        let idx = self.graph.arc(node, target).expect("send on a non-edge");
         let eager = self.mode == PhiMode::Eager;
         let mut msg = self.pools[part].pop().unwrap_or_else(|| PcfMsg {
             f1: Mass::zero(self.dim),
@@ -594,13 +603,17 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
             inc: 0,
         });
         let PushCancelFlow {
+            graph,
+            mode,
             nodes,
             ctl,
             bank,
             scratches,
             ..
         } = self;
-        let e = &scratches[part];
+        let e = &mut scratches[part];
+        Self::write_live_mass(graph, *mode, nodes, ctl, bank, node, e);
+        e.scale(0.5);
         let s = &mut ctl[idx];
         let act = act_idx(s.c);
         bank::add(bank.slice_mut(idx, act), e.value.components());
@@ -666,9 +679,8 @@ impl<'g, P: Payload> Protocol for PushCancelFlow<'g, P> {
         // recomputed there, but the neighbor scan is cheap next to the
         // miss this hides.
         #[cfg(target_arch = "x86_64")]
-        if let Some(slot) = self.graph.neighbor_slot(node, peer) {
+        if let Some(idx) = self.graph.arc(node, peer) {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let idx = self.graph.arc_base(node) + slot;
             // SAFETY: prefetch has no memory effects; both pointers are
             // in-bounds elements of live allocations.
             unsafe {
@@ -726,7 +738,7 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
             self.stats[part].rejected_messages += 1;
             return;
         }
-        let idx = self.arc(node, from);
+        let idx = self.graph.arc(node, from).expect("message on a non-edge");
         let i = node as usize;
         let (c_ji, r_ji) = (msg.c, msg.r);
         let mode = self.mode;
@@ -792,51 +804,25 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
         // ignore forever, deadlocking the edge while sends keep paying
         // mass into it.
         let msg_f = [&msg.f1, &msg.f2];
-        let msg_pas_by_msg = msg_f[pas_idx(c_ji)];
-        if s.r + 1 == r_ji && msg_pas_by_msg.is_zero() {
+        let (act, pas) = (act_idx(c_ji), pas_idx(c_ji));
+        if s.r + 1 == r_ji && msg_f[pas].is_zero() {
+            if !(s.w[pas] == -msg.folded.weight
+                && bank::is_neg(bank.slice(idx, pas), msg.folded.value.components()))
             {
-                let pas = pas_idx(c_ji);
-                if !(s.w[pas] == -msg.folded.weight
-                    && bank::is_neg(bank.slice(idx, pas), msg.folded.value.components()))
-                {
-                    // Our passive moved since the peer verified it (only
-                    // possible under message delay): re-sync it with the
-                    // same invariant-preserving overwrite as the
-                    // active-flow rule, so the pairwise fold cancels
-                    // exactly.
-                    if mode == PhiMode::Eager {
-                        bank::sub_sum(
-                            phi.value.components_mut(),
-                            bank.slice(idx, pas),
-                            msg.folded.value.components(),
-                        );
-                        phi.weight -= s.w[pas] + msg.folded.weight;
-                    }
-                    bank::store_neg(bank.slice_mut(idx, pas), msg.folded.value.components());
-                    s.w[pas] = -msg.folded.weight;
-                    stats.fold_resyncs += 1;
-                }
-                bank.copy_field(idx, pas, FOLDED);
-                s.w[FOLDED] = s.w[pas];
-                Self::fold_and_clear(mode, phi, s, bank, idx, pas, stats);
+                // Our passive moved since the peer verified it (only
+                // possible under message delay): re-sync it with the
+                // same invariant-preserving overwrite as the active-flow
+                // rule, so the pairwise fold cancels exactly.
+                Self::overwrite(mode, phi, s, bank, idx, pas, &msg.folded);
+                stats.fold_resyncs += 1;
             }
+            Self::fold_and_clear(mode, phi, s, bank, idx, pas, stats);
             s.r += 1;
             s.c = 3 - c_ji;
             stats.swaps += 1;
             // The message's active slot still carries fresh flow state:
             // apply the plain-PF overwrite to it as well.
-            let msg_act = msg_f[act_idx(c_ji)];
-            let act = act_idx(c_ji);
-            if mode == PhiMode::Eager {
-                bank::sub_sum(
-                    phi.value.components_mut(),
-                    bank.slice(idx, act),
-                    msg_act.value.components(),
-                );
-                phi.weight -= s.w[act] + msg_act.weight;
-            }
-            bank::store_neg(bank.slice_mut(idx, act), msg_act.value.components());
-            s.w[act] = -msg_act.weight;
+            Self::overwrite(mode, phi, s, bank, idx, act, msg_f[act]);
             return;
         }
 
@@ -850,24 +836,10 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
             stats.ignored_messages += 1;
             return;
         }
-        let c = s.c;
-        let msg_act = msg_f[act_idx(c)];
-        let msg_pas = msg_f[pas_idx(c)];
 
-        // Lines 11–12: plain PF on the active slot.
-        let act = act_idx(c);
-        if mode == PhiMode::Eager {
-            // ϕ_i ← ϕ_i − (f_{i,j,c} + f_{j,i,c})
-            bank::sub_sum(
-                phi.value.components_mut(),
-                bank.slice(idx, act),
-                msg_act.value.components(),
-            );
-            phi.weight -= s.w[act] + msg_act.weight;
-        }
-        bank::store_neg(bank.slice_mut(idx, act), msg_act.value.components());
-        s.w[act] = -msg_act.weight;
-        let pas = pas_idx(c);
+        // Lines 11–12: plain PF on the active slot (past the guard, our
+        // slot roles are the message's).
+        Self::overwrite(mode, phi, s, bank, idx, act, msg_f[act]);
 
         // Lines 13–27: passive-slot handling, with *directed* cancellation:
         // only the lower-id endpoint of an edge may initiate a fold (case
@@ -881,29 +853,19 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
         // folds of values that do not cancel, which demonstrably destroys
         // mass (see `ablation_execution_models`).
         let initiator = node < from;
+        let msg_pas = msg_f[pas];
         if initiator
             && msg_pas.weight == -s.w[pas]
             && bank::is_neg(msg_pas.value.components(), bank.slice(idx, pas))
             && s.r == r_ji
         {
             // (i) conservation reached: cancel our passive flow.
-            bank.copy_field(idx, pas, FOLDED);
-            s.w[FOLDED] = s.w[pas];
             Self::fold_and_clear(mode, phi, s, bank, idx, pas, stats);
             s.r += 1;
         } else if s.r <= r_ji {
             // (iii) passive pair not conserved (e.g. after a loss): treat
             // it like an active flow to restore conservation.
-            if mode == PhiMode::Eager {
-                bank::sub_sum(
-                    phi.value.components_mut(),
-                    bank.slice(idx, pas),
-                    msg_pas.value.components(),
-                );
-                phi.weight -= s.w[pas] + msg_pas.weight;
-            }
-            bank::store_neg(bank.slice_mut(idx, pas), msg_pas.value.components());
-            s.w[pas] = -msg_pas.weight;
+            Self::overwrite(mode, phi, s, bank, idx, pas, msg_pas);
         }
         // else: we are ahead of the peer (r_{i,j} > r_{j,i}); wait for it.
     }
@@ -929,7 +891,10 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
         // even numbers, higher on odd — so when *both* ends suspect each
         // other in the same window their independent bumps cannot tie:
         // one side is strictly ahead and the other reconciles toward it.
-        let idx = self.arc(node, neighbor);
+        let idx = self
+            .graph
+            .arc(node, neighbor)
+            .expect("failure on a non-edge");
         let PushCancelFlow {
             nodes,
             ctl,
@@ -976,7 +941,10 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
         // accounting, which no future reconciliation may undo — only the
         // *relative* ledger matters for the adoption overwrite, and both
         // ends of the reborn edge restart it from zero together.
-        let idx = self.arc(node, restarted);
+        let idx = self
+            .graph
+            .arc(node, restarted)
+            .expect("failure on a non-edge");
         let PushCancelFlow {
             nodes,
             ctl,
@@ -1016,7 +984,7 @@ impl<'g, P: Payload> ReductionProtocol for PushCancelFlow<'g, P> {
         // exchange one slot is mid-handoff, but once the exchange
         // completes `f1 + f2` obeys pairwise antisymmetry just like PF's
         // single flow variable.
-        let idx = self.arc(i, j);
+        let idx = self.graph.arc(i, j).expect("not an edge");
         let (f1, f2) = (self.bank.slice(idx, F1), self.bank.slice(idx, F2));
         for ((v, &x), &y) in values.iter_mut().zip(f1).zip(f2) {
             *v = x + y;

@@ -29,8 +29,8 @@ use gr_topology::{Graph, NodeId};
 ///
 /// Flow *values* live in a structure-of-arrays flow bank (one
 /// contiguous, cache-line-aligned `f64` slab over all arcs); flow *weights*
-/// stay in a plain arc-indexed array. Both use the CSR
-/// `arc_base`/`neighbor_slot` indexing.
+/// stay in a plain arc-indexed array. Both are indexed by
+/// [`Graph::arc`].
 pub struct PushFlow<'g, P: Payload> {
     graph: &'g Graph,
     /// Immutable initial data `v_i = (x_i, w_i)`.
@@ -50,10 +50,6 @@ pub struct PushFlow<'g, P: Payload> {
     /// Recycled wire buffers, one arena per engine partition (fed by
     /// [`Protocol::reclaim`] / [`Protocol::part_reclaim`]).
     pools: Vec<Vec<Mass<P>>>,
-    /// Reused estimate buffers for `on_send`, one per engine partition —
-    /// keep heap-spilled payloads (dim above the inline cap)
-    /// allocation-free on the hot path.
-    scratches: Vec<Mass<P>>,
 }
 
 /// The bank's single field: the flow value vector.
@@ -77,7 +73,6 @@ impl<'g, P: Payload> PushFlow<'g, P> {
             compensated: false,
             dim,
             pools: vec![Vec::new()],
-            scratches: vec![Mass::zero(dim)],
         }
     }
 
@@ -128,63 +123,64 @@ impl<'g, P: Payload> PushFlow<'g, P> {
         }
     }
 
-    #[inline]
-    fn arc(&self, i: NodeId, j: NodeId) -> usize {
-        let slot = self
-            .graph
-            .neighbor_slot(i, j)
-            .expect("message/failure on a non-edge");
-        self.graph.arc_base(i) + slot
-    }
-
     /// The flow variable `f_{i,j}` (test/inspection hook; materialises a
     /// `Mass` from the flow bank).
     pub fn flow(&self, i: NodeId, j: NodeId) -> Mass<P> {
-        let idx = self.arc(i, j);
+        let idx = self.graph.arc(i, j).expect("not an edge");
         Mass::new(
             P::from_components(self.bank.slice(idx, FLOW)),
             self.flow_w[idx],
         )
     }
 
-    /// Live data `e_i = v_i − Σ_j f_{i,j}`. By default in plain f64
-    /// arithmetic — the summation order is the neighbor order,
-    /// *deliberately* uncompensated (the cancellation here is the
-    /// phenomenon under study); with
+    /// Live data `e_i = v_i − Σ_j f_{i,j}` (into a fresh buffer; see
+    /// `write_live_mass`).
+    pub fn estimate_mass(&self, i: NodeId) -> Mass<P> {
+        let mut e = Mass::zero(self.dim);
+        self.write_live_mass(i, &mut e);
+        e
+    }
+
+    /// Write `e_i = v_i − Σ_j f_{i,j}` into `e` — the one definition of
+    /// the estimate, shared by the oracle side ([`Self::estimate_mass`])
+    /// and the send side. By default in plain f64 arithmetic — the
+    /// summation order is the neighbor order, *deliberately*
+    /// uncompensated (the cancellation here is the phenomenon under
+    /// study); with
     /// [`with_compensated_estimates`](Self::with_compensated_estimates)
     /// each component is accumulated with a Neumaier sum.
-    pub fn estimate_mass(&self, i: NodeId) -> Mass<P> {
+    #[inline]
+    fn write_live_mass(&self, i: NodeId, e: &mut Mass<P>) {
+        let init = &self.init[i as usize];
         let base = self.graph.arc_base(i);
         let deg = self.graph.degree(i);
         if !self.compensated {
             // Fused slice kernel over the node's contiguous arc rows
             // (single-field bank ⇒ one run) — same per-component
             // subtractions in the same order as a per-slot loop.
-            let mut e = self.init[i as usize].clone();
+            e.copy_from(init);
             bank::sub_rows(e.value.components_mut(), self.bank.arc_rows(base, deg));
             for slot in 0..deg {
                 e.weight -= self.flow_w[base + slot];
             }
-            return e;
+            return;
         }
         // Compensated path: componentwise Neumaier accumulation.
-        let init = &self.init[i as usize];
         let comps = init.value.components();
-        let mut out_vals = vec![0.0; comps.len()];
-        for (k, &v0) in comps.iter().enumerate() {
+        for (k, out) in e.value.components_mut().iter_mut().enumerate() {
             let mut acc = gr_numerics::CompensatedSum::new();
-            acc.add(v0);
+            acc.add(comps[k]);
             for slot in 0..deg {
                 acc.add(-self.bank.slice(base + slot, FLOW)[k]);
             }
-            out_vals[k] = acc.value();
+            *out = acc.value();
         }
         let mut wacc = gr_numerics::CompensatedSum::new();
         wacc.add(init.weight);
         for slot in 0..deg {
             wacc.add(-self.flow_w[base + slot]);
         }
-        Mass::new(P::from_components(&out_vals), wacc.value())
+        e.weight = wacc.value();
     }
 
     /// Replace node `i`'s local input value mid-run (live monitoring, cf.
@@ -208,51 +204,20 @@ impl<'g, P: Payload> PushFlow<'g, P> {
 }
 
 impl<'g, P: Payload> PushFlow<'g, P> {
-    /// [`Self::estimate_mass`] into partition `part`'s reused scratch
-    /// buffer (same operation order, so results are bit-identical) — the
-    /// hot-path variant that never allocates, whatever the payload
-    /// dimension. The opt-in compensated mode still materialises a fresh
-    /// estimate (its Neumaier accumulators are not part of the hot-path
-    /// claim).
-    fn fill_scratch_estimate(&mut self, part: usize, i: NodeId) {
-        if self.compensated {
-            self.scratches[part] = self.estimate_mass(i);
-            return;
-        }
-        let PushFlow {
-            graph,
-            init,
-            bank,
-            flow_w,
-            scratches,
-            ..
-        } = self;
-        let scratch = &mut scratches[part];
-        let base = graph.arc_base(i);
-        let deg = graph.degree(i);
-        scratch.copy_from(&init[i as usize]);
-        bank::sub_rows(scratch.value.components_mut(), bank.arc_rows(base, deg));
-        for slot in 0..deg {
-            scratch.weight -= flow_w[base + slot];
-        }
-    }
-
     /// [`Protocol::on_send`] against partition `part`'s arenas.
     fn send_impl(&mut self, part: usize, node: NodeId, target: NodeId) -> Mass<P> {
         // Fig. 1 lines 8–11: e_i = v_i − Σf; f_{i,k} += e_i/2; send f_{i,k}.
-        self.fill_scratch_estimate(part, node);
-        self.scratches[part].scale(0.5);
-        let idx = self.arc(node, target);
-        bank::add(
-            self.bank.slice_mut(idx, FLOW),
-            self.scratches[part].value.components(),
-        );
-        self.flow_w[idx] += self.scratches[part].weight;
-        // Refill a recycled wire buffer (every field overwritten) instead
-        // of cloning the flow into a fresh allocation.
+        // A recycled wire buffer holds e_i/2 until the flow is updated,
+        // then the flow itself (every field overwritten), so the hot path
+        // never allocates whatever the payload dimension.
         let mut msg = self.pools[part]
             .pop()
             .unwrap_or_else(|| Mass::zero(self.dim));
+        self.write_live_mass(node, &mut msg);
+        msg.scale(0.5);
+        let idx = self.graph.arc(node, target).expect("send on a non-edge");
+        bank::add(self.bank.slice_mut(idx, FLOW), msg.value.components());
+        self.flow_w[idx] += msg.weight;
         msg.value.copy_from_components(self.bank.slice(idx, FLOW));
         msg.weight = self.flow_w[idx];
         msg
@@ -263,15 +228,13 @@ impl<'g, P: Payload> Protocol for PushFlow<'g, P> {
     type Msg = Mass<P>;
 
     // A send touches the sending node's own arc rows / flow weights plus
-    // partition-indexed arenas (scratch estimate, wire-buffer pool); a
+    // its partition's wire-buffer pool; a
     // receive touches the receiving node's mirror arc. Failure hooks
     // touch only the first argument's arcs.
     const PARALLEL_SAFE: bool = true;
 
     fn set_partitions(&mut self, partitions: usize) {
         self.pools.resize_with(partitions, Vec::new);
-        let dim = self.dim;
-        self.scratches.resize_with(partitions, || Mass::zero(dim));
     }
 
     fn on_send(&mut self, node: NodeId, target: NodeId) -> Mass<P> {
@@ -290,7 +253,7 @@ impl<'g, P: Payload> Protocol for PushFlow<'g, P> {
         // our mirror held (possibly corrupted) is discarded — this is the
         // self-healing step. The wire buffer itself goes back to the pool
         // through `reclaim`.
-        let idx = self.arc(node, from);
+        let idx = self.graph.arc(node, from).expect("message on a non-edge");
         bank::store_neg(self.bank.slice_mut(idx, FLOW), msg.value.components());
         self.flow_w[idx] = -msg.weight;
     }
@@ -307,7 +270,10 @@ impl<'g, P: Payload> Protocol for PushFlow<'g, P> {
         // Permanent-failure handling: zero the flow, algorithmically
         // excluding the dead link (paper Sec. II-C). This is exactly the
         // step whose impact PCF bounds.
-        let idx = self.arc(node, neighbor);
+        let idx = self
+            .graph
+            .arc(node, neighbor)
+            .expect("failure on a non-edge");
         self.bank.fill_zero(idx, FLOW);
         self.flow_w[idx] = 0.0;
     }
@@ -347,7 +313,7 @@ impl<'g, P: Payload> ReductionProtocol for PushFlow<'g, P> {
     }
 
     fn write_flow(&self, i: NodeId, j: NodeId, values: &mut [f64]) -> Option<f64> {
-        let idx = self.arc(i, j);
+        let idx = self.graph.arc(i, j).expect("not an edge");
         values.copy_from_slice(self.bank.slice(idx, FLOW));
         Some(self.flow_w[idx])
     }
@@ -535,7 +501,7 @@ mod tests {
         sim.run(50);
         {
             let pf = sim.protocol_mut();
-            let idx = pf.arc(0, 1);
+            let idx = pf.graph.arc(0, 1).unwrap();
             let f = &mut pf.bank.slice_mut(idx, FLOW)[0];
             *f = -*f; // sign flip
         }
@@ -559,7 +525,7 @@ mod tests {
         sim.run(50);
         {
             let pf = sim.protocol_mut();
-            let idx = pf.arc(0, 1);
+            let idx = pf.graph.arc(0, 1).unwrap();
             pf.bank.slice_mut(idx, FLOW)[0] = 1e30;
         }
         sim.run(2000);

@@ -69,8 +69,7 @@ impl<'g> GraphMatrix<'g> {
                 if u < v {
                     let w = lo + rng.random::<f64>() * (hi - lo);
                     weights[graph.arc_base(u) + slot] = w;
-                    let back = graph.neighbor_slot(v, u).unwrap();
-                    weights[graph.arc_base(v) + back] = w;
+                    weights[graph.arc(v, u).expect("adjacency is symmetric")] = w;
                 }
             }
         }
@@ -91,10 +90,7 @@ impl<'g> GraphMatrix<'g> {
         if i == j {
             return self.diag[i as usize];
         }
-        match self.graph.neighbor_slot(i, j) {
-            Some(slot) => self.weights[self.graph.arc_base(i) + slot],
-            None => 0.0,
-        }
+        self.graph.arc(i, j).map_or(0.0, |arc| self.weights[arc])
     }
 
     /// Dense mat-vec (reference oracle for tests; the distributed path is

@@ -100,6 +100,15 @@ impl Graph {
         self.offsets[i as usize]
     }
 
+    /// Flat index of the directed arc `i → j` (`arc_base(i) +
+    /// neighbor_slot(i, j)`), or `None` if `i` and `j` are not adjacent.
+    /// This is the one lookup behind every arc-indexed array — flow
+    /// banks, dead-arc masks, silence clocks, link-load counters.
+    #[inline]
+    pub fn arc(&self, i: NodeId, j: NodeId) -> Option<usize> {
+        Some(self.arc_base(i) + self.neighbor_slot(i, j)?)
+    }
+
     /// Total number of directed arcs (`2 × edge_count`).
     #[inline]
     pub fn arc_count(&self) -> usize {
@@ -293,6 +302,9 @@ mod tests {
         assert_eq!(g.neighbor_slot(2, 3), Some(2));
         assert_eq!(g.neighbor_slot(2, 2), None);
         assert_eq!(g.neighbor_slot(0, 3), None);
+        assert_eq!(g.arc(2, 3), Some(g.arc_base(2) + 2));
+        assert_eq!(g.arc(1, 2), Some(g.arc_base(1)));
+        assert_eq!(g.arc(0, 3), None);
     }
 
     #[test]

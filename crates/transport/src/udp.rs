@@ -119,11 +119,6 @@ impl<M: WireMsg> UdpDelivery<M> {
         self.node
     }
 
-    /// The socket address this node is reachable at.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.peers[self.node as usize]
-    }
-
     /// Traffic counters so far.
     pub fn wire_stats(&self) -> WireStats {
         self.stats
