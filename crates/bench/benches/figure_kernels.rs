@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gr_experiments::figures::{bus_example, failure_trajectory, FailureTrajOpts};
 use gr_linalg::Matrix;
-use gr_netsim::FaultPlan;
+use gr_netsim::{FaultPlan, SimOptions};
 use gr_reduction::{run_reduction, AggregateKind, Algorithm, InitialData, PhiMode, RunConfig};
 use gr_topology::{hypercube, torus3d};
 
@@ -35,6 +35,7 @@ fn fig3_6_accuracy_point(c: &mut Criterion) {
                     FaultPlan::none(),
                     42,
                     RunConfig::to_accuracy(1e-14, 20_000),
+                    SimOptions::default(),
                 )
             })
         });

@@ -24,7 +24,7 @@
 //!   (~1e±300) — while tolerating every legitimate transient.
 
 use crate::scenario::{Lane, Scenario};
-use gr_reduction::{Algorithm, InitialData, Payload, ReductionProtocol};
+use gr_reduction::{Algorithm, Checkpoint, InitialData, Payload, ReductionProtocol};
 use gr_topology::NodeId;
 
 /// The checked invariant set. Order in [`Invariant::label`]'s doc is the
@@ -33,7 +33,7 @@ use gr_topology::NodeId;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Invariant {
     /// Σ over alive nodes of `(value, weight)` mass equals the expected
-    /// total (re-based when the alive set shrinks).
+    /// total (re-based when the alive set changes).
     MassConservation,
     /// `f_ij == −f_ji` per edge, componentwise and in the weight, to the
     /// lane/algorithm tolerance (PF/FU exact; PCF bounded by the
@@ -92,8 +92,6 @@ pub struct Oracle {
     expected_values: Vec<f64>,
     /// Expected Σ weight over the tracked alive set.
     expected_weight: f64,
-    /// Alive count at the last checkpoint (shrink ⇒ re-base).
-    alive_count: usize,
     /// Round of the last scheduled fault (0 when none).
     last_fault_round: u64,
     /// Best error observed at/after `last_fault_round`.
@@ -160,7 +158,6 @@ impl Oracle {
             dim,
             expected_values,
             expected_weight,
-            alive_count: n,
             last_fault_round: sc.last_fault_round(),
             best_err_after_fault: f64::INFINITY,
             mass_tol,
@@ -176,16 +173,17 @@ impl Oracle {
         }
     }
 
-    /// Run the per-checkpoint invariants. `edges` must list the mutually
-    /// believed-alive edges `(i, j)` with `i < j`.
+    /// Run the per-checkpoint invariants over the alive set `checkpoint`
+    /// sampled at `round`. `edges` must list the mutually believed-alive
+    /// edges `(i, j)` with `i < j`.
     pub fn check_step<Pr: ReductionProtocol + ?Sized>(
         &mut self,
         proto: &Pr,
-        alive: &[NodeId],
+        checkpoint: &Checkpoint,
         edges: &[(NodeId, NodeId)],
         round: u64,
     ) -> Option<Violation> {
-        self.check_mass(proto, alive, round)
+        self.check_mass(proto, checkpoint, round)
             .or_else(|| self.check_flows(proto, edges, round))
     }
 
@@ -260,9 +258,10 @@ impl Oracle {
     fn check_mass<Pr: ReductionProtocol + ?Sized>(
         &mut self,
         proto: &Pr,
-        alive: &[NodeId],
+        checkpoint: &Checkpoint,
         round: u64,
     ) -> Option<Violation> {
+        let alive = checkpoint.alive();
         let mut buf = vec![0.0f64; self.dim];
         let mut vsum = vec![0.0f64; self.dim];
         let mut wsum = 0.0;
@@ -289,13 +288,12 @@ impl Oracle {
             }
             wsum += w;
         }
-        if alive.len() != self.alive_count {
+        if checkpoint.alive_changed() {
             // The alive set changed since the last checkpoint — dead
             // nodes took their current holdings with them, a restarted
             // node re-contributed its initial mass — so re-base the
             // expectation on the observed total. (Exact loss accounting
             // would need a snapshot at the crash/restart instant.)
-            self.alive_count = alive.len();
             self.expected_values = vsum;
             self.expected_weight = wsum;
             return None;

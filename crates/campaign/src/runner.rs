@@ -15,10 +15,9 @@ use crate::oracle::{Oracle, Violation};
 use crate::scenario::{Scenario, Workload};
 use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantProtocol, TenantSpec};
 use gr_netsim::{SimStats, Simulator, Trace};
-use gr_numerics::{relative_error, Dd};
 use gr_reduction::{
-    mass_reference, AggregateKind, Algorithm, FlowUpdating, InitialData, InlineVec, Payload,
-    PushCancelFlow, PushFlow, PushSum, ReductionProtocol,
+    AggregateKind, Algorithm, Checkpoint, ErrorSample, FlowUpdating, InitialData, InlineVec,
+    Payload, PushCancelFlow, PushFlow, PushSum, ReductionProtocol,
 };
 use gr_topology::{Graph, NodeId};
 use rand::prelude::*;
@@ -208,10 +207,7 @@ fn drive<P: Payload, Pr: ReductionProtocol>(
         sim.enable_trace(cap);
     }
 
-    let mut oracle = Oracle::new(sc, data);
-    let mut refs = data.reference();
-    let mut alive_count = graph.len();
-    let mut crashed = false;
+    let mut tenants = [Tenant::new(sc, data)];
 
     loop {
         sim.step();
@@ -221,29 +217,17 @@ fn drive<P: Payload, Pr: ReductionProtocol>(
             continue;
         }
 
-        let alive: Vec<NodeId> = sim.alive_nodes().collect();
-        if alive.len() != alive_count {
-            alive_count = alive.len();
-            crashed = true;
-        }
-        if crashed {
-            // Same policy as the experiment runner: after a crash the
-            // survivors' achievable aggregate is the ratio of their
-            // remaining mass, recomputed at every sample because any
-            // single snapshot is distorted by in-flight error.
-            refs = mass_reference(sim.protocol(), alive.iter().copied())
-                .unwrap_or_else(|| vec![Dd::ZERO; data.dim()]);
-        }
-        let (err, worst_node) = worst_error(sim.protocol(), &refs, &alive);
-        oracle.note_error(round, err);
-
-        let edges = mutual_edges(&alive, |i| sim.believed_alive(i));
-        let mut violation = oracle.check_step(sim.protocol(), &alive, &edges, round);
-        let converged = sc.target_accuracy > 0.0 && err <= sc.target_accuracy;
-        if violation.is_none() && (converged || done) {
-            violation = oracle.check_end(sc, round, err, worst_node);
-        }
-        if violation.is_some() || converged || done {
+        let check = |_, tenant: &mut Tenant| {
+            tenant.check(
+                sim.protocol(),
+                sim.alive_nodes(),
+                |i| sim.believed_alive(i),
+                round,
+            )
+        };
+        if let Some((err, violation)) =
+            check_tenants(sc, &mut tenants, round, done, check, |_, v| v)
+        {
             let result = ScenarioResult {
                 hash: sc.hash(),
                 template: sc.template.clone(),
@@ -326,7 +310,6 @@ fn drive_batch<P: TenantProtocol + ReductionProtocol>(
     protocol: P,
     exec: Exec,
 ) -> ScenarioResult {
-    let n_t = specs.len();
     let opts = BatchOptions {
         threads: exec.sim_threads.max(1),
         ..BatchOptions::default()
@@ -334,16 +317,15 @@ fn drive_batch<P: TenantProtocol + ReductionProtocol>(
     let mut sim = BatchSim::new(host, protocol, specs, opts)
         .unwrap_or_else(|e| panic!("scenario {}: invalid batch options: {e}", sc.hash()));
 
-    // Per-tenant oracle state, each against that tenant's own data.
-    let per_data: Vec<InitialData<f64>> = specs
+    // Each tenant is checked against its own data.
+    let mut tenants: Vec<Tenant> = specs
         .iter()
-        .map(|s| InitialData::with_kind(s.values.clone(), AggregateKind::Average))
+        .map(|s| {
+            let data = InitialData::with_kind(s.values.clone(), AggregateKind::Average);
+            Tenant::new(sc, &data)
+        })
         .collect();
-    let mut oracles: Vec<Oracle> = per_data.iter().map(|d| Oracle::new(sc, d)).collect();
-    let mut refs: Vec<Vec<Dd>> = per_data.iter().map(|d| d.reference()).collect();
-    let mut alive_counts: Vec<usize> = specs.iter().map(|s| s.graph.len()).collect();
-    let mut crashed = vec![false; n_t];
-    let mut errs = vec![(0.0f64, 0 as NodeId); n_t];
+    let localize = |t: usize, v: Violation| localize_violation(v, t, host.tenant_nodes(t).start);
 
     loop {
         sim.step_round();
@@ -353,51 +335,19 @@ fn drive_batch<P: TenantProtocol + ReductionProtocol>(
             continue;
         }
 
-        let mut violation: Option<Violation> = None;
-        for t in 0..n_t {
-            let node_base = host.tenant_nodes(t).start;
-            let alive: Vec<NodeId> = sim.tenant_alive_nodes(t).collect();
-            if alive.len() != alive_counts[t] {
-                alive_counts[t] = alive.len();
-                crashed[t] = true;
-            }
-            if crashed[t] {
-                // Same survivor-mass re-basing as the classic driver,
-                // scoped to the tenant's node block.
-                refs[t] = mass_reference(sim.protocol(), alive.iter().copied())
-                    .unwrap_or_else(|| vec![Dd::ZERO; per_data[t].dim()]);
-            }
-            let (err, worst_node) = worst_error(sim.protocol(), &refs[t], &alive);
-            oracles[t].note_error(round, err);
-            errs[t] = (err, worst_node);
-            if violation.is_none() {
-                let edges = mutual_edges(&alive, |i| sim.believed_alive(i));
-                violation = oracles[t]
-                    .check_step(sim.protocol(), &alive, &edges, round)
-                    .map(|v| localize_violation(v, t, node_base));
-            }
-        }
-        // The reported error is the worst tenant's — one number that
-        // bounds the whole fleet.
-        let (final_err, _) =
-            errs.iter().fold(
-                (0.0f64, 0 as NodeId),
-                |acc, &e| if e.0 > acc.0 { e } else { acc },
-            );
-        let converged = sc.target_accuracy > 0.0 && final_err <= sc.target_accuracy;
-        if violation.is_none() && (converged || done) {
-            for t in 0..n_t {
-                let node_base = host.tenant_nodes(t).start;
-                let (err, worst_node) = errs[t];
-                if let Some(v) = oracles[t].check_end(sc, round, err, worst_node) {
-                    violation = Some(localize_violation(v, t, node_base));
-                    break;
-                }
-            }
-        }
-        if violation.is_some() || converged || done {
+        let check = |t, tenant: &mut Tenant| {
+            tenant.check(
+                sim.protocol(),
+                sim.tenant_alive_nodes(t),
+                |i| sim.believed_alive(i),
+                round,
+            )
+        };
+        if let Some((final_err, violation)) =
+            check_tenants(sc, &mut tenants, round, done, check, localize)
+        {
             let mut stats = SimStats::default();
-            for t in 0..n_t {
+            for t in 0..tenants.len() {
                 stats.merge(&sim.tenant_stats(t));
             }
             stats.rounds = round;
@@ -417,6 +367,42 @@ fn drive_batch<P: TenantProtocol + ReductionProtocol>(
     }
 }
 
+/// One oracle checkpoint over every tenant after `round`: `check` runs
+/// [`Tenant::check`] on tenant `t` against its engine, and `localize` maps
+/// a tenant's violation into the report's node ids. The first violation
+/// in tenant order wins, and the reported error is the worst tenant's —
+/// one number that bounds the whole fleet. Returns that error and the
+/// violation, if any, when the run ends at this checkpoint.
+fn check_tenants(
+    sc: &Scenario,
+    tenants: &mut [Tenant],
+    round: u64,
+    done: bool,
+    mut check: impl FnMut(usize, &mut Tenant) -> Option<Violation>,
+    localize: impl Fn(usize, Violation) -> Violation,
+) -> Option<(f64, Option<Violation>)> {
+    let mut violation = None;
+    for (t, tenant) in tenants.iter_mut().enumerate() {
+        let v = check(t, tenant);
+        violation = violation.or_else(|| v.map(|v| localize(t, v)));
+    }
+    let err = tenants.iter().fold(0.0f64, |acc, tenant| {
+        if tenant.last.max > acc {
+            tenant.last.max
+        } else {
+            acc
+        }
+    });
+    let converged = sc.target_accuracy > 0.0 && err <= sc.target_accuracy;
+    if violation.is_none() && (converged || done) {
+        violation = tenants
+            .iter()
+            .enumerate()
+            .find_map(|(t, tenant)| tenant.check_end(sc, round).map(|v| localize(t, v)));
+    }
+    (violation.is_some() || converged || done).then_some((err, violation))
+}
+
 /// Map a violation caught in union-graph coordinates back to the
 /// tenant-local node id, and stamp the tenant index into the detail.
 fn localize_violation(v: Violation, tenant: usize, node_base: NodeId) -> Violation {
@@ -427,31 +413,51 @@ fn localize_violation(v: Violation, tenant: usize, node_base: NodeId) -> Violati
     }
 }
 
-/// Max relative error over the alive set, with the worst node attributed
-/// (ties break to the lowest node id; an all-zero-error run attributes to
-/// the first alive node).
-fn worst_error<Pr: ReductionProtocol + ?Sized>(
-    proto: &Pr,
-    refs: &[Dd],
-    alive: &[NodeId],
-) -> (f64, NodeId) {
-    let mut buf = vec![0.0; proto.dim()];
-    let mut worst = 0.0f64;
-    let mut worst_node = alive.first().copied().unwrap_or(0);
-    for &i in alive {
-        proto.write_estimate(i, &mut buf);
-        let mut node_err = 0.0f64;
-        for (k, &r) in refs.iter().enumerate() {
-            // `relative_error` maps a destroyed (non-finite) estimate to
-            // +∞, so NaN never slips through a max fold here.
-            node_err = node_err.max(relative_error(buf[k], r));
-        }
-        if node_err > worst {
-            worst = node_err;
-            worst_node = i;
+/// One tenant's oracle state: the checkpoint that measures it and the
+/// oracle that checks it. A single-simulator run is tenant 0.
+struct Tenant {
+    checkpoint: Checkpoint,
+    oracle: Oracle,
+    /// The sample of the last checkpoint.
+    last: ErrorSample,
+}
+
+impl Tenant {
+    fn new<P: Payload>(sc: &Scenario, data: &InitialData<P>) -> Self {
+        Tenant {
+            checkpoint: Checkpoint::new(data),
+            oracle: Oracle::new(sc, data),
+            last: ErrorSample {
+                round: 0,
+                max: f64::INFINITY,
+                median: f64::INFINITY,
+                worst: 0,
+            },
         }
     }
-    (worst, worst_node)
+
+    /// Measure the tenant after `round` and run the per-checkpoint
+    /// invariants over its `alive` nodes. `believed` is the engine's
+    /// believed-alive list, in the same node ids as `alive`.
+    fn check<'a, Pr: ReductionProtocol + ?Sized>(
+        &mut self,
+        proto: &Pr,
+        alive: impl Iterator<Item = NodeId>,
+        believed: impl Fn(NodeId) -> &'a [NodeId],
+        round: u64,
+    ) -> Option<Violation> {
+        self.last = self.checkpoint.sample(proto, alive, round);
+        self.oracle.note_error(round, self.last.max);
+        let edges = mutual_edges(self.checkpoint.alive(), believed);
+        self.oracle
+            .check_step(proto, &self.checkpoint, &edges, round)
+    }
+
+    /// Run the end-of-run invariants on the last checkpoint's sample.
+    fn check_end(&self, sc: &Scenario, round: u64) -> Option<Violation> {
+        self.oracle
+            .check_end(sc, round, self.last.max, self.last.worst)
+    }
 }
 
 /// Edges `(i, j)`, `i < j`, whose endpoints are both alive and mutually

@@ -8,9 +8,8 @@ use crate::output::{fmt_err, Table};
 use crate::parallel::par_map;
 use gr_netsim::{Activation, DelayModel, FaultPlan, Schedule, SimOptions, Simulator};
 use gr_reduction::{
-    measure_error, run_reduction, run_with_options, AggregateKind, Algorithm, ErrorSample,
-    FlowUpdating, InitialData, PhiMode, PushCancelFlow, PushFlow, PushSum, ReductionProtocol,
-    RunConfig,
+    run_reduction, run_with_options, AggregateKind, Algorithm, Checkpoint, ErrorSample,
+    InitialData, PhiMode, PushCancelFlow, PushFlow, ReductionProtocol, RunConfig,
 };
 use gr_topology::{hypercube, torus3d, Graph};
 use serde::Serialize;
@@ -102,7 +101,15 @@ pub fn accuracy_sweep(name: &str, algorithm: Algorithm, opts: &AccuracySweepOpts
             record_every: 0,
             plateau_window: Some(o.plateau),
         };
-        let r = run_reduction(algorithm, &graph, &data, FaultPlan::none(), o.seed, cfg);
+        let r = run_reduction(
+            algorithm,
+            &graph,
+            &data,
+            FaultPlan::none(),
+            o.seed,
+            cfg,
+            SimOptions::default(),
+        );
         AccuracyRow {
             topology: job.topo,
             aggregate: job.kind.label(),
@@ -178,7 +185,15 @@ pub fn failure_trajectory(
         None => FaultPlan::none(),
     };
     let cfg = RunConfig::fixed(opts.rounds, 1);
-    let r = run_reduction(algorithm, &graph, &data, plan, opts.seed, cfg);
+    let r = run_reduction(
+        algorithm,
+        &graph,
+        &data,
+        plan,
+        opts.seed,
+        cfg,
+        SimOptions::default(),
+    );
     r.series
 }
 
@@ -475,7 +490,15 @@ pub fn message_loss_ablation(name: &str, cube_dim: u32, seed: u64, threads: usiz
             record_every: 0,
             plateau_window: Some(3000),
         };
-        let r = run_reduction(alg, &graph, &data, FaultPlan::with_loss(p), seed, cfg);
+        let r = run_reduction(
+            alg,
+            &graph,
+            &data,
+            FaultPlan::with_loss(p),
+            seed,
+            cfg,
+            SimOptions::default(),
+        );
         LossRow {
             algorithm: alg.label(),
             loss_prob: p,
@@ -530,13 +553,17 @@ fn bit_flip_episode<Pr: ReductionProtocol>(
     recovery_rounds: u64,
     seed: u64,
 ) -> (f64, f64, u64) {
-    let refs = data.reference();
+    let mut checkpoint = Checkpoint::new(data);
     let mut sim = Simulator::new(graph, protocol, FaultPlan::with_bit_flips(p), seed);
     sim.run(episode_rounds);
-    let mid = measure_error(sim.protocol(), &refs, sim.alive_nodes(), sim.round()).max;
+    let mid = checkpoint
+        .sample(sim.protocol(), sim.alive_nodes(), sim.round())
+        .max;
     sim.set_fault_plan(FaultPlan::none());
     sim.run(recovery_rounds);
-    let fin = measure_error(sim.protocol(), &refs, sim.alive_nodes(), sim.round()).max;
+    let fin = checkpoint
+        .sample(sim.protocol(), sim.alive_nodes(), sim.round())
+        .max;
     (mid, fin, sim.stats().bit_flips)
 }
 
@@ -677,7 +704,7 @@ pub fn node_crash_ablation(name: &str, cube_dim: u32, seed: u64, threads: usize)
         let data = InitialData::uniform_random(n, AggregateKind::Average, seed ^ 0xC4A5);
         let plan = FaultPlan::none().crash_node((n / 2) as u32, t0);
         let cfg = RunConfig::to_accuracy(1e-13, 60_000);
-        let r = run_reduction(alg, &graph, &data, plan, seed, cfg);
+        let r = run_reduction(alg, &graph, &data, plan, seed, cfg, SimOptions::default());
         CrashRow {
             algorithm: alg.label(),
             crash_round: t0,
@@ -765,44 +792,7 @@ pub fn execution_model_ablation(name: &str, cube_dim: u32, seed: u64, threads: u
         let graph = hypercube(cube_dim);
         let data = InitialData::uniform_random(n, AggregateKind::Average, seed ^ 0xE8EC);
         let cfg = RunConfig::to_accuracy(1e-12, 100_000);
-        let r = match alg {
-            Algorithm::PushFlow => run_with_options(
-                &graph,
-                PushFlow::new(&graph, &data),
-                &data,
-                FaultPlan::none(),
-                seed,
-                cfg,
-                o,
-            ),
-            Algorithm::PushCancelFlow(mode) => run_with_options(
-                &graph,
-                PushCancelFlow::with_mode(&graph, &data, mode),
-                &data,
-                FaultPlan::none(),
-                seed,
-                cfg,
-                o,
-            ),
-            Algorithm::FlowUpdating => run_with_options(
-                &graph,
-                FlowUpdating::new(&graph, &data),
-                &data,
-                FaultPlan::none(),
-                seed,
-                cfg,
-                o,
-            ),
-            Algorithm::PushSum => run_with_options(
-                &graph,
-                PushSum::new(&graph, &data),
-                &data,
-                FaultPlan::none(),
-                seed,
-                cfg,
-                o,
-            ),
-        };
+        let r = run_reduction(alg, &graph, &data, FaultPlan::none(), seed, cfg, o);
         ExecModelRow {
             algorithm: alg.label(),
             model: label,
@@ -871,29 +861,32 @@ pub fn compensated_pf_ablation(name: &str, max_exp: u32, seed: u64, threads: usi
             plateau_window: Some(4000),
         };
         let r = match alg {
-            "PF" => gr_reduction::run_with_protocol(
+            "PF" => run_with_options(
                 &graph,
                 PushFlow::new(&graph, &data),
                 &data,
                 FaultPlan::none(),
                 seed,
                 cfg,
+                SimOptions::default(),
             ),
-            "PF-compensated" => gr_reduction::run_with_protocol(
+            "PF-compensated" => run_with_options(
                 &graph,
                 PushFlow::new(&graph, &data).with_compensated_estimates(),
                 &data,
                 FaultPlan::none(),
                 seed,
                 cfg,
+                SimOptions::default(),
             ),
-            _ => gr_reduction::run_with_protocol(
+            _ => run_with_options(
                 &graph,
                 PushCancelFlow::new(&graph, &data),
                 &data,
                 FaultPlan::none(),
                 seed,
                 cfg,
+                SimOptions::default(),
             ),
         };
         CompPfRow {

@@ -377,7 +377,9 @@ impl<P: Payload> Mass<P> {
     }
 
     /// `true` iff value and weight are all exactly zero.
-    #[inline]
+    // `always`: PCF's receive handler calls this once per receipt, and a
+    // plain `#[inline]` left it an out-of-line call there.
+    #[inline(always)]
     pub fn is_zero(&self) -> bool {
         self.weight == 0.0 && self.value.components().iter().all(|&c| c == 0.0)
     }

@@ -6,7 +6,8 @@
 //! (which the experimenter — unlike the nodes — knows exactly). This
 //! module packages that skeleton once, with oracle-based stopping rules
 //! (target accuracy, error plateau, round cap) and optional error-series
-//! recording for the figure harness.
+//! recording for the figure harness. Every run here and in the campaign
+//! is measured through one [`Checkpoint`].
 
 use crate::aggregate::InitialData;
 use crate::flow_updating::FlowUpdating;
@@ -15,7 +16,7 @@ use crate::protocol::ReductionProtocol;
 use crate::push_cancel_flow::{PhiMode, PushCancelFlow};
 use crate::push_flow::PushFlow;
 use crate::push_sum::PushSum;
-use gr_netsim::{FaultPlan, Schedule, SimOptions, SimStats, Simulator};
+use gr_netsim::{FaultPlan, SimOptions, SimStats, Simulator};
 use gr_numerics::{Dd, RelErr};
 use gr_topology::{Graph, NodeId};
 
@@ -117,6 +118,10 @@ pub struct ErrorSample {
     pub max: f64,
     /// Median over alive nodes of the (per-node max-component) error.
     pub median: f64,
+    /// The alive node with the largest error: the first in alive order
+    /// (the lowest id) on ties, the first alive node when every error is
+    /// zero.
+    pub worst: NodeId,
 }
 
 /// Everything a run produced.
@@ -136,40 +141,10 @@ pub struct RunResult {
     pub sim: SimStats,
 }
 
-/// The achievable aggregate over the given nodes, computed by the oracle
-/// from the protocol's *current* mass: after a fail-stop crash the dead
-/// node's current holding is gone for good, and the survivors' target is
-/// the ratio of their remaining total mass. `None` if the remaining
-/// weights sum to zero (e.g. a SUM reduction whose weight-bearing node
-/// died — the aggregate is then undefined).
-pub fn mass_reference<P: ReductionProtocol + ?Sized>(
-    proto: &P,
-    nodes: impl Iterator<Item = NodeId>,
-) -> Option<Vec<Dd>> {
-    let mut out = Vec::new();
-    Measurer::new()
-        .mass_reference(proto, nodes, &mut out)
-        .then_some(out)
-}
-
-/// Measure the current error of `proto` against per-component references,
-/// over the given alive nodes.
-pub fn measure_error<P: ReductionProtocol + ?Sized>(
-    proto: &P,
-    refs: &[Dd],
-    alive: impl Iterator<Item = NodeId>,
-    round: u64,
-) -> ErrorSample {
-    Measurer::new().measure_error(proto, refs, alive, round)
-}
-
 /// Reusable scratch space for the oracle measurements. The run loop
 /// samples the error every few rounds; with a `Measurer` those samples
 /// reuse the same estimate/sort buffers instead of allocating four
 /// vectors per sample, which keeps the steady-state loop allocation-free.
-/// The free functions [`mass_reference`] and [`measure_error`] are
-/// one-shot wrappers around a fresh `Measurer`; results are bitwise
-/// identical either way.
 #[derive(Clone, Debug, Default)]
 pub struct Measurer {
     /// Per-node estimate buffer (`dim` wide).
@@ -188,9 +163,12 @@ impl Measurer {
         Self::default()
     }
 
-    /// In-place [`mass_reference`]: writes the survivors' achievable
-    /// aggregate into `out` and returns `true`, or returns `false`
-    /// leaving `out` untouched when the remaining weight is zero (the
+    /// The achievable aggregate over `nodes`, from the protocol's
+    /// *current* mass: after a fail-stop crash the dead node's holding is
+    /// gone for good, and the survivors' target is the ratio of their
+    /// remaining total mass. Writes it into `out` and returns `true`, or
+    /// returns `false` leaving `out` untouched when the remaining weight
+    /// is zero (e.g. a SUM reduction whose weight-bearing node died — the
     /// aggregate is then undefined).
     pub fn mass_reference<P: ReductionProtocol + ?Sized>(
         &mut self,
@@ -219,7 +197,8 @@ impl Measurer {
         true
     }
 
-    /// In-place [`measure_error`]: identical arithmetic, reused buffers.
+    /// The current error of `proto` over the `alive` nodes against the
+    /// per-component references `refs`.
     pub fn measure_error<P: ReductionProtocol + ?Sized>(
         &mut self,
         proto: &P,
@@ -231,20 +210,24 @@ impl Measurer {
         self.buf.clear();
         self.buf.resize(dim, 0.0);
         self.per_node.clear();
+        let mut worst: Option<(NodeId, f64)> = None;
         for i in alive {
             proto.write_estimate(i, &mut self.buf);
-            let mut worst = 0.0f64;
+            let mut node_err = 0.0f64;
             for (k, &r) in refs.iter().enumerate() {
                 let e = gr_numerics::relative_error(self.buf[k], r);
                 // NB: `f64::max` would silently drop a NaN operand; treat
                 // any non-comparable value as a destroyed estimate.
                 if e.is_nan() {
-                    worst = f64::INFINITY;
+                    node_err = f64::INFINITY;
                 } else {
-                    worst = worst.max(e);
+                    node_err = node_err.max(e);
                 }
             }
-            self.per_node.push(worst);
+            if worst.is_none_or(|(_, max)| node_err > max) {
+                worst = Some((i, node_err));
+            }
+            self.per_node.push(node_err);
         }
         // RelErr against a zero reference returns absolute values — i.e.
         // the numbers themselves; reuse its max/median machinery (the
@@ -254,59 +237,90 @@ impl Measurer {
             round,
             max: e.max,
             median: e.median,
+            worst: worst.map_or(0, |(i, _)| i),
         }
     }
 }
 
-/// Drive an already-constructed protocol under the standard loop.
-/// Exposed so callers with custom protocols (or vector payloads) can reuse
-/// the stopping/recording logic; most callers want [`run_reduction`].
-pub fn run_with_protocol<Pr, P>(
-    graph: &Graph,
-    protocol: Pr,
-    data: &InitialData<P>,
-    plan: FaultPlan,
-    seed: u64,
-    cfg: RunConfig,
-) -> RunResult
-where
-    P: Payload,
-    Pr: ReductionProtocol,
-{
-    run_with_schedule(graph, protocol, data, plan, seed, cfg, Schedule::uniform())
+/// The oracle's measuring point for one run: the one place that decides
+/// what a run's error is measured against, and measures it.
+///
+/// The reference starts as the initial data's exact aggregate. Once the
+/// alive set first changes size (a crash, or a restart), that reference
+/// is void: the dead node took its current holding with it. From then on
+/// the reference is the survivors' achievable aggregate, the ratio of
+/// their remaining mass ([`Measurer::mass_reference`]). In-flight
+/// (crossing) exchanges distort any single snapshot of that ratio by
+/// O(current error), so it is recomputed at *every* sample; it
+/// stabilises exactly as consensus forms. When the remaining weight is
+/// zero the reference is zero and errors read as absolute values.
+#[derive(Clone, Debug)]
+pub struct Checkpoint {
+    measurer: Measurer,
+    /// Per-component reference of the next sample.
+    refs: Vec<Dd>,
+    /// The alive set of the last sample (before the first sample, the
+    /// data's full node set).
+    alive: Vec<NodeId>,
+    /// The last sample's alive set differs in size from the one before.
+    changed: bool,
+    /// The alive set has changed at some sample: measure against the
+    /// survivors' mass from now on.
+    rebased: bool,
 }
 
-/// [`run_with_protocol`] with an explicit schedule.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_schedule<Pr, P>(
-    graph: &Graph,
-    protocol: Pr,
-    data: &InitialData<P>,
-    plan: FaultPlan,
-    seed: u64,
-    cfg: RunConfig,
-    schedule: Schedule,
-) -> RunResult
-where
-    P: Payload,
-    Pr: ReductionProtocol,
-{
-    run_with_options(
-        graph,
-        protocol,
-        data,
-        plan,
-        seed,
-        cfg,
-        SimOptions {
-            schedule,
-            ..SimOptions::default()
-        },
-    )
+impl Checkpoint {
+    /// A checkpoint for a run over `data`, with every node alive.
+    pub fn new<P: Payload>(data: &InitialData<P>) -> Self {
+        Checkpoint {
+            measurer: Measurer::new(),
+            refs: data.reference(),
+            alive: (0..data.len() as NodeId).collect(),
+            changed: false,
+            rebased: false,
+        }
+    }
+
+    /// Measure `proto` over the `alive` nodes after `round`.
+    pub fn sample<Pr: ReductionProtocol + ?Sized>(
+        &mut self,
+        proto: &Pr,
+        alive: impl IntoIterator<Item = NodeId>,
+        round: u64,
+    ) -> ErrorSample {
+        let before = self.alive.len();
+        self.alive.clear();
+        self.alive.extend(alive);
+        self.changed = self.alive.len() != before;
+        self.rebased |= self.changed;
+        if self.rebased
+            && !self
+                .measurer
+                .mass_reference(proto, self.alive.iter().copied(), &mut self.refs)
+        {
+            self.refs.fill(Dd::ZERO);
+        }
+        self.measurer
+            .measure_error(proto, &self.refs, self.alive.iter().copied(), round)
+    }
+
+    /// The alive set of the last sample, in the order it was given.
+    pub fn alive(&self) -> &[NodeId] {
+        &self.alive
+    }
+
+    /// Whether the last sample's alive set differs in size from the
+    /// previous sample's (or, at the first sample, from the full set).
+    pub fn alive_changed(&self) -> bool {
+        self.changed
+    }
 }
 
-/// [`run_with_protocol`] with full execution-model control (activation
-/// discipline, message delay).
+/// Drive an already-constructed protocol under the standard loop and the
+/// execution model `options` (schedule, activation discipline, message
+/// delay). Exposed so callers with custom protocols (or vector payloads)
+/// can reuse the stopping/recording logic; most callers want
+/// [`run_reduction`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_options<Pr, P>(
     graph: &Graph,
@@ -322,10 +336,7 @@ where
     Pr: ReductionProtocol,
 {
     let mut sim = Simulator::with_options(graph, protocol, plan, seed, options);
-    let mut measurer = Measurer::new();
-    let mut refs = data.reference();
-    let mut alive_count = graph.len();
-    let mut crashed = false;
+    let mut checkpoint = Checkpoint::new(data);
 
     let mut series = Vec::new();
     let mut best = f64::INFINITY;
@@ -343,23 +354,7 @@ where
         let round = sim.round();
         let done = round >= cfg.max_rounds;
         if round % check_every == 0 || done {
-            // Once the alive set has shrunk (crash experiments), the fixed
-            // initial-data reference is void: the dead node took its
-            // current holding with it. The survivors' achievable aggregate
-            // is the ratio of their remaining total mass — but in-flight
-            // (crossing) exchanges distort any single snapshot of that
-            // ratio by O(current error), so recompute it at *every*
-            // sample; it stabilises exactly as consensus forms.
-            let now_alive = sim.alive_nodes().count();
-            if now_alive != alive_count {
-                alive_count = now_alive;
-                crashed = true;
-            }
-            if crashed && !measurer.mass_reference(sim.protocol(), sim.alive_nodes(), &mut refs) {
-                refs.clear();
-                refs.resize(data.dim(), Dd::ZERO);
-            }
-            let sample = measurer.measure_error(sim.protocol(), &refs, sim.alive_nodes(), round);
+            let sample = checkpoint.sample(sim.protocol(), sim.alive_nodes(), round);
             if cfg.record_every > 0 {
                 series.push(sample);
             }
@@ -391,8 +386,8 @@ where
     }
 }
 
-/// Build and run `algorithm` over scalar data — the main experiment entry
-/// point.
+/// Build and run `algorithm` over scalar data under the execution model
+/// `options` — the main experiment entry point.
 pub fn run_reduction(
     algorithm: Algorithm,
     graph: &Graph,
@@ -400,25 +395,18 @@ pub fn run_reduction(
     plan: FaultPlan,
     seed: u64,
     cfg: RunConfig,
+    options: SimOptions,
 ) -> RunResult {
+    macro_rules! run {
+        ($proto:expr) => {
+            run_with_options(graph, $proto, data, plan, seed, cfg, options)
+        };
+    }
     match algorithm {
-        Algorithm::PushSum => {
-            run_with_protocol(graph, PushSum::new(graph, data), data, plan, seed, cfg)
-        }
-        Algorithm::PushFlow => {
-            run_with_protocol(graph, PushFlow::new(graph, data), data, plan, seed, cfg)
-        }
-        Algorithm::PushCancelFlow(mode) => run_with_protocol(
-            graph,
-            PushCancelFlow::with_mode(graph, data, mode),
-            data,
-            plan,
-            seed,
-            cfg,
-        ),
-        Algorithm::FlowUpdating => {
-            run_with_protocol(graph, FlowUpdating::new(graph, data), data, plan, seed, cfg)
-        }
+        Algorithm::PushSum => run!(PushSum::new(graph, data)),
+        Algorithm::PushFlow => run!(PushFlow::new(graph, data)),
+        Algorithm::PushCancelFlow(mode) => run!(PushCancelFlow::with_mode(graph, data, mode)),
+        Algorithm::FlowUpdating => run!(FlowUpdating::new(graph, data)),
     }
 }
 
@@ -443,6 +431,7 @@ mod tests {
             FaultPlan::none(),
             1,
             RunConfig::to_accuracy(1e-14, 10_000),
+            SimOptions::default(),
         );
         assert!(r.converged, "did not converge: {:?}", r.final_err);
         assert!(r.final_err.max <= 1e-14);
@@ -460,6 +449,7 @@ mod tests {
             FaultPlan::none(),
             2,
             RunConfig::fixed(100, 10),
+            SimOptions::default(),
         );
         assert_eq!(r.rounds, 100);
         assert_eq!(r.series.len(), 10);
@@ -487,6 +477,7 @@ mod tests {
             FaultPlan::with_loss(0.3),
             3,
             cfg,
+            SimOptions::default(),
         );
         assert!(!r.converged);
         assert!(
@@ -502,7 +493,15 @@ mod tests {
         let g = complete(8);
         let d = data(8);
         for alg in Algorithm::all() {
-            let r = run_reduction(alg, &g, &d, FaultPlan::none(), 4, RunConfig::fixed(200, 0));
+            let r = run_reduction(
+                alg,
+                &g,
+                &d,
+                FaultPlan::none(),
+                4,
+                RunConfig::fixed(200, 0),
+                SimOptions::default(),
+            );
             assert_eq!(r.rounds, 200, "{}", alg.label());
             assert!(
                 r.final_err.max < 1e-4,
@@ -526,8 +525,38 @@ mod tests {
             plan,
             5,
             RunConfig::to_accuracy(1e-13, 50_000),
+            SimOptions::default(),
         );
         // Survivors re-converge to the survivors' aggregate.
         assert!(r.converged, "survivors should converge: {:?}", r.final_err);
+        assert_ne!(r.final_err.worst, 5, "the dead node is not measured");
+
+        // The checkpoint on hand-set estimates: before its first round
+        // push-sum holds each node's value, and 1, 3, 1, 3 average to 2.
+        let g = complete(4);
+        let d = InitialData::with_kind(vec![1.0, 3.0, 1.0, 3.0], AggregateKind::Average);
+        let proto = PushSum::new(&g, &d);
+        let mut checkpoint = Checkpoint::new(&d);
+        // Every node is off by 1/2: the tie goes to the lowest id.
+        let s = checkpoint.sample(&proto, 0..4, 8);
+        assert_eq!((s.round, s.max, s.worst), (8, 0.5, 0));
+        assert!(!checkpoint.alive_changed());
+        // Node 0 dies: the reference becomes the survivors' mass ratio
+        // 7/3, against which node 2's estimate 1 is worst, at 4/7.
+        let s = checkpoint.sample(&proto, 1..4, 16);
+        assert!(checkpoint.alive_changed());
+        assert_eq!(checkpoint.alive(), &[1, 2, 3]);
+        assert_eq!(s.worst, 2);
+        assert!((s.max - 4.0 / 7.0).abs() < 1e-15, "{s:?}");
+        // Same alive set: the reference is still the survivors' ratio.
+        let s = checkpoint.sample(&proto, 1..4, 24);
+        assert!(!checkpoint.alive_changed());
+        assert_eq!(s.worst, 2);
+        assert!((s.max - 4.0 / 7.0).abs() < 1e-15, "{s:?}");
+        // Node 2 dies too: the reference is recomputed as 3, every error
+        // is zero, and the first alive node is named.
+        let s = checkpoint.sample(&proto, [1, 3], 32);
+        assert!(checkpoint.alive_changed());
+        assert_eq!((s.max, s.worst), (0.0, 1));
     }
 }

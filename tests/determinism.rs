@@ -6,7 +6,7 @@
 
 use gossip_reduce::dmgs::{dmgs, DmgsConfig};
 use gossip_reduce::linalg::Matrix;
-use gossip_reduce::netsim::FaultPlan;
+use gossip_reduce::netsim::{FaultPlan, SimOptions};
 use gossip_reduce::reduction::{
     run_reduction, AggregateKind, Algorithm, InitialData, PhiMode, RunConfig,
 };
@@ -24,6 +24,7 @@ fn identical_seeds_identical_series() {
             FaultPlan::with_loss(0.1),
             seed,
             RunConfig::fixed(150, 5),
+            SimOptions::default(),
         )
     };
     let a = run(77);
@@ -51,7 +52,15 @@ fn same_schedule_across_algorithms_with_faults() {
     let data = InitialData::uniform_random(64, AggregateKind::Average, 6);
     let plan = FaultPlan::none().fail_link(3, 2, 40);
     let cfg = RunConfig::fixed(100, 0);
-    let pf = run_reduction(Algorithm::PushFlow, &g, &data, plan.clone(), 9, cfg);
+    let pf = run_reduction(
+        Algorithm::PushFlow,
+        &g,
+        &data,
+        plan.clone(),
+        9,
+        cfg,
+        SimOptions::default(),
+    );
     let pcf = run_reduction(
         Algorithm::PushCancelFlow(PhiMode::Eager),
         &g,
@@ -59,6 +68,7 @@ fn same_schedule_across_algorithms_with_faults() {
         plan,
         9,
         cfg,
+        SimOptions::default(),
     );
     assert_eq!(pf.sim.sent, pcf.sim.sent);
     assert_eq!(pf.sim.delivered, pcf.sim.delivered);

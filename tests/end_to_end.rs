@@ -3,7 +3,7 @@
 
 use gossip_reduce::dmgs::{dmgs, DmgsConfig};
 use gossip_reduce::linalg::Matrix;
-use gossip_reduce::netsim::FaultPlan;
+use gossip_reduce::netsim::{FaultPlan, SimOptions};
 use gossip_reduce::reduction::{
     run_reduction, AggregateKind, Algorithm, InitialData, PhiMode, RunConfig,
 };
@@ -42,6 +42,7 @@ fn every_algorithm_converges_on_every_topology() {
                 FaultPlan::none(),
                 3,
                 RunConfig::to_accuracy(1e-12, 60_000),
+                SimOptions::default(),
             );
             assert!(
                 r.converged,
@@ -74,6 +75,7 @@ fn random_graph_end_to_end() {
         plan,
         5,
         RunConfig::to_accuracy(1e-12, 60_000),
+        SimOptions::default(),
     );
     assert!(r.converged, "{:?}", r.final_err);
 }
@@ -86,8 +88,24 @@ fn sum_and_average_agree_up_to_n() {
     let avg_data = InitialData::with_kind(values, AggregateKind::Average);
     let cfg = RunConfig::to_accuracy(1e-13, 60_000);
     let alg = Algorithm::PushCancelFlow(PhiMode::Eager);
-    let rs = run_reduction(alg, &g, &sum_data, FaultPlan::none(), 2, cfg);
-    let ra = run_reduction(alg, &g, &avg_data, FaultPlan::none(), 2, cfg);
+    let rs = run_reduction(
+        alg,
+        &g,
+        &sum_data,
+        FaultPlan::none(),
+        2,
+        cfg,
+        SimOptions::default(),
+    );
+    let ra = run_reduction(
+        alg,
+        &g,
+        &avg_data,
+        FaultPlan::none(),
+        2,
+        cfg,
+        SimOptions::default(),
+    );
     assert!(rs.converged && ra.converged);
     let sum_ref = sum_data.reference()[0].to_f64();
     let avg_ref = avg_data.reference()[0].to_f64();
@@ -101,7 +119,15 @@ fn link_failure_fallback_contrast_pf_vs_pcf() {
     let data = InitialData::spike(64);
     let plan = FaultPlan::none().fail_link(0, 1, 75);
     let cfg = RunConfig::fixed(200, 1);
-    let pf = run_reduction(Algorithm::PushFlow, &g, &data, plan.clone(), 7, cfg);
+    let pf = run_reduction(
+        Algorithm::PushFlow,
+        &g,
+        &data,
+        plan.clone(),
+        7,
+        cfg,
+        SimOptions::default(),
+    );
     let pcf = run_reduction(
         Algorithm::PushCancelFlow(PhiMode::Eager),
         &g,
@@ -109,6 +135,7 @@ fn link_failure_fallback_contrast_pf_vs_pcf() {
         plan,
         7,
         cfg,
+        SimOptions::default(),
     );
     let at = |series: &[gossip_reduce::reduction::ErrorSample], round: u64| {
         series.iter().find(|s| s.round == round).unwrap().max
@@ -177,6 +204,7 @@ fn node_crash_consensus_among_survivors() {
         plan,
         9,
         RunConfig::to_accuracy(1e-12, 60_000),
+        SimOptions::default(),
     );
     assert!(r.converged, "{:?}", r.final_err);
 }
