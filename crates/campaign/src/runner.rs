@@ -395,10 +395,11 @@ fn check_tenants(
     });
     let converged = sc.target_accuracy > 0.0 && err <= sc.target_accuracy;
     if violation.is_none() && (converged || done) {
-        violation = tenants
-            .iter()
-            .enumerate()
-            .find_map(|(t, tenant)| tenant.check_end(sc, round).map(|v| localize(t, v)));
+        violation = tenants.iter().enumerate().find_map(|(t, tenant)| {
+            let last = tenant.last;
+            let v = tenant.oracle.check_end(sc, round, last.max, last.worst);
+            v.map(|v| localize(t, v))
+        });
     }
     (violation.is_some() || converged || done).then_some((err, violation))
 }
@@ -451,12 +452,6 @@ impl Tenant {
         let edges = mutual_edges(self.checkpoint.alive(), believed);
         self.oracle
             .check_step(proto, &self.checkpoint, &edges, round)
-    }
-
-    /// Run the end-of-run invariants on the last checkpoint's sample.
-    fn check_end(&self, sc: &Scenario, round: u64) -> Option<Violation> {
-        self.oracle
-            .check_end(sc, round, self.last.max, self.last.worst)
     }
 }
 
