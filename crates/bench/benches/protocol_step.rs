@@ -9,9 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gr_bench::fixture;
 use gr_netsim::{FaultPlan, Simulator};
-use gr_reduction::{
-    AggregateKind, FlowUpdating, InitialData, PhiMode, PushCancelFlow, PushFlow, PushSum,
-};
+use gr_reduction::{with_protocol, AggregateKind, Algorithm, InitialData, PhiMode, PushCancelFlow};
 
 fn bench_scalar_round(c: &mut Criterion) {
     let dim = 8u32;
@@ -19,37 +17,14 @@ fn bench_scalar_round(c: &mut Criterion) {
     let (g, d) = fixture(dim, 1);
     let mut group = c.benchmark_group("round_scalar_256");
     group.throughput(Throughput::Elements(n as u64));
-
-    group.bench_function(BenchmarkId::from_parameter("push-sum"), |b| {
-        let mut sim = Simulator::new(&g, PushSum::new(&g, &d), FaultPlan::none(), 1);
-        b.iter(|| sim.step());
-    });
-    group.bench_function(BenchmarkId::from_parameter("push-flow"), |b| {
-        let mut sim = Simulator::new(&g, PushFlow::new(&g, &d), FaultPlan::none(), 1);
-        b.iter(|| sim.step());
-    });
-    group.bench_function(BenchmarkId::from_parameter("pcf-eager"), |b| {
-        let mut sim = Simulator::new(
-            &g,
-            PushCancelFlow::with_mode(&g, &d, PhiMode::Eager),
-            FaultPlan::none(),
-            1,
-        );
-        b.iter(|| sim.step());
-    });
-    group.bench_function(BenchmarkId::from_parameter("pcf-hardened"), |b| {
-        let mut sim = Simulator::new(
-            &g,
-            PushCancelFlow::with_mode(&g, &d, PhiMode::Hardened),
-            FaultPlan::none(),
-            1,
-        );
-        b.iter(|| sim.step());
-    });
-    group.bench_function(BenchmarkId::from_parameter("flow-updating"), |b| {
-        let mut sim = Simulator::new(&g, FlowUpdating::new(&g, &d), FaultPlan::none(), 1);
-        b.iter(|| sim.step());
-    });
+    for alg in Algorithm::all() {
+        group.bench_function(BenchmarkId::from_parameter(alg.label()), |b| {
+            with_protocol!(alg, &g, &d, |p| {
+                let mut sim = Simulator::new(&g, p, FaultPlan::none(), 1);
+                b.iter(|| sim.step());
+            })
+        });
+    }
     group.finish();
 }
 
@@ -61,15 +36,17 @@ fn bench_vector_round(c: &mut Criterion) {
     let d = InitialData::with_kind(values, AggregateKind::Average);
     let mut group = c.benchmark_group("round_vec16_256");
     group.throughput(Throughput::Elements(n as u64));
-
-    group.bench_function(BenchmarkId::from_parameter("push-flow"), |b| {
-        let mut sim = Simulator::new(&g, PushFlow::new(&g, &d), FaultPlan::none(), 1);
-        b.iter(|| sim.step());
-    });
-    group.bench_function(BenchmarkId::from_parameter("pcf-eager"), |b| {
-        let mut sim = Simulator::new(&g, PushCancelFlow::new(&g, &d), FaultPlan::none(), 1);
-        b.iter(|| sim.step());
-    });
+    for alg in [
+        Algorithm::PushFlow,
+        Algorithm::PushCancelFlow(PhiMode::Eager),
+    ] {
+        group.bench_function(BenchmarkId::from_parameter(alg.label()), |b| {
+            with_protocol!(alg, &g, &d, |p| {
+                let mut sim = Simulator::new(&g, p, FaultPlan::none(), 1);
+                b.iter(|| sim.step());
+            })
+        });
+    }
     group.finish();
 }
 

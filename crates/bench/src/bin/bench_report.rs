@@ -54,8 +54,8 @@ use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantSpec};
 use gr_experiments::Opts;
 use gr_netsim::{FaultPlan, LinkFailure, NodeCrash, Protocol, SimOptions, Simulator};
 use gr_reduction::{
-    kernels, AggregateKind, FlowUpdating, InitialData, Mass, Payload, PcfMsg, PushCancelFlow,
-    PushFlow, WireMsg,
+    kernels, with_protocol, AggregateKind, Algorithm, InitialData, Mass, Payload, PcfMsg, PhiMode,
+    PushCancelFlow, WireMsg,
 };
 use gr_topology::{hypercube, torus2d, Graph};
 use serde_json::Value;
@@ -215,35 +215,30 @@ fn scalar_pcf_msg() -> PcfMsg<f64> {
 fn measure<P: Payload>(
     graph: &Graph,
     data: &InitialData<P>,
-    alg: &str,
+    alg: Algorithm,
     plan: FaultPlan,
     blocks: usize,
 ) -> (f64, f64) {
     let dim = graph.len().trailing_zeros();
     let rounds = rounds_per_block(dim);
     let warmup = rounds.max(64);
-    match alg {
-        "pf" => time_steps(
-            &mut Simulator::new(graph, PushFlow::new(graph, data), plan, SEED),
+    with_protocol!(alg, graph, data, |proto| {
+        time_steps(
+            &mut Simulator::new(graph, proto, plan, SEED),
             rounds,
             blocks,
             warmup,
-        ),
-        "pcf" => time_steps(
-            &mut Simulator::new(graph, PushCancelFlow::new(graph, data), plan, SEED),
-            rounds,
-            blocks,
-            warmup,
-        ),
-        "fu" => time_steps(
-            &mut Simulator::new(graph, FlowUpdating::new(graph, data), plan, SEED),
-            rounds,
-            blocks,
-            warmup,
-        ),
-        other => panic!("unknown algorithm {other:?}"),
-    }
+        )
+    })
 }
+
+/// The algorithms of the `sim_step` grid, named by their lowercase labels
+/// (`pf`, `pcf`, `fu`).
+const SIM_STEP_ALGORITHMS: [Algorithm; 3] = [
+    Algorithm::PushFlow,
+    Algorithm::PushCancelFlow(PhiMode::Eager),
+    Algorithm::FlowUpdating,
+];
 
 /// Deterministic non-trivial fill for the bank-kernel operands
 /// (splitmix64-derived doubles in ~[-1, 1]).
@@ -361,9 +356,12 @@ fn run_all(
     for dim in [6u32, 8, 10] {
         let graph = hypercube(dim);
         let data = InitialData::uniform_random(graph.len(), AggregateKind::Average, SEED);
-        for alg in ["pf", "pcf", "fu"] {
+        for alg in SIM_STEP_ALGORITHMS {
             for (plan_name, plan) in [("clean", FaultPlan::none()), ("stress", stress_plan())] {
-                let name = format!("sim_step/{alg}/hc{dim}/{plan_name}");
+                let name = format!(
+                    "sim_step/{}/hc{dim}/{plan_name}",
+                    alg.label().to_lowercase()
+                );
                 if !only.is_empty() && !name.contains(only) {
                     continue;
                 }
@@ -379,8 +377,8 @@ fn run_all(
         let graph = hypercube(8);
         for vdim in [4usize, 16, 64] {
             let (_, data) = gr_bench::vector_fixture(8, vdim, SEED);
-            for alg in ["pf", "pcf", "fu"] {
-                let name = format!("sim_step/{alg}/hc8/vec{vdim}");
+            for alg in SIM_STEP_ALGORITHMS {
+                let name = format!("sim_step/{}/hc8/vec{vdim}", alg.label().to_lowercase());
                 if !only.is_empty() && !name.contains(only) {
                     continue;
                 }

@@ -16,8 +16,8 @@ use crate::scenario::{Scenario, Workload};
 use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantProtocol, TenantSpec};
 use gr_netsim::{SimStats, Simulator, Trace};
 use gr_reduction::{
-    AggregateKind, Algorithm, Checkpoint, ErrorSample, FlowUpdating, InitialData, InlineVec,
-    Payload, PushCancelFlow, PushFlow, PushSum, ReductionProtocol,
+    with_protocol, AggregateKind, Algorithm, Checkpoint, ErrorSample, FlowUpdating, InitialData,
+    InlineVec, Payload, PushCancelFlow, PushFlow, ReductionProtocol,
 };
 use gr_topology::{Graph, NodeId};
 use rand::prelude::*;
@@ -112,11 +112,15 @@ pub fn run_scenario_traced_exec(
     match sc.workload {
         Workload::Average | Workload::Sum => {
             let data = InitialData::uniform_random(graph.len(), sc.workload.kind(), sc.seed);
-            dispatch(sc, &graph, &data, trace_capacity, exec)
+            with_protocol!(sc.algorithm, &graph, &data, |p| {
+                drive(sc, &graph, &data, p, trace_capacity, exec)
+            })
         }
         Workload::VectorAvg { dim } => {
             let data = vector_data(graph.len(), dim, sc.seed);
-            dispatch(sc, &graph, &data, trace_capacity, exec)
+            with_protocol!(sc.algorithm, &graph, &data, |p| {
+                drive(sc, &graph, &data, p, trace_capacity, exec)
+            })
         }
     }
 }
@@ -132,49 +136,6 @@ fn vector_data(n: usize, dim: usize, seed: u64) -> InitialData<InlineVec> {
         .map(|_| InlineVec::from((0..dim).map(|_| rng.random::<f64>()).collect::<Vec<f64>>()))
         .collect();
     InitialData::with_kind(values, AggregateKind::Average)
-}
-
-fn dispatch<P: Payload>(
-    sc: &Scenario,
-    graph: &Graph,
-    data: &InitialData<P>,
-    trace_capacity: Option<usize>,
-    exec: Exec,
-) -> (ScenarioResult, Option<Trace>) {
-    match sc.algorithm {
-        Algorithm::PushSum => drive(
-            sc,
-            graph,
-            data,
-            PushSum::new(graph, data),
-            trace_capacity,
-            exec,
-        ),
-        Algorithm::PushFlow => drive(
-            sc,
-            graph,
-            data,
-            PushFlow::new(graph, data),
-            trace_capacity,
-            exec,
-        ),
-        Algorithm::PushCancelFlow(mode) => drive(
-            sc,
-            graph,
-            data,
-            PushCancelFlow::with_mode(graph, data, mode),
-            trace_capacity,
-            exec,
-        ),
-        Algorithm::FlowUpdating => drive(
-            sc,
-            graph,
-            data,
-            FlowUpdating::new(graph, data),
-            trace_capacity,
-            exec,
-        ),
-    }
 }
 
 fn drive<P: Payload, Pr: ReductionProtocol>(
@@ -278,6 +239,7 @@ fn run_batch_scenario(sc: &Scenario, exec: Exec) -> ScenarioResult {
     let host = BatchHost::assemble(&specs)
         .unwrap_or_else(|e| panic!("scenario {}: invalid batch config: {e}", sc.hash()));
     let data = host.union_data(&specs);
+    // Not `with_protocol!`: the batch executor needs `TenantProtocol`, which push-sum lacks.
     match sc.algorithm {
         Algorithm::PushFlow => {
             drive_batch(sc, &host, &specs, PushFlow::new(host.graph(), &data), exec)

@@ -31,10 +31,7 @@
 
 use gr_linalg::Matrix;
 use gr_netsim::{FaultPlan, Simulator};
-use gr_numerics::Dd;
-use gr_reduction::{
-    Algorithm, InitialData, InlineVec, PushCancelFlow, PushFlow, PushSum, ReductionProtocol,
-};
+use gr_reduction::{with_protocol, Algorithm, InitialData, InlineVec, Normwise, ReductionProtocol};
 use gr_topology::{Graph, NodeId};
 
 /// Configuration of a dmGS run.
@@ -127,21 +124,14 @@ fn vector_sum_reduction(
     } else {
         FaultPlan::none()
     };
-    let (mut estimates, rounds) = match cfg.algorithm {
-        Algorithm::PushSum => drive(graph, PushSum::new(graph, &data), &data, plan, seed, cfg),
-        Algorithm::PushFlow => drive(graph, PushFlow::new(graph, &data), &data, plan, seed, cfg),
-        Algorithm::PushCancelFlow(mode) => drive(
-            graph,
-            PushCancelFlow::with_mode(graph, &data, mode),
-            &data,
-            plan,
-            seed,
-            cfg,
-        ),
-        Algorithm::FlowUpdating => {
-            panic!("flow updating is average-only and cannot back dmGS sums")
-        }
-    };
+    // FU is the related-work comparator for averages, not a sum backend.
+    if cfg.algorithm == Algorithm::FlowUpdating {
+        panic!("flow updating is average-only and cannot back dmGS sums")
+    }
+    let rule = Normwise::new(&data, cfg.target_accuracy);
+    let (mut estimates, rounds) = with_protocol!(cfg.algorithm, graph, &data, |proto| {
+        drive(graph, proto, rule, plan, seed, cfg)
+    });
     // average → sum
     for x in &mut estimates {
         *x *= n;
@@ -152,25 +142,13 @@ fn vector_sum_reduction(
 fn drive<Pr: ReductionProtocol>(
     graph: &Graph,
     protocol: Pr,
-    data: &InitialData<InlineVec>,
+    mut rule: Normwise,
     plan: FaultPlan,
     seed: u64,
     cfg: &DmgsConfig,
 ) -> (Vec<f64>, u64) {
-    let refs = data.reference();
-    // Normwise tolerance: the reduction is accepted when every node's
-    // estimate of every component is within ε·‖reference‖∞ of the truth
-    // (oracle-checked, as in the paper's simulations).
-    let scale = refs
-        .iter()
-        .map(|r| r.abs().to_f64())
-        .fold(0.0f64, f64::max)
-        .max(f64::MIN_POSITIVE);
-    let tol = cfg.target_accuracy * scale;
-    let dim = data.dim();
-    let n = graph.len();
+    let dim = protocol.dim();
     let mut sim = Simulator::new(graph, protocol, plan, seed);
-    let mut buf = vec![0.0; dim];
     // Every node's estimate, node-major, into one reused `n × dim` buffer.
     let snapshot = |sim: &Simulator<'_, Pr>, out: &mut [f64]| {
         for (i, row) in out.chunks_exact_mut(dim).enumerate() {
@@ -185,29 +163,18 @@ fn drive<Pr: ReductionProtocol>(
     // redistribution sees it moving and would not report it); see
     // `gr_reduction::LocalConvergence` for the node-local mechanism.
     let mut best_worst = f64::INFINITY;
-    let mut best = vec![0.0; n * dim];
+    let mut best = vec![0.0; graph.len() * dim];
     loop {
         // Check every 8 rounds: estimate inspection is O(n·dim).
         sim.run(8);
-        let mut worst = 0.0f64;
-        'nodes: for i in 0..n as NodeId {
-            sim.protocol().write_estimate(i, &mut buf);
-            for (k, r) in refs.iter().enumerate() {
-                let e = (Dd::from_f64(buf[k]) - *r).abs().to_f64();
-                if e.is_nan() {
-                    worst = f64::INFINITY;
-                    break 'nodes;
-                }
-                worst = worst.max(e);
-            }
-        }
+        let worst = rule.worst(sim.protocol());
         if worst < best_worst {
             best_worst = worst;
             snapshot(&sim, &mut best);
         }
         // Within target is always an improvement: an earlier check within
         // target would have returned.
-        if worst <= tol {
+        if rule.met(worst) {
             return (best, sim.round());
         }
         if sim.round() >= cfg.max_rounds_per_reduction {

@@ -21,7 +21,8 @@ impl Opts {
     /// option) is read as the boolean `--key=true`.
     ///
     /// # Panics
-    /// Panics on malformed arguments (anything not starting with `--`).
+    /// Panics on malformed arguments: anything not starting with `--`, or
+    /// a key given twice.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
         let mut values = BTreeMap::new();
         let mut it = args.into_iter().peekable();
@@ -41,6 +42,10 @@ impl Opts {
                     (rest.to_string(), v)
                 }
             };
+            assert!(
+                !values.contains_key(&k),
+                "option --{k} given more than once"
+            );
             values.insert(k, v);
         }
         Opts {
@@ -145,6 +150,12 @@ mod tests {
     #[should_panic(expected = "expected --key=value")]
     fn malformed_rejected() {
         let _ = opts(&["runs=3"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "option --seed given more than once")]
+    fn repeated_key_rejected() {
+        let _ = opts(&["--seed", "1", "--seed=2"]);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use push_cancel_flow::{PcfMsg, PhiMode, PushCancelFlow};
 pub use push_flow::PushFlow;
 pub use push_sum::PushSum;
 pub use runner::{
-    run_reduction, run_with_options, Algorithm, Checkpoint, ErrorSample, Measurer, RunConfig,
-    RunResult,
+    run_reduction, run_with_options, Algorithm, Checkpoint, ErrorSample, Measurer, Normwise,
+    RunConfig, RunResult,
 };
 pub use wire::{WireError, WireMsg, FRAME_HEADER, WIRE_VERSION};

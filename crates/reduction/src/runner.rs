@@ -10,12 +10,9 @@
 //! is measured through one [`Checkpoint`].
 
 use crate::aggregate::InitialData;
-use crate::flow_updating::FlowUpdating;
 use crate::payload::Payload;
 use crate::protocol::ReductionProtocol;
-use crate::push_cancel_flow::{PhiMode, PushCancelFlow};
-use crate::push_flow::PushFlow;
-use crate::push_sum::PushSum;
+use crate::push_cancel_flow::PhiMode;
 use gr_netsim::{FaultPlan, SimOptions, SimStats, Simulator};
 use gr_numerics::{Dd, RelErr};
 use gr_topology::{Graph, NodeId};
@@ -55,6 +52,35 @@ impl Algorithm {
             Algorithm::FlowUpdating,
         ]
     }
+}
+
+/// Build the protocol `$algorithm` names over `$graph` and `$data`, bind
+/// it to `$proto` and evaluate `$body`: the one place an [`Algorithm`]
+/// becomes a protocol. Each arm is its own monomorphized copy of the
+/// body, so the body runs on the concrete protocol type.
+#[macro_export]
+macro_rules! with_protocol {
+    ($algorithm:expr, $graph:expr, $data:expr, |$proto:ident| $body:expr) => {{
+        let (graph, data) = ($graph, $data);
+        match $algorithm {
+            $crate::Algorithm::PushSum => {
+                let $proto = $crate::PushSum::new(graph, data);
+                $body
+            }
+            $crate::Algorithm::PushFlow => {
+                let $proto = $crate::PushFlow::new(graph, data);
+                $body
+            }
+            $crate::Algorithm::PushCancelFlow(mode) => {
+                let $proto = $crate::PushCancelFlow::with_mode(graph, data, mode);
+                $body
+            }
+            $crate::Algorithm::FlowUpdating => {
+                let $proto = $crate::FlowUpdating::new(graph, data);
+                $body
+            }
+        }
+    }};
 }
 
 /// Stopping rules and sampling cadence for a run. All stopping rules are
@@ -316,6 +342,59 @@ impl Checkpoint {
     }
 }
 
+/// The normwise stopping rule of a SUM computed as `n`·average (dmGS and
+/// the spectral power iteration): a reduction is done once every node's
+/// estimate of every component is within `eps·max_k |ref_k|` of the exact
+/// average `ref`, checked by the oracle as in the paper's simulations.
+/// What a run returns when it stops at its round cap instead is the
+/// caller's rule.
+#[derive(Clone, Debug)]
+pub struct Normwise {
+    refs: Vec<Dd>,
+    tol: f64,
+    buf: Vec<f64>,
+}
+
+impl Normwise {
+    /// The rule for a reduction of `data` to relative accuracy `eps`.
+    pub fn new<P: Payload>(data: &InitialData<P>, eps: f64) -> Self {
+        let refs = data.reference();
+        let scale = refs
+            .iter()
+            .map(|r| r.abs().to_f64())
+            .fold(0.0f64, f64::max)
+            .max(f64::MIN_POSITIVE);
+        Normwise {
+            tol: eps * scale,
+            buf: vec![0.0; refs.len()],
+            refs,
+        }
+    }
+
+    /// The absolute error of the worst estimate of any component at any
+    /// node of `proto`. A NaN estimate reads as `∞`: a destroyed estimate
+    /// never counts as converged.
+    pub fn worst<Pr: ReductionProtocol + ?Sized>(&mut self, proto: &Pr) -> f64 {
+        let mut worst = 0.0f64;
+        for i in 0..proto.node_count() as NodeId {
+            proto.write_estimate(i, &mut self.buf);
+            for (&x, r) in self.buf.iter().zip(&self.refs) {
+                let e = (Dd::from_f64(x) - *r).abs().to_f64();
+                if e.is_nan() {
+                    return f64::INFINITY;
+                }
+                worst = worst.max(e);
+            }
+        }
+        worst
+    }
+
+    /// Whether a worst error of `worst` meets the target.
+    pub fn met(&self, worst: f64) -> bool {
+        worst <= self.tol
+    }
+}
+
 /// Drive an already-constructed protocol under the standard loop and the
 /// execution model `options` (schedule, activation discipline, message
 /// delay). Exposed so callers with custom protocols (or vector payloads)
@@ -397,23 +476,16 @@ pub fn run_reduction(
     cfg: RunConfig,
     options: SimOptions,
 ) -> RunResult {
-    macro_rules! run {
-        ($proto:expr) => {
-            run_with_options(graph, $proto, data, plan, seed, cfg, options)
-        };
-    }
-    match algorithm {
-        Algorithm::PushSum => run!(PushSum::new(graph, data)),
-        Algorithm::PushFlow => run!(PushFlow::new(graph, data)),
-        Algorithm::PushCancelFlow(mode) => run!(PushCancelFlow::with_mode(graph, data, mode)),
-        Algorithm::FlowUpdating => run!(FlowUpdating::new(graph, data)),
-    }
+    with_protocol!(algorithm, graph, data, |proto| {
+        run_with_options(graph, proto, data, plan, seed, cfg, options)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::AggregateKind;
+    use crate::push_sum::PushSum;
     use gr_topology::{complete, hypercube};
 
     fn data(n: usize) -> InitialData<f64> {

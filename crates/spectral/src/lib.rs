@@ -20,9 +20,9 @@
 //! own spectral quantities* (spectral radius, Laplacian bounds), which is
 //! precisely what tunes gossip parameters like expected convergence time.
 
-use gr_netsim::FaultPlan;
-use gr_numerics::{CompensatedSum, Dd};
-use gr_reduction::{Algorithm, InitialData, PushCancelFlow, PushFlow, PushSum, ReductionProtocol};
+use gr_netsim::{FaultPlan, Simulator};
+use gr_numerics::CompensatedSum;
+use gr_reduction::{with_protocol, Algorithm, InitialData, Normwise, ReductionProtocol};
 use gr_topology::{Graph, NodeId};
 use rand::prelude::*;
 
@@ -210,14 +210,14 @@ pub fn power_iteration(a: &GraphMatrix<'_>, cfg: &PowerConfig) -> SpectralResult
         reduction_rounds += rounds;
         // Every node normalises with ITS OWN estimate of the sums (the
         // same replicated-R structure as dmGS); eigenvalue from node 0.
-        eigenvalue = sums[0][1] - cfg.shift;
+        eigenvalue = sums[1] - cfg.shift;
         let mut degenerate = true;
         for i in 0..n {
-            let norm = sums[i][0].sqrt();
+            let norm = sums[2 * i].sqrt();
             assert!(
                 norm.is_finite() && norm > 0.0,
                 "power iteration degenerated at step {it} (‖y‖² estimate {})",
-                sums[i][0]
+                sums[2 * i]
             );
             x[i] = y[i] / norm;
             if x[i] != 0.0 {
@@ -234,22 +234,16 @@ pub fn power_iteration(a: &GraphMatrix<'_>, cfg: &PowerConfig) -> SpectralResult
     }
 }
 
-/// One batched vector SUM reduction (as N·average, like dmGS).
+/// One batched vector SUM reduction (as N·average, like dmGS): every
+/// node's estimate, node-major, plus the rounds it took.
 fn vector_sum(
     graph: &Graph,
     locals: Vec<Vec<f64>>,
     cfg: &PowerConfig,
     tag: u64,
-) -> (Vec<Vec<f64>>, u64) {
+) -> (Vec<f64>, u64) {
     let n = graph.len();
     let data = InitialData::with_kind(locals, gr_reduction::AggregateKind::Average);
-    let refs = data.reference();
-    let scale = refs
-        .iter()
-        .map(|r| r.abs().to_f64())
-        .fold(0.0f64, f64::max)
-        .max(f64::MIN_POSITIVE);
-    let tol = cfg.reduction_accuracy * scale;
     let seed = cfg.seed ^ (0x51BE_D00D ^ tag).wrapping_mul(0x9E37_79B9);
     let plan = if cfg.msg_loss_prob > 0.0 {
         FaultPlan::with_loss(cfg.msg_loss_prob)
@@ -257,82 +251,41 @@ fn vector_sum(
         FaultPlan::none()
     };
 
+    // Unlike dmGS, a reduction that reaches its cap returns its last
+    // state: a star's starved leaves must surface as a destroyed norm.
     fn drive<Pr: ReductionProtocol>(
         graph: &Graph,
         proto: Pr,
-        refs: &[Dd],
-        tol: f64,
-        cap: u64,
+        mut rule: Normwise,
         plan: FaultPlan,
         seed: u64,
-    ) -> (Vec<Vec<f64>>, u64) {
-        let n = graph.len();
-        let dim = refs.len();
-        let mut sim = gr_netsim::Simulator::new(graph, proto, plan, seed);
-        let mut buf = vec![0.0; dim];
+        cfg: &PowerConfig,
+    ) -> (Vec<f64>, u64) {
+        let dim = proto.dim();
+        let mut sim = Simulator::new(graph, proto, plan, seed);
         loop {
             sim.run(8);
-            let mut ok = true;
-            'nodes: for i in 0..n as NodeId {
-                sim.protocol().write_estimate(i, &mut buf);
-                for (k, r) in refs.iter().enumerate() {
-                    let e = (Dd::from_f64(buf[k]) - *r).abs().to_f64();
-                    // NaN-aware: a destroyed estimate must count as
-                    // unconverged, so compare with the negation inverted.
-                    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                    if !(e <= tol) {
-                        ok = false;
-                        break 'nodes;
-                    }
+            let worst = rule.worst(sim.protocol());
+            if rule.met(worst) || sim.round() >= cfg.max_rounds_per_reduction {
+                let mut out = vec![0.0; graph.len() * dim];
+                for (i, row) in out.chunks_exact_mut(dim).enumerate() {
+                    sim.protocol().write_estimate(i as NodeId, row);
                 }
-            }
-            if ok || sim.round() >= cap {
-                let out = (0..n as NodeId)
-                    .map(|i| {
-                        let mut v = vec![0.0; dim];
-                        sim.protocol().write_estimate(i, &mut v);
-                        v
-                    })
-                    .collect();
                 return (out, sim.round());
             }
         }
     }
 
-    let (mut estimates, rounds) = match cfg.algorithm {
-        Algorithm::PushSum => drive(
-            graph,
-            PushSum::new(graph, &data),
-            &refs,
-            tol,
-            cfg.max_rounds_per_reduction,
-            plan,
-            seed,
-        ),
-        Algorithm::PushFlow => drive(
-            graph,
-            PushFlow::new(graph, &data),
-            &refs,
-            tol,
-            cfg.max_rounds_per_reduction,
-            plan,
-            seed,
-        ),
-        Algorithm::PushCancelFlow(mode) => drive(
-            graph,
-            PushCancelFlow::with_mode(graph, &data, mode),
-            &refs,
-            tol,
-            cfg.max_rounds_per_reduction,
-            plan,
-            seed,
-        ),
-        Algorithm::FlowUpdating => panic!("flow updating cannot back sums"),
-    };
-    for est in &mut estimates {
-        for v in est.iter_mut() {
-            *v *= n as f64; // average → sum
-        }
+    // FU is the related-work comparator for averages, not a sum backend.
+    if cfg.algorithm == Algorithm::FlowUpdating {
+        panic!("flow updating cannot back sums")
+    }
+    let rule = Normwise::new(&data, cfg.reduction_accuracy);
+    let (mut estimates, rounds) = with_protocol!(cfg.algorithm, graph, &data, |proto| {
+        drive(graph, proto, rule, plan, seed, cfg)
+    });
+    for x in &mut estimates {
+        *x *= n as f64; // average → sum
     }
     (estimates, rounds)
 }

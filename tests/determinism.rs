@@ -150,3 +150,78 @@ fn workload_generation_is_seeded() {
     let m2 = Matrix::random_uniform(8, 8, 2);
     assert_eq!(m1, m2);
 }
+
+/// FNV-1a over the bit patterns of `xs`: one number that changes when
+/// any entry changes by one ulp.
+fn bits_digest<'a>(xs: impl IntoIterator<Item = &'a f64>) -> u64 {
+    xs.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        x.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+#[test]
+fn spectral_outputs_are_pinned() {
+    // Exact outputs of the distributed power iteration: the eigenvalue's
+    // bits, the gossip rounds spent and a digest of the eigenvector.
+    use gossip_reduce::spectral::{power_iteration, GraphMatrix, PowerConfig};
+    let g = hypercube(4);
+    let a = GraphMatrix::random_weights(&g, 0.1, 1.0, 1.0, 7);
+    let run = |alg, loss: f64, accuracy: f64, cap: u64| {
+        let mut c = PowerConfig::new(alg, 7);
+        c.iterations = 12;
+        c.msg_loss_prob = loss;
+        c.reduction_accuracy = accuracy;
+        c.max_rounds_per_reduction = cap;
+        let r = power_iteration(&a, &c);
+        (
+            r.eigenvalue.to_bits(),
+            r.reduction_rounds,
+            bits_digest(&r.eigenvector),
+        )
+    };
+    let pcf = Algorithm::PushCancelFlow(PhiMode::Eager);
+    assert_eq!(
+        run(pcf, 0.0, 1e-13, 4000),
+        (0x400884c9daf3992b, 2096, 0x262c24ca83599515)
+    );
+    assert_eq!(
+        run(Algorithm::PushFlow, 0.0, 1e-13, 4000),
+        (0x400884c9daf3991e, 2096, 0x8b8aaa290adebf2c)
+    );
+    assert_eq!(
+        run(pcf, 0.2, 1e-13, 4000),
+        (0x400884c9daf39908, 2696, 0xe92b6e13302f94a7)
+    );
+    // An unreachable target: every reduction ends at its cap and returns
+    // the last state.
+    assert_eq!(
+        run(Algorithm::PushFlow, 0.0, 1e-17, 64),
+        (0x400884c76a6355c1, 12 * 64, 0x898438adb5191ad9)
+    );
+}
+
+#[test]
+fn dmcgs_outputs_are_pinned() {
+    // Exact outputs of distributed classical Gram-Schmidt: the total
+    // gossip rounds and a digest of every node's copy of R.
+    use gossip_reduce::dmgs::dmcgs;
+    let g = hypercube(3);
+    let v = Matrix::random_uniform(8, 4, 9);
+    let run = |alg, cap: u64| {
+        let mut cfg = DmgsConfig::paper(alg, 9);
+        cfg.max_rounds_per_reduction = cap;
+        let r = dmcgs(&v, &g, &cfg);
+        let digest = bits_digest(r.r_per_node.iter().flat_map(|m| m.as_slice()));
+        (r.total_rounds, digest)
+    };
+    assert_eq!(
+        run(Algorithm::PushCancelFlow(PhiMode::Eager), 20_000),
+        (20816, 0x15b5ae97d2f1bd65)
+    );
+    // A cap below what 1e-15 needs: each of the 7 reductions returns its
+    // best snapshot.
+    assert_eq!(run(Algorithm::PushFlow, 24), (7 * 24, 0xe07ed4bebaf0659b));
+}
