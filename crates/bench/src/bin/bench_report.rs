@@ -15,12 +15,13 @@
 //! committed baseline and fails on any time regression beyond the
 //! tolerance *or* any kernel whose baseline allocation rate was zero
 //! turning allocating; refreshing the baseline is a deliberate
-//! `bench-report --out BENCH_6.json` + commit.
+//! `bench-report --out BENCH_6.json` + commit. The report is written
+//! only where `--out` names a file; without it the run just prints.
 //!
 //! ```text
-//! bench-report                                   # write ./BENCH_6.json
+//! bench-report --out cur.json                    # time every kernel, write cur.json
 //! bench-report --out cur.json --baseline BENCH_6.json --tolerance 0.25
-//! bench-report --blocks 8                        # quicker, noisier
+//! bench-report --blocks 8                        # quicker, noisier; print only
 //! bench-report --only torus1000x1000 --sim-threads 4   # scale kernel on 4 workers
 //! bench-report --simd-ab                         # interleaved AVX2 vs baseline gate
 //! ```
@@ -45,10 +46,10 @@
 //!
 //! Methodology: per kernel, warm the simulator past its fault window so
 //! measurement sees the steady state, then time `--blocks` blocks of a
-//! dimension-pinned round count and keep the fastest block (the same
-//! min-estimator as the vendored criterion — robust against scheduler
-//! noise, which only ever slows a block down). Allocations are counted
-//! over one further block after the timed ones.
+//! dimension-pinned round count and keep the fastest block (a
+//! min-estimator: robust against scheduler noise, which only ever slows
+//! a block down). Allocations are counted over one further block after
+//! the timed ones.
 
 use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantSpec};
 use gr_experiments::Opts;
@@ -199,7 +200,7 @@ fn time_ops<R>(ops: u64, blocks: usize, mut f: impl FnMut() -> R) -> (f64, f64) 
 }
 
 /// The wire-codec fixture message: the scalar PCF frame, the largest
-/// frame of the protocol family (mirrors `benches/wire_codec.rs`).
+/// frame of the protocol family.
 fn scalar_pcf_msg() -> PcfMsg<f64> {
     PcfMsg {
         f1: Mass::new(1.5, 0.25),
@@ -668,7 +669,7 @@ fn compare(kernels: &[Kernel], baseline: &Value, tolerance: f64) -> Vec<String> 
 
 fn main() {
     let opts = Opts::from_env();
-    let out = opts.string("out", "BENCH_6.json");
+    let out = opts.string("out", "");
     let baseline_path = opts.string("baseline", "");
     let tolerance = opts.f64("tolerance", 0.25);
     let blocks = opts.u64("blocks", 24) as usize;
@@ -718,10 +719,12 @@ fn main() {
     let (kernels, partition_decision) = run_all(blocks, &only, sim_threads, batch_tenants);
     assert!(!kernels.is_empty(), "--only {only:?} matched no kernel");
 
-    let json =
-        serde_json::to_string_pretty(&report_json(&kernels, blocks, partition_decision)).unwrap();
-    std::fs::write(&out, json + "\n").unwrap_or_else(|e| panic!("writing {out:?}: {e}"));
-    println!("wrote {out}");
+    if !out.is_empty() {
+        let json = serde_json::to_string_pretty(&report_json(&kernels, blocks, partition_decision))
+            .unwrap();
+        std::fs::write(&out, json + "\n").unwrap_or_else(|e| panic!("writing {out:?}: {e}"));
+        println!("wrote {out}");
+    }
 
     if !baseline_path.is_empty() {
         let text = std::fs::read_to_string(&baseline_path)

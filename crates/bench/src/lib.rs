@@ -1,21 +1,9 @@
-//! Shared fixtures for the Criterion benchmark suite.
-//!
-//! The benches gate the paper's efficiency claim ("the computational
-//! efficiency of the PF algorithm in a failure-free environment is fully
-//! preserved in our new PCF algorithm") and provide per-figure kernels so
-//! regressions in the experiment harness are visible.
+//! The vector-payload workload shared by `bench-report` and the
+//! allocation-free tests.
 
 use gr_reduction::{AggregateKind, InitialData, InlineVec};
 use gr_topology::{hypercube, Graph};
 use rand::prelude::*;
-
-/// Standard benchmark fixture: a hypercube and uniform AVG data.
-pub fn fixture(dim: u32, seed: u64) -> (Graph, InitialData<f64>) {
-    let n = 1usize << dim;
-    let g = hypercube(dim);
-    let d = InitialData::uniform_random(n, AggregateKind::Average, seed);
-    (g, d)
-}
 
 /// Vector-payload fixture: a hypercube and uniform `payload_dim`-component
 /// AVG data as [`InlineVec`] (inline below the cap, heap spill above), the
@@ -39,13 +27,6 @@ pub fn vector_fixture(dim: u32, payload_dim: usize, seed: u64) -> (Graph, Initia
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixture_shapes() {
-        let (g, d) = fixture(4, 1);
-        assert_eq!(g.len(), 16);
-        assert_eq!(d.len(), 16);
-    }
 
     #[test]
     fn vector_fixture_shapes() {

@@ -1,5 +1,6 @@
 //! Proof that the steady-state round loop is allocation-free: on the
-//! single-partition simulator and on the batch executor; and that a
+//! single-partition simulator, for scalar payloads and for vector
+//! payloads at the inline cap, and on the batch executor; and that a
 //! four-partition simulator running the timeout detector allocates only
 //! to grow buffers to new high-water marks.
 //!
@@ -18,8 +19,9 @@
 //! the measuring thread's allocations may count.
 
 use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantSpec};
+use gr_bench::vector_fixture;
 use gr_netsim::{DetectorModel, FaultPlan, SimOptions, Simulator};
-use gr_reduction::{AggregateKind, InitialData, PushCancelFlow};
+use gr_reduction::{AggregateKind, InitialData, PushCancelFlow, INLINE_CAP};
 use gr_topology::hypercube;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -79,6 +81,25 @@ fn steady_state_rounds_do_not_allocate() {
     let n = count_allocs(|| sim.run(1000));
     assert_eq!(n, 0, "steady-state hot loop performed {n} heap allocations");
     // The rounds actually ran.
+    assert_eq!(sim.stats().rounds, 1064);
+}
+
+/// The vector fast path at its widest inline payload: `InlineVec` masses
+/// of dim `INLINE_CAP`, flows in the SoA banks and wire buffers recycled
+/// through `Protocol::reclaim` leave nothing to allocate per round.
+#[test]
+fn steady_state_vector_rounds_do_not_allocate() {
+    let (g, data) = vector_fixture(6, INLINE_CAP, 1);
+    let mut sim = Simulator::new(&g, PushCancelFlow::new(&g, &data), FaultPlan::none(), 1);
+    // Warm-up: grow the delivery buckets and the wire-buffer pool to
+    // steady-state capacity.
+    sim.run(64);
+
+    let n = count_allocs(|| sim.run(1000));
+    assert_eq!(
+        n, 0,
+        "steady-state vector hot loop performed {n} heap allocations"
+    );
     assert_eq!(sim.stats().rounds, 1064);
 }
 

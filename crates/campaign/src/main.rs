@@ -12,7 +12,6 @@
 //! gr-campaign --mode stress --baseline b.json  # exit 1 on violations NOT in b.json
 //! gr-campaign --mode stress --sim-threads 4    # partitioned-engine worker threads
 //! gr-campaign --mode stress --partitions 8     # override engine partition count
-//! gr-campaign --mode twin                   # netsim vs real-transport twin gate
 //! gr-campaign --mode chaos                  # chaos script: netsim vs real backends
 //! gr-campaign --mode chaos --baseline b.json   # gate the netsim leg like stress
 //! ```
@@ -36,22 +35,11 @@ use gr_experiments::Opts;
 fn main() {
     let opts = Opts::from_env();
     let mode = opts.string("mode", "sanity");
-    // The twin lane is not a fault-plan corpus — it cross-checks the
-    // deterministic simulator against the real threaded transport and
-    // hard-fails on divergence, so it gets its own early path.
-    if mode == "twin" {
-        let seed = opts.u64("seed", 42);
-        let hc = opts.u64("hc", 6) as u32;
-        let eps = opts.f64("eps", 1e-9);
-        opts.finish();
-        run_twin_lane(hc, seed, eps);
-        return;
-    }
-    // The chaos lane runs one fault script through both injectors —
-    // netsim (the `chaos/*` stress templates, baseline-gated) and the
-    // real threaded transport (ChaosDelivery + node churn, hard-gated on
-    // convergence and the self-consistency audit) — so it too gets its
-    // own path.
+    // The chaos lane is not a fault-plan corpus: it runs one fault script
+    // through both injectors — netsim (the `chaos/*` stress templates,
+    // baseline-gated) and the real threaded transport (ChaosDelivery +
+    // node churn, hard-gated on convergence and the self-consistency
+    // audit) — so it gets its own path.
     if mode == "chaos" {
         let seed = opts.u64("seed", 42);
         let n_seeds = opts.u64("seeds", 0);
@@ -70,7 +58,7 @@ fn main() {
     let lane = match mode.as_str() {
         "sanity" => Lane::Sanity,
         "stress" => Lane::Stress,
-        other => panic!("--mode must be sanity, stress, twin or chaos, got {other:?}"),
+        other => panic!("--mode must be sanity, stress or chaos, got {other:?}"),
     };
     // --seeds N widens the corpus to seeds 1..=N; 0 keeps the lane default.
     let n_seeds = opts.u64("seeds", 0);
@@ -214,50 +202,6 @@ fn baseline_gate(report: &CampaignReport, baseline_path: &str, replay_mode: &str
         println!("    replay: cargo run -p gr-campaign -- --mode {replay_mode} --replay {hash}");
     }
     false
-}
-
-/// The twin-equivalence lane: run the lossless PCF average on a seeded
-/// hypercube under netsim and over the threaded in-memory transport, and
-/// require both to land on the reference within `eps`. Exit 1 on
-/// divergence — this is a hard CI gate, like the sanity lane.
-fn run_twin_lane(hc: u32, seed: u64, eps: f64) {
-    let graph = gr_topology::hypercube(hc);
-    let n = graph.len();
-    let values: Vec<f64> = (0..n).map(|i| 1.5 * i as f64 - 20.0).collect();
-    let report = gr_transport::twin_equivalence(&graph, &values, seed, eps, 5_000)
-        .unwrap_or_else(|e| panic!("twin lane failed to run: {e}"));
-    println!(
-        "twin lane: hc{hc} ({n} nodes), seed {seed}, reference {:.6}",
-        report.reference
-    );
-    println!(
-        "  netsim    max rel error {:.3e}{}",
-        report.netsim_error,
-        if report.netsim_error <= eps {
-            ""
-        } else {
-            "  <-- DIVERGED"
-        }
-    );
-    println!(
-        "  transport max rel error {:.3e}{}  ({:.1} rounds mean, {} B on wire, {} dropped)",
-        report.mem_error,
-        if report.mem_error <= eps {
-            ""
-        } else {
-            "  <-- DIVERGED"
-        },
-        report.mem_result.rounds_mean,
-        report.mem_result.bytes_sent_total,
-        report.mem_result.dropped_total
-    );
-    println!("  per-node divergence {:.3e}", report.divergence);
-    if report.equivalent() {
-        println!("twin lane: PASS (tolerance {eps:.0e})");
-    } else {
-        println!("twin lane: FAIL (tolerance {eps:.0e})");
-        std::process::exit(1);
-    }
 }
 
 /// The chaos lane: one fault script ([`chaos_script`]), two injectors.

@@ -160,8 +160,7 @@ fn drive<Pr: ReductionProtocol>(
     // terminates at its cap, and each node reports the estimate from its
     // calmest observed state. This models the purely local stability
     // detection real nodes use to stop (a node whose estimate is mid-
-    // redistribution sees it moving and would not report it); see
-    // `gr_reduction::LocalConvergence` for the node-local mechanism.
+    // redistribution sees it moving and would not report it).
     let mut best_worst = f64::INFINITY;
     let mut best = vec![0.0; graph.len() * dim];
     loop {

@@ -300,9 +300,6 @@ pub struct Simulator<'g, P: Protocol> {
     alive_scratch_dirty: bool,
     /// Optional bounded event recorder (see [`Simulator::enable_trace`]).
     trace: Option<Trace>,
-    /// Optional per-arc delivered-message counters
-    /// (see [`Simulator::enable_link_load`]).
-    link_load: Option<Vec<u64>>,
     stats: SimStats,
 }
 
@@ -421,7 +418,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             alive_scratch: Vec::new(),
             alive_scratch_dirty: true,
             trace: None,
-            link_load: None,
             stats: SimStats::default(),
         })
     }
@@ -437,17 +433,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// The event trace, if enabled.
     pub fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()
-    }
-
-    /// Start counting delivered messages per directed arc.
-    pub fn enable_link_load(&mut self) {
-        self.link_load = Some(vec![0; self.graph.arc_count()]);
-    }
-
-    /// Delivered messages over arc `src → dst`, if counting is enabled.
-    pub fn link_load(&self, src: NodeId, dst: NodeId) -> Option<u64> {
-        let counts = self.link_load.as_ref()?;
-        Some(counts[self.graph.arc(src, dst)?])
     }
 
     /// The protocol (for estimate inspection between rounds).
@@ -569,11 +554,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         }
     }
 
-    /// Count one delivery `src → dst` on lane `p`. The link-load counter
-    /// is indexed by the *source* arc, which can belong to another
-    /// partition — but each `(src, dst)` arc appears in exactly one
-    /// mailbox lane, so the element is still touched by exactly one
-    /// worker.
+    /// Count one delivery `src → dst` on lane `p`.
     #[inline]
     fn note_delivery(&mut self, p: usize, src: NodeId, dst: NodeId) {
         let lane = &mut self.parts[p];
@@ -583,11 +564,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             src,
             dst,
         });
-        if let Some(counts) = self.link_load.as_mut() {
-            if let Some(arc) = self.graph.arc(src, dst) {
-                counts[arc] += 1;
-            }
-        }
     }
 
     /// End-of-round silence scan over partition `p`'s detector (timeout
@@ -1333,21 +1309,6 @@ mod tests {
         let t = sim.trace().unwrap();
         assert_eq!(t.len(), 16);
         assert!(t.dropped() > 0);
-    }
-
-    #[test]
-    fn link_load_counts_deliveries() {
-        let g = bus(2);
-        let mut sim = Simulator::new(&g, Recorder::new(2), FaultPlan::none(), 3);
-        sim.enable_link_load();
-        sim.run(25);
-        let a = sim.link_load(0, 1).unwrap();
-        let b = sim.link_load(1, 0).unwrap();
-        assert_eq!(a + b, sim.stats().delivered);
-        assert_eq!(a, 25);
-        assert_eq!(b, 25);
-        // non-edges report None
-        assert!(sim.link_load(0, 0).is_none());
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Execution observability: a bounded event trace and per-link load
-//! counters.
+//! Execution observability: a bounded event trace.
 //!
 //! Debugging a distributed algorithm is mostly asking "what actually
-//! happened, in order?" — the trace answers that without printf noise,
-//! and the link-load counters expose schedule fairness (on degree-skewed
-//! topologies like Barabási–Albert graphs, hubs are contacted far more
-//! often than leaves, which is exactly what starves push gossip).
+//! happened, in order?" — the trace answers that without printf noise.
+//! Its `Delivered` events also give per-link load, which exposes schedule
+//! fairness (on degree-skewed topologies like Barabási–Albert graphs,
+//! hubs are contacted far more often than leaves, which is exactly what
+//! starves push gossip).
 
 use gr_topology::NodeId;
 use serde::Serialize;

@@ -8,8 +8,8 @@
 //! * [`Dd`] — double-double ("compensated pair") arithmetic with roughly 31
 //!   significant decimal digits, used to compute reference aggregates that
 //!   experiments compare against;
-//! * [`sum`] — compensated (Neumaier) and pairwise summation kernels used
-//!   wherever the harness folds many floating-point values;
+//! * [`sum`] — compensated (Neumaier) summation kernels used wherever
+//!   the harness folds many floating-point values;
 //! * [`bits`] — raw bit manipulation of `f64` values, the mechanism behind
 //!   the simulator's bit-flip fault injector;
 //! * [`stats`] — the order statistics (max / median / quantiles) every
@@ -28,4 +28,4 @@ pub mod sum;
 pub use dd::Dd;
 pub use error::{max_relative_error, relative_error, RelErr};
 pub use stats::Summary;
-pub use sum::{neumaier_sum, pairwise_sum, CompensatedSum};
+pub use sum::{neumaier_sum, CompensatedSum};

@@ -1,4 +1,4 @@
-//! Compensated and pairwise summation kernels.
+//! Compensated summation kernels.
 //!
 //! The experiment harness folds thousands-to-millions of `f64` values
 //! (per-node estimates, residuals, squared errors). Naive left-to-right
@@ -81,21 +81,6 @@ pub fn neumaier_sum(values: &[f64]) -> f64 {
     acc.value()
 }
 
-/// Pairwise (cascade) summation: `O(eps·log n)` error, cache-friendly, and
-/// branch-predictable. Used where a strict compensated sum is overkill.
-pub fn pairwise_sum(values: &[f64]) -> f64 {
-    const BASE: usize = 64;
-    fn rec(v: &[f64]) -> f64 {
-        if v.len() <= BASE {
-            v.iter().sum()
-        } else {
-            let mid = v.len() / 2;
-            rec(&v[..mid]) + rec(&v[mid..])
-        }
-    }
-    rec(values)
-}
-
 /// Compensated dot product (each product compensated via FMA residual,
 /// running sum via Neumaier).
 ///
@@ -139,21 +124,10 @@ mod tests {
         }
         let reference = dd_sum(&v).to_f64();
         let comp = neumaier_sum(&v);
-        let pw = pairwise_sum(&v);
         assert_eq!(
             comp, reference,
             "compensated sum should round-trip the dd reference"
         );
-        let rel = ((pw - reference) / reference).abs();
-        assert!(rel < 1e-12, "pairwise error {rel}");
-    }
-
-    #[test]
-    fn pairwise_small_and_empty() {
-        assert_eq!(pairwise_sum(&[]), 0.0);
-        assert_eq!(pairwise_sum(&[3.5]), 3.5);
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(pairwise_sum(&v), 5050.0);
     }
 
     #[test]

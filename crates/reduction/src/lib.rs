@@ -43,7 +43,6 @@
 
 pub mod aggregate;
 pub(crate) mod bank;
-pub mod convergence;
 pub mod drive;
 pub mod extremum;
 pub mod flow_updating;
@@ -57,7 +56,6 @@ pub mod runner;
 pub mod wire;
 
 pub use aggregate::{AggregateKind, InitialData};
-pub use convergence::LocalConvergence;
 pub use drive::{DriverStats, NodeDriver};
 pub use extremum::{Extremum, ExtremumGossip};
 pub use flow_updating::FlowUpdating;

@@ -84,8 +84,7 @@ macro_rules! with_protocol {
 }
 
 /// Stopping rules and sampling cadence for a run. All stopping rules are
-/// *oracle-based* (they look at the true error); purely local detection
-/// lives in [`crate::LocalConvergence`].
+/// *oracle-based*: they look at the true error.
 #[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
     /// Stop once the max local relative error is at or below this.

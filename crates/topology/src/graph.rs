@@ -103,7 +103,7 @@ impl Graph {
     /// Flat index of the directed arc `i → j` (`arc_base(i) +
     /// neighbor_slot(i, j)`), or `None` if `i` and `j` are not adjacent.
     /// This is the one lookup behind every arc-indexed array — flow
-    /// banks, dead-arc masks, silence clocks, link-load counters.
+    /// banks, dead-arc masks, silence clocks.
     #[inline]
     pub fn arc(&self, i: NodeId, j: NodeId) -> Option<usize> {
         Some(self.arc_base(i) + self.neighbor_slot(i, j)?)

@@ -189,15 +189,26 @@ fn absorb(acc: &mut DriverStats, d: DriverStats) {
     acc.rehabilitated += d.rehabilitated;
 }
 
+/// The largest of `errors`, with a NaN read as `∞`, as
+/// `gr_numerics::relative_error` reads a non-finite estimate: a destroyed
+/// estimate never counts as converged. (`f64::max` would drop the NaN.)
+pub(crate) fn worst_error(errors: impl IntoIterator<Item = f64>) -> f64 {
+    errors.into_iter().fold(0.0, |worst, e| {
+        if e.is_nan() {
+            f64::INFINITY
+        } else {
+            worst.max(e)
+        }
+    })
+}
+
 fn max_rel_error(estimate: &[f64], reference: &[f64]) -> f64 {
-    estimate
-        .iter()
-        .zip(reference)
-        .map(|(e, r)| {
-            let scale = r.abs().max(1e-300);
-            (e - r).abs() / scale
-        })
-        .fold(0.0, f64::max)
+    worst_error(
+        estimate
+            .iter()
+            .zip(reference)
+            .map(|(e, r)| (e - r).abs() / r.abs().max(1e-300)),
+    )
 }
 
 /// Run one reduction to convergence over real transport endpoints.
@@ -395,7 +406,7 @@ where
                     && restarts_done.load(Ordering::SeqCst) == total_churn
                     && (hi - lo) <= opts.target * lo.abs().max(hi.abs()).max(1e-300)
             } else {
-                published.fold(0.0, f64::max) <= opts.target
+                worst_error(published) <= opts.target
             };
             if converged_now {
                 break (start.elapsed().as_secs_f64() * 1e3, true);
@@ -451,10 +462,11 @@ where
     // mass defines. This is the audit that stays meaningful under churn.
     let self_consistency = if mass_weight != 0.0 {
         let consensus: Vec<f64> = mass_value.iter().map(|m| m / mass_weight).collect();
-        outcomes
-            .iter()
-            .map(|o| max_rel_error(&o.estimate, &consensus))
-            .fold(0.0, f64::max)
+        worst_error(
+            outcomes
+                .iter()
+                .map(|o| max_rel_error(&o.estimate, &consensus)),
+        )
     } else {
         f64::INFINITY
     };
@@ -493,5 +505,20 @@ impl<M: gr_reduction::WireMsg> WireInstrumented for crate::mem::MemDelivery<M> {
 impl<M: gr_reduction::WireMsg> WireInstrumented for crate::udp::UdpDelivery<M> {
     fn wire_stats(&self) -> WireStats {
         UdpDelivery::wire_stats(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn destroyed_estimates_read_as_infinite_error() {
+        assert_eq!(max_rel_error(&[f64::NAN], &[7.5]), f64::INFINITY);
+        assert_eq!(max_rel_error(&[7.5, f64::NAN], &[7.5, 7.5]), f64::INFINITY);
+        assert_eq!(max_rel_error(&[f64::INFINITY], &[7.5]), f64::INFINITY);
+        assert_eq!(max_rel_error(&[7.5, 15.0], &[7.5, 7.5]), 1.0);
+        assert_eq!(worst_error([1e-3, f64::NAN, 2e-3]), f64::INFINITY);
+        assert_eq!(worst_error([]), 0.0);
     }
 }

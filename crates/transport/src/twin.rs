@@ -17,7 +17,7 @@
 //! and the wire bytes of any single exchange are pinned byte-for-byte by
 //! the codec goldens in `gr-reduction::wire`.
 
-use crate::cluster::{run_cluster, ClusterOptions, ClusterResult};
+use crate::cluster::{run_cluster, worst_error, ClusterOptions, ClusterResult};
 use crate::error::TransportError;
 use crate::mem::mem_cluster;
 use gr_netsim::{FaultPlan, Simulator};
@@ -79,9 +79,9 @@ pub fn twin_equivalence(
     let mut netsim_error = f64::INFINITY;
     while sim.round() < max_rounds && netsim_error > eps {
         sim.run(10);
-        netsim_error = (0..n as u32)
-            .map(|i| (sim.protocol().scalar_estimate(i) - reference).abs() / scale)
-            .fold(0.0, f64::max);
+        netsim_error = worst_error(
+            (0..n as u32).map(|i| (sim.protocol().scalar_estimate(i) - reference).abs() / scale),
+        );
     }
     let netsim_estimates = sim.protocol().scalar_estimates();
 
@@ -104,11 +104,12 @@ pub fn twin_equivalence(
     let mem_estimates: Vec<f64> = mem_result.nodes.iter().map(|r| r.estimate[0]).collect();
     let mem_error = mem_result.max_rel_error;
 
-    let divergence = netsim_estimates
-        .iter()
-        .zip(&mem_estimates)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
+    let divergence = worst_error(
+        netsim_estimates
+            .iter()
+            .zip(&mem_estimates)
+            .map(|(a, b)| (a - b).abs()),
+    );
     Ok(TwinReport {
         reference,
         tolerance: eps,

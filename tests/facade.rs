@@ -51,7 +51,7 @@ fn all_subsystems_reachable_through_facade() {
 #[test]
 fn extremum_and_convergence_helpers() {
     use gossip_reduce::reduction::{
-        AggregateKind, Extremum, ExtremumGossip, InitialData, LocalConvergence, ReductionProtocol,
+        AggregateKind, Extremum, ExtremumGossip, InitialData, ReductionProtocol,
     };
     let g = gossip_reduce::topology::complete(8);
     let data = InitialData::with_kind(
@@ -61,16 +61,7 @@ fn extremum_and_convergence_helpers() {
     let p = ExtremumGossip::new(&g, &data, Extremum::Max);
     let mut sim =
         gossip_reduce::netsim::Simulator::new(&g, p, gossip_reduce::netsim::FaultPlan::none(), 3);
-    let mut det = LocalConvergence::new(8, 4, 1e-12);
-    for _ in 0..60 {
-        sim.step();
-        for i in 0..8 {
-            det.observe(i, sim.protocol().scalar_estimate(i));
-        }
-        if det.all_converged(0..8) {
-            break;
-        }
-    }
-    assert!(det.all_converged(0..8));
-    assert_eq!(sim.protocol().scalar_estimate(0), 9.0);
+    // Max-gossip converges exactly, and a maximum once held is never lost.
+    sim.run(60);
+    assert!((0..8).all(|i| sim.protocol().scalar_estimate(i) == 9.0));
 }
