@@ -2,7 +2,8 @@
 //!
 //! Times the simulator's hot kernels (one synchronous round of PF / PCF /
 //! FU on hypercubes of dimension 6/8/10, fault-free and under a stress
-//! plan, the vector-payload grid on hc8, a full PCF round over a
+//! plan, the `InlineVec` vector-payload grid on hc8 and PCF on hc8 over
+//! the `Vec<f64>` payload dmGS ships, a full PCF round over a
 //! million-node torus through the partitioned engine, and the flow-bank
 //! component kernels in their AVX2 and baseline builds) on a pinned
 //! workload and emits `BENCH_6.json` in a stable schema. Each kernel
@@ -55,8 +56,8 @@ use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantSpec};
 use gr_experiments::Opts;
 use gr_netsim::{FaultPlan, LinkFailure, NodeCrash, Protocol, SimOptions, Simulator};
 use gr_reduction::{
-    kernels, with_protocol, AggregateKind, Algorithm, InitialData, Mass, Payload, PcfMsg, PhiMode,
-    PushCancelFlow, WireMsg,
+    kernels, with_protocol, AggregateKind, Algorithm, InitialData, InlineVec, Mass, Payload,
+    PcfMsg, PhiMode, PushCancelFlow, WireMsg,
 };
 use gr_topology::{hypercube, torus2d, Graph};
 use serde_json::Value;
@@ -377,7 +378,7 @@ fn run_all(
     {
         let graph = hypercube(8);
         for vdim in [4usize, 16, 64] {
-            let (_, data) = gr_bench::vector_fixture(8, vdim, SEED);
+            let (_, data) = gr_bench::vector_fixture::<InlineVec>(8, vdim, SEED);
             for alg in SIM_STEP_ALGORITHMS {
                 let name = format!("sim_step/{}/hc8/vec{vdim}", alg.label().to_lowercase());
                 if !only.is_empty() && !name.contains(only) {
@@ -386,6 +387,23 @@ fn run_all(
                 let m = measure(&graph, &data, alg, FaultPlan::none(), blocks);
                 push(&mut kernels, name, m);
             }
+        }
+    }
+    // The payload dmGS ships: heap `Vec<f64>` masses, PCF on fault-free
+    // hc8 at dims 1 and 16 (dmGS's narrowest and widest column batches),
+    // beside the `InlineVec` rows above. Recycled wire buffers keep these
+    // allocation-free too.
+    {
+        let graph = hypercube(8);
+        for vdim in [1usize, 16] {
+            let name = format!("sim_step/pcf/hc8/heapvec{vdim}");
+            if !only.is_empty() && !name.contains(only) {
+                continue;
+            }
+            let (_, data) = gr_bench::vector_fixture::<Vec<f64>>(8, vdim, SEED);
+            let alg = Algorithm::PushCancelFlow(PhiMode::Eager);
+            let m = measure(&graph, &data, alg, FaultPlan::none(), blocks);
+            push(&mut kernels, name, m);
         }
     }
     // Scale kernel: one full PCF round over a million-node torus through

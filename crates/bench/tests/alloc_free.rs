@@ -1,11 +1,12 @@
 //! Proof that the steady-state round loop is allocation-free: on the
-//! single-partition simulator, for scalar payloads and for vector
-//! payloads at the inline cap, and on the batch executor; and that a
-//! four-partition simulator running the timeout detector allocates only
-//! to grow buffers to new high-water marks.
+//! single-partition simulator, for scalar payloads, for vector payloads
+//! at the inline cap and for the heap `Vec<f64>` payloads dmGS ships,
+//! and on the batch executor; that a four-partition simulator running
+//! the timeout detector allocates only to grow buffers to new high-water
+//! marks; and that reading a node's estimate or mass allocates nothing.
 //!
 //! A counting shim around the system allocator is installed as the global
-//! allocator for this binary; each test warms a fault-free PCF run past
+//! allocator for this binary; each test warms a PCF run past
 //! the transient — delivery buckets and send lists at capacity, believed
 //! lists built, the protocol converged into its fold steady state — then
 //! counts heap traffic across 1000 further rounds. The count must be
@@ -21,7 +22,10 @@
 use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantSpec};
 use gr_bench::vector_fixture;
 use gr_netsim::{DetectorModel, FaultPlan, SimOptions, Simulator};
-use gr_reduction::{AggregateKind, InitialData, PushCancelFlow, INLINE_CAP};
+use gr_reduction::{
+    with_protocol, AggregateKind, Algorithm, InitialData, InlineVec, PhiMode, PushCancelFlow,
+    ReductionProtocol, INLINE_CAP,
+};
 use gr_topology::hypercube;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -89,7 +93,7 @@ fn steady_state_rounds_do_not_allocate() {
 /// through `Protocol::reclaim` leave nothing to allocate per round.
 #[test]
 fn steady_state_vector_rounds_do_not_allocate() {
-    let (g, data) = vector_fixture(6, INLINE_CAP, 1);
+    let (g, data) = vector_fixture::<InlineVec>(6, INLINE_CAP, 1);
     let mut sim = Simulator::new(&g, PushCancelFlow::new(&g, &data), FaultPlan::none(), 1);
     // Warm-up: grow the delivery buckets and the wire-buffer pool to
     // steady-state capacity.
@@ -101,6 +105,51 @@ fn steady_state_vector_rounds_do_not_allocate() {
         "steady-state vector hot loop performed {n} heap allocations"
     );
     assert_eq!(sim.stats().rounds, 1064);
+}
+
+/// The payload dmGS ships: heap `Vec<f64>` masses at dim 16 on hc8,
+/// PCF-Eager under 2% loss. Every wire buffer, lost or delivered, goes
+/// back to the protocol's pool through `Protocol::reclaim`, so once the
+/// pool holds a round's worth of messages nothing allocates.
+#[test]
+fn steady_state_heap_vector_rounds_do_not_allocate() {
+    let (g, data) = vector_fixture::<Vec<f64>>(8, 16, 1);
+    let pcf = PushCancelFlow::with_mode(&g, &data, PhiMode::Eager);
+    let mut sim = Simulator::new(&g, pcf, FaultPlan::with_loss(0.02), 1);
+    sim.run(64);
+
+    let n = count_allocs(|| sim.run(1000));
+    assert_eq!(
+        n, 0,
+        "steady-state heap-vector hot loop performed {n} heap allocations"
+    );
+    assert_eq!(sim.stats().rounds, 1064);
+    assert!(sim.stats().lost_random > 0, "the loss model never fired");
+}
+
+/// The oracle side writes each node's `e_i` straight into the caller's
+/// slice: over `Vec<f64>` payloads, where any scratch payload would be a
+/// heap allocation, reading every estimate and mass allocates nothing.
+#[test]
+fn oracle_reads_over_heap_vectors_do_not_allocate() {
+    let (g, data) = vector_fixture::<Vec<f64>>(4, 16, 3);
+    for alg in Algorithm::all() {
+        with_protocol!(alg, &g, &data, |proto| {
+            let mut sim = Simulator::new(&g, proto, FaultPlan::none(), 3);
+            sim.run(32);
+            let proto = sim.protocol();
+            let mut buf = vec![0.0; 16];
+            let mut weight = 0.0;
+            let n = count_allocs(|| {
+                for i in 0..g.len() as u32 {
+                    proto.write_estimate(i, &mut buf);
+                    weight += proto.write_mass(i, &mut buf);
+                }
+            });
+            assert_eq!(n, 0, "{}: oracle reads made {n} allocations", alg.label());
+            assert!(weight > 0.0, "{}: no mass read", alg.label());
+        });
+    }
 }
 
 /// With four partitions the round is allocation-free only amortised.

@@ -31,7 +31,8 @@
 
 use gr_linalg::Matrix;
 use gr_netsim::{FaultPlan, Simulator};
-use gr_reduction::{with_protocol, Algorithm, InitialData, InlineVec, Normwise, ReductionProtocol};
+use gr_numerics::dd::two_sum;
+use gr_reduction::{with_protocol, Algorithm, InitialData, Normwise, ReductionProtocol};
 use gr_topology::{Graph, NodeId};
 
 /// Configuration of a dmGS run.
@@ -110,14 +111,14 @@ fn vector_sum_reduction(
     // measurably more accurate at scale than the single-unit-weight SUM
     // start (whose per-node weights are O(1/N) and noisy — compare the
     // SUM vs AVG series of Figs. 3/6).
-    // Payloads ride as `InlineVec` so every per-column batch at or below
-    // the inline cap runs the reduction allocation-free; results are
-    // bit-identical to `Vec<f64>` payloads (see `payload_equiv`).
+    // Payloads ride as `Vec<f64>`: a PCF message is then 152 bytes, not
+    // the 600 of four inline `InlineVec` buffers, and every message is
+    // moved by value through the pool, the mailbox lanes and back. The
+    // protocols' wire-buffer pools keep the heap payloads allocation-free
+    // in steady state, and the arithmetic is the same for every payload
+    // type (see `payload_equiv`), so results do not depend on the choice.
     let n = graph.len() as f64;
-    let data = InitialData::with_kind(
-        locals.into_iter().map(InlineVec::from).collect(),
-        gr_reduction::AggregateKind::Average,
-    );
+    let data = InitialData::with_kind(locals, gr_reduction::AggregateKind::Average);
     let seed = cfg.seed ^ (0x9E37_79B9 * (reduction_idx + 1));
     let plan = if cfg.msg_loss_prob > 0.0 {
         FaultPlan::with_loss(cfg.msg_loss_prob)
@@ -278,26 +279,10 @@ pub fn dmgs(v: &Matrix, graph: &Graph, cfg: &DmgsConfig) -> DmgsResult {
 /// scale while dmGS(PCF) stays at the target.
 ///
 /// Residual entries are evaluated with compensated dot products so the
-/// metric itself does not add `O(m·ε)` noise on top of what it measures.
+/// metric itself does not add `O(m·ε)` noise on top of what it measures
+/// (see [`residual`] for the kernel and its two builds).
 pub fn cross_factorization_error(v: &Matrix, q: &Matrix, r_per_node: &[Matrix]) -> f64 {
-    let (n, m) = (v.rows(), v.cols());
-    let vnorm = v.norm_inf();
-    let mut worst = 0.0f64;
-    for r in r_per_node {
-        let rt = r.transpose(); // columns of R as contiguous rows
-        for row in 0..n {
-            let qrow = q.row(row);
-            let mut rowsum = 0.0f64;
-            for j in 0..m {
-                // entry (row, j) of Q·R uses only the first j+1 columns of
-                // Q (R upper triangular).
-                let qr = gr_numerics::sum::compensated_dot(&qrow[..=j], &rt.row(j)[..=j]);
-                rowsum += (v[(row, j)] - qr).abs();
-            }
-            worst = worst.max(rowsum);
-        }
-    }
-    worst / vnorm
+    residual::dispatch(v, q, r_per_node, false)
 }
 
 /// Diagnostic companion metric: the residual of each row against the
@@ -307,22 +292,134 @@ pub fn cross_factorization_error(v: &Matrix, q: &Matrix, r_per_node: &[Matrix]) 
 /// The gap between this and [`cross_factorization_error`] isolates the
 /// reduction-induced error.
 pub fn local_consistency_error(v: &Matrix, q: &Matrix, r_per_node: &[Matrix]) -> f64 {
-    let (n, m) = (v.rows(), v.cols());
-    let nodes = r_per_node.len();
-    let vnorm = v.norm_inf();
-    let mut worst = 0.0f64;
-    for row in 0..n {
-        let r = &r_per_node[owner(row, nodes) as usize];
-        let qrow = q.row(row);
-        let mut rowsum = 0.0f64;
-        for j in 0..m {
-            let rt_col: Vec<f64> = (0..=j).map(|k| r[(k, j)]).collect();
-            let qr = gr_numerics::sum::compensated_dot(&qrow[..=j], &rt_col);
-            rowsum += (v[(row, j)] - qr).abs();
+    residual::dispatch(v, q, r_per_node, true)
+}
+
+pub mod residual {
+    //! The residual kernel behind [`cross_factorization_error`] and
+    //! [`local_consistency_error`], written once and compiled twice.
+    //!
+    //! Entry `(row, j)` of `Q·R` is the compensated dot product
+    //! `Σ_{k≤j} Q[row,k]·R[k,j]` (R upper triangular): each product split
+    //! exactly by `two_prod` (`p = x·y`, `e = fma(x, y, −p)`), `p` then
+    //! `e` added to a Neumaier sum, in `k` order. The kernel runs `k`
+    //! outer and `j` inner, over R's contiguous rows, keeping one running
+    //! sum per `j`, so every entry sees exactly the operations of a
+    //! per-entry dot product in exactly its order, while the `j` loop
+    //! vectorizes.
+    //!
+    //! On the baseline x86-64 target `f64::mul_add` is not an instruction
+    //! but an out-of-line call into the runtime's `fma`, which picks a
+    //! hardware or software path at run time. The [`fma`] build compiles
+    //! the same source under `#[target_feature(enable = "avx2,fma")]`,
+    //! where it is one `vfmsub` per product; the two metrics run it when
+    //! [`fma_supported`] holds (std caches the probe) and the [`baseline`]
+    //! build otherwise. A fused multiply-add is correctly rounded however
+    //! it is computed, so the two builds agree bit for bit (pinned by
+    //! `tests/residual_equiv.rs`).
+    //!
+    //! [`cross_factorization_error`]: super::cross_factorization_error
+    //! [`local_consistency_error`]: super::local_consistency_error
+
+    use super::{two_sum, Matrix};
+
+    /// `true` iff this CPU runs the [`fma`] build (x86-64 with AVX2 and
+    /// FMA).
+    pub fn fma_supported() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
         }
-        worst = worst.max(rowsum);
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
     }
-    worst / vnorm
+
+    /// The residual on the CPU's best build (see [`baseline`]).
+    pub(super) fn dispatch(v: &Matrix, q: &Matrix, r_per_node: &[Matrix], owner_only: bool) -> f64 {
+        #[cfg(target_arch = "x86_64")]
+        if fma_supported() {
+            // SAFETY: `fma_supported` confirmed AVX2 and FMA at runtime.
+            return unsafe { with_fma(v, q, r_per_node, owner_only) };
+        }
+        worst_residual(v, q, r_per_node, owner_only)
+    }
+
+    /// The baseline build. `owner_only` pairs each row with its owning
+    /// node's R only ([`local_consistency_error`]); otherwise every row
+    /// is paired with every node's R ([`cross_factorization_error`]).
+    ///
+    /// [`cross_factorization_error`]: super::cross_factorization_error
+    /// [`local_consistency_error`]: super::local_consistency_error
+    pub fn baseline(v: &Matrix, q: &Matrix, r_per_node: &[Matrix], owner_only: bool) -> f64 {
+        worst_residual(v, q, r_per_node, owner_only)
+    }
+
+    /// The AVX2+FMA build (arguments as for [`baseline`]). Panics if the
+    /// CPU lacks either feature; on targets other than x86-64 it is the
+    /// baseline build.
+    pub fn fma(v: &Matrix, q: &Matrix, r_per_node: &[Matrix], owner_only: bool) -> f64 {
+        #[cfg(target_arch = "x86_64")]
+        {
+            assert!(fma_supported(), "the FMA residual build needs AVX2 and FMA");
+            // SAFETY: AVX2 and FMA availability asserted above.
+            unsafe { with_fma(v, q, r_per_node, owner_only) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            worst_residual(v, q, r_per_node, owner_only)
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn with_fma(v: &Matrix, q: &Matrix, r_per_node: &[Matrix], owner_only: bool) -> f64 {
+        worst_residual(v, q, r_per_node, owner_only)
+    }
+
+    /// `max_b max_row Σ_j |V[row,j] − (Q·R_b)[row,j]| / ‖V‖∞` over every
+    /// row, or (`owner_only`) over the rows node `b` owns.
+    #[inline(always)]
+    fn worst_residual(v: &Matrix, q: &Matrix, r_per_node: &[Matrix], owner_only: bool) -> f64 {
+        let (n, m) = (v.rows(), v.cols());
+        let nodes = r_per_node.len();
+        let vnorm = v.norm_inf();
+        // The running Neumaier sum (sum, compensation) of every entry of
+        // one row of Q·R.
+        let mut sum = vec![0.0f64; m];
+        let mut comp = vec![0.0f64; m];
+        let mut worst = 0.0f64;
+        for (b, r) in r_per_node.iter().enumerate() {
+            let (first, step) = if owner_only { (b, nodes) } else { (0, 1) };
+            for row in (first..n).step_by(step) {
+                sum.fill(0.0);
+                comp.fill(0.0);
+                for (k, &x) in q.row(row).iter().enumerate() {
+                    // Row k of R feeds entries j ≥ k only.
+                    let lanes = sum[k..].iter_mut().zip(&mut comp[k..]);
+                    for ((s, c), &y) in lanes.zip(&r.row(k)[k..]) {
+                        let p = x * y;
+                        let e = f64::mul_add(x, y, -p);
+                        let (s1, e1) = two_sum(*s, p);
+                        *c += e1;
+                        let (s2, e2) = two_sum(s1, e);
+                        *s = s2;
+                        *c += e2;
+                    }
+                }
+                let mut rowsum = 0.0f64;
+                for ((&vj, &s), &c) in v.row(row).iter().zip(&sum).zip(&comp) {
+                    rowsum += (vj - (s + c)).abs();
+                }
+                worst = worst.max(rowsum);
+            }
+        }
+        worst / vnorm
+    }
 }
 
 /// Fully distributed *classical* Gram-Schmidt (dmCGS) — the numerically

@@ -9,8 +9,17 @@
 //!
 //! The algorithms are the classical error-free transformations of Dekker and
 //! Knuth (`two_sum`, `two_prod`) as popularised by Hida, Li & Bailey's QD
-//! library. `two_prod` uses the fused multiply-add, which Rust lowers to a
-//! hardware FMA on every target this repo cares about.
+//! library. `two_prod` uses the fused multiply-add, `f64::mul_add`. That
+//! is one instruction only where the target enables FMA (aarch64, or x86-64
+//! code compiled with the `fma` target feature). On the baseline x86-64
+//! target it is an out-of-line call: the disassembly shows `fma`, a
+//! compiler-builtins function that jumps through a pointer resolved at
+//! run time to `fma_with_fma` on CPUs with FMA, to a software fallback
+//! otherwise. Every path is correctly rounded, so results are identical
+//! either way; only the cost differs. A hot loop that needs the
+//! instruction compiles itself a second time under
+//! `#[target_feature(enable = "fma")]` and picks that build at run time,
+//! as `gr_dmgs::residual` does.
 
 use core::cmp::Ordering;
 use core::fmt;

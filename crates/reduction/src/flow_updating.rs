@@ -21,6 +21,7 @@
 //! reduction algorithms").
 
 use crate::aggregate::InitialData;
+use crate::kernels;
 use crate::payload::Payload;
 use crate::protocol::ReductionProtocol;
 use gr_netsim::{Corrupt, Protocol};
@@ -99,22 +100,24 @@ impl<'g, P: Payload> FlowUpdating<'g, P> {
         &self.flows[self.graph.arc(i, j).expect("not an edge")]
     }
 
-    /// `e_i = v_i − Σ_j f_{i,j}` (into a fresh buffer; see `write_live_value`).
+    /// `e_i = v_i − Σ_j f_{i,j}` (into a fresh buffer; see `write_live`).
     pub fn estimate_value(&self, i: NodeId) -> P {
         let mut e = P::zeros(self.dim);
-        self.write_live_value(i, &mut e);
+        self.write_live(i, e.components_mut());
         e
     }
 
-    /// Write `e_i = v_i − Σ_j f_{i,j}` into `e` (plain f64 arithmetic,
-    /// like PF) — the one definition of the estimate, shared by the
-    /// oracle side ([`Self::estimate_value`]) and the send side.
+    /// Write `e_i = v_i − Σ_j f_{i,j}` into `values` (plain f64
+    /// arithmetic, like PF) — the one definition of the estimate, shared
+    /// by the oracle side (`write_estimate`, `write_mass`, straight into
+    /// the caller's slice) and the send side. FU's weights are all 1, so
+    /// there is no weight to return.
     #[inline]
-    fn write_live_value(&self, i: NodeId, e: &mut P) {
-        e.copy_from_components(self.init[i as usize].components());
+    fn write_live(&self, i: NodeId, values: &mut [f64]) {
+        values.copy_from_slice(self.init[i as usize].components());
         let base = self.graph.arc_base(i);
         for slot in 0..self.graph.degree(i) {
-            e.sub_assign(&self.flows[base + slot]);
+            kernels::sub(values, self.flows[base + slot].components());
         }
     }
 
@@ -150,7 +153,7 @@ impl<'g, P: Payload> FlowUpdating<'g, P> {
         // average a, so the hot path never allocates whatever the payload
         // dimension; `flow` is overwritten with the flow at the end.
         let (e, a) = (&mut msg.flow, &mut msg.estimate);
-        self.write_live_value(node, e);
+        self.write_live(node, e.components_mut());
         // a = (e + nbr_est)/2
         a.copy_from_components(e.components());
         a.add_assign(&self.nbr_est[idx]);
@@ -234,14 +237,12 @@ impl<'g, P: Payload> ReductionProtocol for FlowUpdating<'g, P> {
     }
 
     fn write_mass(&self, node: NodeId, values: &mut [f64]) -> f64 {
-        let e = self.estimate_value(node);
-        values.copy_from_slice(e.components());
+        self.write_live(node, values);
         1.0
     }
 
     fn write_estimate(&self, node: NodeId, out: &mut [f64]) {
-        let e = self.estimate_value(node);
-        out.copy_from_slice(e.components());
+        self.write_live(node, out);
     }
 
     fn write_flow(&self, i: NodeId, j: NodeId, values: &mut [f64]) -> Option<f64> {

@@ -396,6 +396,16 @@ impl<P: Payload> Mass<P> {
     }
 }
 
+/// `values[k] /= weight`: turns the value components of a mass, written
+/// in place by a protocol's `write_live`, into the estimate it encodes —
+/// the same division, bit for bit, as [`Mass::write_estimate`].
+#[inline]
+pub(crate) fn divide_by_weight(values: &mut [f64], weight: f64) {
+    for v in values {
+        *v /= weight;
+    }
+}
+
 impl<P: Payload> Corrupt for Mass<P> {
     fn corruptible_bits(&self) -> u32 {
         self.value.corruptible_bits() + 64

@@ -48,7 +48,8 @@
 
 use crate::aggregate::InitialData;
 use crate::bank::{self, FlowBank};
-use crate::payload::{Mass, Payload};
+use crate::kernels;
+use crate::payload::{divide_by_weight, Mass, Payload};
 use crate::protocol::ReductionProtocol;
 use gr_netsim::{Corrupt, Protocol};
 use gr_topology::{Graph, NodeId};
@@ -407,37 +408,47 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
         &self.nodes[i as usize].phi
     }
 
-    /// Live data `e_i` (into a fresh buffer; see `write_live_mass`).
+    /// Live data `e_i` (into a fresh buffer; see `write_live`).
     pub fn estimate_mass(&self, i: NodeId) -> Mass<P> {
-        let mut e = Mass::zero(self.dim);
-        Self::write_live_mass(
+        let mut e = Mass::<P>::zero(self.dim);
+        e.weight = self.live(i, e.value.components_mut());
+        e
+    }
+
+    /// [`Self::write_live`] over this instance's state.
+    #[inline]
+    fn live(&self, i: NodeId, values: &mut [f64]) -> f64 {
+        Self::write_live(
             self.graph,
             self.mode,
             &self.nodes,
             &self.ctl,
             &self.bank,
             i,
-            &mut e,
-        );
-        e
+            values,
+        )
     }
 
-    /// Write the live data `e_i` into `e` (see the module docs for the
-    /// per-mode formula) — the one definition of the estimate, shared by
-    /// the oracle side ([`Self::estimate_mass`]) and the send side.
+    /// Write the value components of the live data `e_i` into `values`
+    /// and return its weight (see the module docs for the per-mode
+    /// formula) — the one definition of the estimate, shared by the
+    /// oracle side (`write_estimate`, `write_mass`, straight into the
+    /// caller's slice) and the send side (into the per-partition scratch
+    /// mass).
     #[inline(always)]
-    fn write_live_mass(
+    fn write_live(
         graph: &Graph,
         mode: PhiMode,
         nodes: &[NodeState<P>],
         ctl: &[ArcCtl],
         fbank: &FlowBank,
         i: NodeId,
-        e: &mut Mass<P>,
-    ) {
+        values: &mut [f64],
+    ) -> f64 {
         let node = &nodes[i as usize];
-        e.copy_from(&node.init);
-        e.sub_assign(&node.phi);
+        values.copy_from_slice(node.init.value.components());
+        kernels::sub(values, node.phi.value.components());
+        let mut weight = node.init.weight - node.phi.weight;
         if mode == PhiMode::Hardened {
             // Fused slice kernel over the node's contiguous arc-row range:
             // per arc, subtract F1 then F2 in slot order — the same
@@ -447,12 +458,13 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
             // (order-preserving) loop is bit-identical too.
             let base = graph.arc_base(i);
             let deg = graph.degree(i);
-            bank::sub_leading2_rows(e.value.components_mut(), fbank.arc_rows(base, deg), FIELDS);
+            bank::sub_leading2_rows(values, fbank.arc_rows(base, deg), FIELDS);
             for s in &ctl[base..base + deg] {
-                e.weight -= s.w[F1];
-                e.weight -= s.w[F2];
+                weight -= s.w[F1];
+                weight -= s.w[F2];
             }
         }
+        weight
     }
 
     /// Replace node `i`'s local input value mid-run (live monitoring, cf.
@@ -612,7 +624,15 @@ impl<'g, P: Payload> PushCancelFlow<'g, P> {
             ..
         } = self;
         let e = &mut scratches[part];
-        Self::write_live_mass(graph, *mode, nodes, ctl, bank, node, e);
+        e.weight = Self::write_live(
+            graph,
+            *mode,
+            nodes,
+            ctl,
+            bank,
+            node,
+            e.value.components_mut(),
+        );
         e.scale(0.5);
         let s = &mut ctl[idx];
         let act = act_idx(s.c);
@@ -970,13 +990,12 @@ impl<'g, P: Payload> ReductionProtocol for PushCancelFlow<'g, P> {
     }
 
     fn write_mass(&self, node: NodeId, values: &mut [f64]) -> f64 {
-        let e = self.estimate_mass(node);
-        values.copy_from_slice(e.value.components());
-        e.weight
+        self.live(node, values)
     }
 
     fn write_estimate(&self, node: NodeId, out: &mut [f64]) {
-        self.estimate_mass(node).write_estimate(out);
+        let weight = self.live(node, out);
+        divide_by_weight(out, weight);
     }
 
     fn write_flow(&self, i: NodeId, j: NodeId, values: &mut [f64]) -> Option<f64> {

@@ -20,7 +20,7 @@
 
 use crate::aggregate::InitialData;
 use crate::bank::{self, FlowBank};
-use crate::payload::{Mass, Payload};
+use crate::payload::{divide_by_weight, Mass, Payload};
 use crate::protocol::ReductionProtocol;
 use gr_netsim::Protocol;
 use gr_topology::{Graph, NodeId};
@@ -134,23 +134,25 @@ impl<'g, P: Payload> PushFlow<'g, P> {
     }
 
     /// Live data `e_i = v_i − Σ_j f_{i,j}` (into a fresh buffer; see
-    /// `write_live_mass`).
+    /// `write_live`).
     pub fn estimate_mass(&self, i: NodeId) -> Mass<P> {
-        let mut e = Mass::zero(self.dim);
-        self.write_live_mass(i, &mut e);
+        let mut e = Mass::<P>::zero(self.dim);
+        e.weight = self.write_live(i, e.value.components_mut());
         e
     }
 
-    /// Write `e_i = v_i − Σ_j f_{i,j}` into `e` — the one definition of
-    /// the estimate, shared by the oracle side ([`Self::estimate_mass`])
-    /// and the send side. By default in plain f64 arithmetic — the
-    /// summation order is the neighbor order, *deliberately*
-    /// uncompensated (the cancellation here is the phenomenon under
-    /// study); with
+    /// Write the value components of `e_i = v_i − Σ_j f_{i,j}` into
+    /// `values` and return its weight — the one definition of the
+    /// estimate, shared by the oracle side (`write_estimate`,
+    /// `write_mass`, straight into the caller's slice) and the send side
+    /// (into the recycled wire buffer). By default in plain f64
+    /// arithmetic — the summation order is the neighbor order,
+    /// *deliberately* uncompensated (the cancellation here is the
+    /// phenomenon under study); with
     /// [`with_compensated_estimates`](Self::with_compensated_estimates)
     /// each component is accumulated with a Neumaier sum.
     #[inline]
-    fn write_live_mass(&self, i: NodeId, e: &mut Mass<P>) {
+    fn write_live(&self, i: NodeId, values: &mut [f64]) -> f64 {
         let init = &self.init[i as usize];
         let base = self.graph.arc_base(i);
         let deg = self.graph.degree(i);
@@ -158,16 +160,17 @@ impl<'g, P: Payload> PushFlow<'g, P> {
             // Fused slice kernel over the node's contiguous arc rows
             // (single-field bank ⇒ one run) — same per-component
             // subtractions in the same order as a per-slot loop.
-            e.copy_from(init);
-            bank::sub_rows(e.value.components_mut(), self.bank.arc_rows(base, deg));
+            values.copy_from_slice(init.value.components());
+            bank::sub_rows(values, self.bank.arc_rows(base, deg));
+            let mut weight = init.weight;
             for slot in 0..deg {
-                e.weight -= self.flow_w[base + slot];
+                weight -= self.flow_w[base + slot];
             }
-            return;
+            return weight;
         }
         // Compensated path: componentwise Neumaier accumulation.
         let comps = init.value.components();
-        for (k, out) in e.value.components_mut().iter_mut().enumerate() {
+        for (k, out) in values.iter_mut().enumerate() {
             let mut acc = gr_numerics::CompensatedSum::new();
             acc.add(comps[k]);
             for slot in 0..deg {
@@ -180,7 +183,7 @@ impl<'g, P: Payload> PushFlow<'g, P> {
         for slot in 0..deg {
             wacc.add(-self.flow_w[base + slot]);
         }
-        e.weight = wacc.value();
+        wacc.value()
     }
 
     /// Replace node `i`'s local input value mid-run (live monitoring, cf.
@@ -213,7 +216,7 @@ impl<'g, P: Payload> PushFlow<'g, P> {
         let mut msg = self.pools[part]
             .pop()
             .unwrap_or_else(|| Mass::zero(self.dim));
-        self.write_live_mass(node, &mut msg);
+        msg.weight = self.write_live(node, msg.value.components_mut());
         msg.scale(0.5);
         let idx = self.graph.arc(node, target).expect("send on a non-edge");
         bank::add(self.bank.slice_mut(idx, FLOW), msg.value.components());
@@ -303,13 +306,12 @@ impl<'g, P: Payload> ReductionProtocol for PushFlow<'g, P> {
     }
 
     fn write_mass(&self, node: NodeId, values: &mut [f64]) -> f64 {
-        let e = self.estimate_mass(node);
-        values.copy_from_slice(e.value.components());
-        e.weight
+        self.write_live(node, values)
     }
 
     fn write_estimate(&self, node: NodeId, out: &mut [f64]) {
-        self.estimate_mass(node).write_estimate(out);
+        let weight = self.write_live(node, out);
+        divide_by_weight(out, weight);
     }
 
     fn write_flow(&self, i: NodeId, j: NodeId, values: &mut [f64]) -> Option<f64> {
