@@ -12,7 +12,7 @@
 //! replay command that re-runs exactly that scenario and dumps the
 //! netsim trace tail.
 
-use crate::runner::{run_scenario_exec, run_scenario_traced, Exec, ScenarioResult};
+use crate::runner::{run_scenario, ScenarioResult};
 use crate::scenario::{Lane, Scenario};
 use gr_experiments::parallel::par_map;
 use serde::Serialize;
@@ -29,23 +29,17 @@ pub struct CampaignReport {
 
 /// Run every scenario in the corpus on `threads` workers. Results keep
 /// corpus order (the parallel map is order-preserving), so the report is
-/// independent of scheduling.
-pub fn run_campaign(lane: Lane, corpus: &[Scenario], threads: usize) -> CampaignReport {
-    run_campaign_exec(lane, corpus, threads, Exec::default())
-}
-
-/// [`run_campaign`] with explicit per-simulation execution options
-/// (partitioned-engine worker threads, partition override). `threads`
-/// stays the scenario fan-out — how many corpus entries run at once —
-/// while `exec.sim_threads` parallelises *inside* each simulation.
-pub fn run_campaign_exec(
+/// independent of scheduling. `threads` is the scenario fan-out — how
+/// many corpus entries run at once — while `sim_threads` parallelises
+/// *inside* each simulation (see [`run_scenario`]).
+pub fn run_campaign(
     lane: Lane,
     corpus: &[Scenario],
     threads: usize,
-    exec: Exec,
+    sim_threads: usize,
 ) -> CampaignReport {
     let results = par_map(corpus.to_vec(), threads, move |sc| {
-        run_scenario_exec(&sc, exec)
+        run_scenario(&sc, sim_threads, None).0
     });
     CampaignReport { lane, results }
 }
@@ -228,7 +222,7 @@ pub fn find_scenario<'c>(corpus: &'c [Scenario], hash: &str) -> Option<&'c Scena
 /// deterministic replay report: the canonical scenario line, the outcome
 /// triple, and the last `tail` netsim events as pretty JSON.
 pub fn render_replay(sc: &Scenario, tail: usize) -> String {
-    let (r, trace) = run_scenario_traced(sc, Some(tail.max(64)));
+    let (r, trace) = run_scenario(sc, 1, Some(tail.max(64)));
     let mut out = String::new();
     let _ = writeln!(out, "replaying fp={}", r.hash);
     let _ = writeln!(out, "  {}", sc.canonical());
@@ -273,7 +267,7 @@ pub fn render_replay(sc: &Scenario, tail: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{sanity_corpus, shard_corpus};
+    use crate::scenario::sanity_corpus;
 
     #[test]
     fn report_renders_and_round_trips_fingerprints() {
@@ -282,7 +276,7 @@ mod tests {
             .into_iter()
             .filter(|s| s.template == "complete16")
             .collect();
-        let report = run_campaign(Lane::Sanity, &corpus, 2);
+        let report = run_campaign(Lane::Sanity, &corpus, 2, 1);
         assert!(report.passed(), "{}", report.render());
         let text = report.render();
         assert!(text.contains("verdict: PASS"));
@@ -291,35 +285,6 @@ mod tests {
             let sc = find_scenario(&corpus, &r.hash).expect("fingerprint resolves");
             assert_eq!(sc.hash(), r.hash);
         }
-    }
-
-    #[test]
-    fn sharded_reports_merge_to_the_unsharded_report() {
-        let corpus = sanity_corpus(&[1]);
-        let full = run_campaign(Lane::Sanity, &corpus, 2);
-
-        // Run each shard separately, then interleave the shard results
-        // round-robin (scenario `i` lives in shard `i mod n` at in-shard
-        // position `i / n`) and compare the merged report byte-for-byte.
-        let n = 3;
-        let shard_reports: Vec<CampaignReport> = (0..n)
-            .map(|k| run_campaign(Lane::Sanity, &shard_corpus(&corpus, k, n), 2))
-            .collect();
-        assert_eq!(
-            shard_reports.iter().map(|r| r.results.len()).sum::<usize>(),
-            corpus.len()
-        );
-        let merged = CampaignReport {
-            lane: Lane::Sanity,
-            results: (0..corpus.len())
-                .map(|i| shard_reports[i % n].results[i / n].clone())
-                .collect(),
-        };
-        assert_eq!(merged.render(), full.render());
-        assert_eq!(
-            serde_json::to_string(&merged.to_json()).unwrap(),
-            serde_json::to_string(&full.to_json()).unwrap()
-        );
     }
 
     #[test]
@@ -376,7 +341,7 @@ mod tests {
             .into_iter()
             .filter(|s| s.template == "complete16" && s.algorithm.label() == "PF")
             .collect();
-        let report = run_campaign(Lane::Sanity, &corpus, 1);
+        let report = run_campaign(Lane::Sanity, &corpus, 1, 1);
         let j = serde_json::to_string(&report.to_json()).unwrap();
         assert!(j.contains("\"verdict\":\"PASS\""));
         assert!(j.contains("\"lane\":\"sanity\""));

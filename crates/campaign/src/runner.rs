@@ -14,7 +14,7 @@
 use crate::oracle::{Oracle, Violation};
 use crate::scenario::{Scenario, Workload};
 use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantProtocol, TenantSpec};
-use gr_netsim::{SimStats, Simulator, Trace};
+use gr_netsim::{SimOptions, SimStats, Simulator, Trace};
 use gr_reduction::{
     with_protocol, AggregateKind, Algorithm, Checkpoint, ErrorSample, FlowUpdating, InitialData,
     InlineVec, Payload, PushCancelFlow, PushFlow, ReductionProtocol,
@@ -44,7 +44,7 @@ pub struct ScenarioResult {
     pub final_err: f64,
     /// Transport counters.
     pub stats: SimStats,
-    /// How the engine partition count was chosen (explicit override,
+    /// How the engine partition count was chosen (explicit count,
     /// single-stream default, or the measured cost model — with the
     /// model's probe constants when measured). `None` for multi-tenant
     /// batch scenarios, which run on the batch executor instead of one
@@ -54,72 +54,34 @@ pub struct ScenarioResult {
     pub violation: Option<Violation>,
 }
 
-/// Execution-level knobs that are *not* part of a scenario's identity:
-/// they may change wall-clock behaviour but never results — with the one
-/// documented exception of [`Exec::partitions`], an explicit operator
-/// override for experiments.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Exec {
-    /// Worker threads for the partitioned engine's parallel phases
-    /// (`0` = the netsim default of 1). Thread count never changes
-    /// results — the partitioned engine's merge order is fixed by
-    /// partition index, and this is pinned by the determinism suite.
-    pub sim_threads: usize,
-    /// Override the engine partition count (`None` = respect each
-    /// scenario's own choice). Unlike threads this *does* change
-    /// results (partition count selects RNG streams), so reports
-    /// produced under an override are comparable only to other runs
-    /// with the same override. The override applies to every
-    /// single-simulator scenario (async activation flips to synchronous);
-    /// multi-tenant batch scenarios run on the batch executor and ignore
-    /// it.
-    pub partitions: Option<usize>,
-}
-
-/// Run one scenario (no tracing, default execution).
-pub fn run_scenario(sc: &Scenario) -> ScenarioResult {
-    run_scenario_exec(sc, Exec::default())
-}
-
-/// Run one scenario with explicit execution options.
-pub fn run_scenario_exec(sc: &Scenario, exec: Exec) -> ScenarioResult {
-    run_scenario_traced_exec(sc, None, exec).0
-}
-
-/// Run one scenario, optionally recording the netsim event trace (ring
-/// buffer of `capacity` events) for replay reporting.
-pub fn run_scenario_traced(
+/// Run one scenario. `sim_threads` sets the worker threads of the
+/// partitioned round engine and the batch executor (`0` means 1); the
+/// thread count never changes results, which the determinism suite pins. `trace_capacity` records the last events of
+/// the netsim trace in a ring buffer of that size, for replay reports.
+pub fn run_scenario(
     sc: &Scenario,
+    sim_threads: usize,
     trace_capacity: Option<usize>,
-) -> (ScenarioResult, Option<Trace>) {
-    run_scenario_traced_exec(sc, trace_capacity, Exec::default())
-}
-
-/// [`run_scenario_traced`] with explicit execution options.
-pub fn run_scenario_traced_exec(
-    sc: &Scenario,
-    trace_capacity: Option<usize>,
-    exec: Exec,
 ) -> (ScenarioResult, Option<Trace>) {
     // Tenant scenarios run on the gr-batch executor: N instances of the
     // topology under one shared fault plan, oracle-checked per tenant.
     // No netsim trace exists for a batch run (the executor has no event
     // ring), so replay renders the outcome without a trace tail.
     if sc.tenants > 0 {
-        return (run_batch_scenario(sc, exec), None);
+        return (run_batch_scenario(sc, sim_threads), None);
     }
     let graph = sc.topology.build();
     match sc.workload {
         Workload::Average | Workload::Sum => {
             let data = InitialData::uniform_random(graph.len(), sc.workload.kind(), sc.seed);
             with_protocol!(sc.algorithm, &graph, &data, |p| {
-                drive(sc, &graph, &data, p, trace_capacity, exec)
+                drive(sc, &graph, &data, p, sim_threads, trace_capacity)
             })
         }
         Workload::VectorAvg { dim } => {
             let data = vector_data(graph.len(), dim, sc.seed);
             with_protocol!(sc.algorithm, &graph, &data, |p| {
-                drive(sc, &graph, &data, p, trace_capacity, exec)
+                drive(sc, &graph, &data, p, sim_threads, trace_capacity)
             })
         }
     }
@@ -143,25 +105,16 @@ fn drive<P: Payload, Pr: ReductionProtocol>(
     graph: &Graph,
     data: &InitialData<P>,
     protocol: Pr,
+    sim_threads: usize,
     trace_capacity: Option<usize>,
-    exec: Exec,
 ) -> (ScenarioResult, Option<Trace>) {
-    let mut options = sc.sim_options();
-    if exec.sim_threads > 0 {
-        options.threads = exec.sim_threads;
-    }
-    if let Some(p) = exec.partitions {
-        // Async-activation scenarios flip to synchronous activation —
-        // partitions ≥ 2 are defined for synchronous rounds only.
-        options.partitions = p;
-        if p >= 2 {
-            options.activation = gr_netsim::Activation::Synchronous;
-        }
-    }
+    let options = SimOptions {
+        threads: sim_threads.max(1),
+        ..sc.sim_options()
+    };
     // The corpus builders only produce valid execution models; a
-    // hand-built scenario (or an incompatible partition override) that
-    // violates the netsim config rules is reported through the typed
-    // `SimConfigError` here.
+    // hand-built scenario that violates the netsim config rules is
+    // reported through the typed `SimConfigError` here.
     let mut sim = Simulator::try_with_options(graph, protocol, sc.plan.clone(), sc.seed, options)
         .unwrap_or_else(|e| panic!("scenario {}: invalid execution model: {e}", sc.hash()));
     if let Some(cap) = trace_capacity {
@@ -215,7 +168,7 @@ fn drive<P: Payload, Pr: ReductionProtocol>(
 /// tenant independently against its own initial data; the first
 /// violation (tenant order, then invariant order) is the one reported,
 /// with the node mapped back to the tenant-local id.
-fn run_batch_scenario(sc: &Scenario, exec: Exec) -> ScenarioResult {
+fn run_batch_scenario(sc: &Scenario, sim_threads: usize) -> ScenarioResult {
     assert_eq!(
         sc.workload,
         Workload::Average,
@@ -241,22 +194,26 @@ fn run_batch_scenario(sc: &Scenario, exec: Exec) -> ScenarioResult {
     let data = host.union_data(&specs);
     // Not `with_protocol!`: the batch executor needs `TenantProtocol`, which push-sum lacks.
     match sc.algorithm {
-        Algorithm::PushFlow => {
-            drive_batch(sc, &host, &specs, PushFlow::new(host.graph(), &data), exec)
-        }
+        Algorithm::PushFlow => drive_batch(
+            sc,
+            &host,
+            &specs,
+            PushFlow::new(host.graph(), &data),
+            sim_threads,
+        ),
         Algorithm::PushCancelFlow(mode) => drive_batch(
             sc,
             &host,
             &specs,
             PushCancelFlow::with_mode(host.graph(), &data, mode),
-            exec,
+            sim_threads,
         ),
         Algorithm::FlowUpdating => drive_batch(
             sc,
             &host,
             &specs,
             FlowUpdating::new(host.graph(), &data),
-            exec,
+            sim_threads,
         ),
         Algorithm::PushSum => panic!(
             "scenario {}: tenant scenarios require a flow protocol (push-sum has no batch support)",
@@ -270,10 +227,10 @@ fn drive_batch<P: TenantProtocol + ReductionProtocol>(
     host: &BatchHost,
     specs: &[TenantSpec],
     protocol: P,
-    exec: Exec,
+    sim_threads: usize,
 ) -> ScenarioResult {
     let opts = BatchOptions {
-        threads: exec.sim_threads.max(1),
+        threads: sim_threads.max(1),
         ..BatchOptions::default()
     };
     let mut sim = BatchSim::new(host, protocol, specs, opts)
@@ -448,7 +405,7 @@ mod tests {
         // One representative per algorithm on the fastest-mixing topology.
         let corpus = sanity_corpus(&[1]);
         for sc in corpus.iter().filter(|s| s.template == "complete16") {
-            let r = run_scenario(sc);
+            let r = run_scenario(sc, 1, None).0;
             assert!(
                 r.violation.is_none(),
                 "{}: {:?}",
@@ -463,8 +420,8 @@ mod tests {
     #[test]
     fn results_are_deterministic() {
         let sc = &stress_corpus(&[2])[0];
-        let a = run_scenario(sc);
-        let b = run_scenario(sc);
+        let a = run_scenario(sc, 1, None).0;
+        let b = run_scenario(sc, 1, None).0;
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.final_err.to_bits(), b.final_err.to_bits());
@@ -488,7 +445,7 @@ mod tests {
             .collect();
         assert_eq!(cases.len(), 2, "both PCF modes are in the corpus");
         for sc in cases {
-            let r = run_scenario(sc);
+            let r = run_scenario(sc, 1, None).0;
             assert!(
                 r.violation.is_none(),
                 "{}: {:?}",
@@ -518,7 +475,7 @@ mod tests {
                     && s.algorithm == Algorithm::PushCancelFlow(PhiMode::Hardened)
             })
             .unwrap();
-        let r = run_scenario(sc);
+        let r = run_scenario(sc, 1, None).0;
         assert!(
             r.violation.is_none(),
             "{}: {:?}",
@@ -538,7 +495,7 @@ mod tests {
                     && s.algorithm == Algorithm::PushCancelFlow(PhiMode::Hardened)
             })
             .unwrap();
-        let r = run_scenario(sum);
+        let r = run_scenario(sum, 1, None).0;
         assert!(
             r.violation.is_none(),
             "{}: {:?}",
@@ -549,7 +506,7 @@ mod tests {
             .iter()
             .find(|s| s.template == "vec3/hypercube5" && s.algorithm == Algorithm::FlowUpdating)
             .unwrap();
-        let r = run_scenario(vec);
+        let r = run_scenario(vec, 1, None).0;
         assert!(
             r.violation.is_none(),
             "{}: {:?}",
@@ -559,58 +516,12 @@ mod tests {
     }
 
     #[test]
-    fn partition_override_is_thread_invariant() {
-        // Force a zero-delay stress scenario and a delay-bearing one onto
-        // the partitioned engine and sweep the worker count: results must
-        // be byte-identical — sim threads are an execution hint, not
-        // identity.
-        let zero_delay = stress_corpus(&[2])
-            .into_iter()
-            .find(|s| s.template.starts_with("loss/") && s.delay_max == 0)
-            .unwrap();
-        let delayed = stress_corpus(&[1])
-            .into_iter()
-            .find(|s| s.delay_max > 0)
-            .unwrap();
-        for sc in [zero_delay, delayed] {
-            let exec1 = Exec {
-                sim_threads: 1,
-                partitions: Some(4),
-            };
-            let a = run_scenario_exec(&sc, exec1);
-            for sim_threads in [2, 4] {
-                let b = run_scenario_exec(
-                    &sc,
-                    Exec {
-                        sim_threads,
-                        partitions: Some(4),
-                    },
-                );
-                assert_eq!(a.rounds, b.rounds, "{}", sc.canonical());
-                assert_eq!(a.stats, b.stats, "{}", sc.canonical());
-                assert_eq!(a.final_err.to_bits(), b.final_err.to_bits());
-                assert_eq!(a.violation, b.violation);
-            }
-            // And the override genuinely changed the execution relative
-            // to the scenario's own run (different RNG streams).
-            let own = run_scenario(&sc);
-            assert_ne!(own.stats, a.stats, "{}", sc.canonical());
-        }
-    }
-
-    #[test]
     fn million_node_scenario_executes_partitioned() {
         let sc = stress_corpus(&[1])
             .into_iter()
             .find(|s| s.template == "scale1m-avg/torus1000x1000")
             .unwrap();
-        let r = run_scenario_exec(
-            &sc,
-            Exec {
-                sim_threads: 2,
-                partitions: None,
-            },
-        );
+        let (r, _) = run_scenario(&sc, 2, None);
         assert!(r.violation.is_none(), "{:?}", r.violation);
         assert_eq!(r.rounds, 8);
         // Every node sends each of the 8 full-sweep rounds.
@@ -643,7 +554,7 @@ mod tests {
             })
             .expect("tenants template in stress corpus");
         assert_eq!(sc.tenants, 24);
-        let a = run_scenario(&sc);
+        let a = run_scenario(&sc, 1, None).0;
         assert!(
             a.violation.is_none(),
             "{}: {:?}",
@@ -663,13 +574,7 @@ mod tests {
             a.stats
         );
         for sim_threads in [2, 4] {
-            let b = run_scenario_exec(
-                &sc,
-                Exec {
-                    sim_threads,
-                    partitions: None,
-                },
-            );
+            let (b, _) = run_scenario(&sc, sim_threads, None);
             assert_eq!(a.rounds, b.rounds);
             assert_eq!(a.stats, b.stats);
             assert_eq!(a.final_err.to_bits(), b.final_err.to_bits());
@@ -680,10 +585,11 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_outcome() {
         let sc = &sanity_corpus(&[3])[0];
-        let plain = run_scenario(sc);
-        let (traced, trace) = run_scenario_traced(sc, Some(512));
+        let (plain, no_trace) = run_scenario(sc, 1, None);
+        let (traced, trace) = run_scenario(sc, 1, Some(512));
         assert_eq!(plain.rounds, traced.rounds);
         assert_eq!(plain.final_err.to_bits(), traced.final_err.to_bits());
+        assert!(no_trace.is_none());
         assert!(trace.is_some());
         assert_eq!(sc.lane, Lane::Sanity);
     }

@@ -25,8 +25,8 @@
 
 use crate::hash::{fnv1a64, hex16};
 use gr_netsim::{
-    stream_rng, Activation, BurstModel, DelayModel, DetectorModel, FaultPlan, RngStream,
-    SimConfigError, SimOptions,
+    stream_rng, Activation, DelayModel, DetectorModel, FaultPlan, RngStream, SimConfigError,
+    SimOptions,
 };
 use gr_reduction::{AggregateKind, Algorithm, PhiMode};
 use gr_topology::{complete, hypercube, ring, torus2d, Graph, NodeId};
@@ -576,20 +576,15 @@ pub fn stress_corpus(seeds: &[u64]) -> Vec<Scenario> {
         }
     }
 
-    // Chaos templates: the transport chaos layer's fault script replayed
+    // Chaos templates: the transport chaos layer's fault shape replayed
     // through netsim — correlated burst loss on top of i.i.d. drop, plus
-    // a scripted half/half partition that heals mid-run. The script comes
-    // from [`chaos_script`], the same function the `--mode chaos`
-    // transport leg feeds to `ChaosDelivery`, so the simulator and the
-    // real backends face the identical fault process shape and the lane
-    // can referee sim vs real.
+    // a scripted half/half partition that heals mid-run.
     let topology = TopologyKind::Hypercube(5);
-    let script = chaos_script(topology);
     let template = format!("chaos/{}", topology.label());
     for algorithm in algorithms {
         for &seed in seeds {
             let mut sc = base_scenario(Lane::Stress, template.clone(), topology, algorithm, seed);
-            script.apply(&mut sc);
+            apply_chaos(&mut sc);
             corpus.push(sc);
         }
     }
@@ -730,109 +725,26 @@ fn place_faults(sc: &mut Scenario, n_links: usize, n_crashes: usize) {
     sc.plan = plan;
 }
 
-/// Round at which the chaos script's partition cuts the topology in half.
+/// Round at which the chaos partition cuts the topology in half.
 const CHAOS_CUT_AT: u64 = 200;
-/// Round at which the chaos script's partition heals.
+/// Round at which the chaos partition heals.
 const CHAOS_HEAL_AT: u64 = 500;
 
-/// The chaos fault script: one fault-process shape, two injectors.
-///
-/// [`chaos_script`] is the single source of truth for what "chaos" means
-/// in this campaign — correlated Gilbert–Elliott burst loss composed with
-/// i.i.d. drop, plus one scripted bidirectional partition (the low half
-/// of the topology against the rest) that heals mid-run. The netsim
-/// `chaos/*` stress templates replay it through the simulator's
-/// [`FaultPlan`] ([`ChaosScript::apply`]); the `--mode chaos` lane feeds
-/// the same script to the real-transport chaos wrapper
-/// ([`ChaosScript::chaos_plan`]), so sim and real face the identical
-/// shape and the lane can referee one against the other.
-///
-/// The time unit translates per injector: netsim schedules in simulator
-/// *rounds*, the transport wrapper in per-endpoint delivery *ops* — the
-/// same numbers place the window early-mid run in both.
-#[derive(Clone, Debug)]
-pub struct ChaosScript {
-    /// i.i.d. per-message drop probability.
-    pub drop: f64,
-    /// Gilbert–Elliott burst loss, the same model in both injectors.
-    pub burst: BurstModel,
-    /// One side of the scripted cut (the complement is the other).
-    pub cut_members: Vec<NodeId>,
-    /// When the cut fires (netsim rounds / transport ops).
-    pub cut_at: u64,
-    /// When it heals.
-    pub heal_at: u64,
-}
-
-/// The campaign's chaos script for `topology`: 2% i.i.d. drop, bursts
-/// that average ~3.3 messages at 90% loss (steady-state bad fraction
-/// ≈ 6%), and the low half of the node range cut off from the rest over
-/// `[CHAOS_CUT_AT, CHAOS_HEAL_AT)`. On a hypercube the low half is a
-/// sub-hypercube, so both sides of the cut stay internally connected.
-pub fn chaos_script(topology: TopologyKind) -> ChaosScript {
-    let n = topology.nodes() as NodeId;
-    ChaosScript {
-        drop: 0.02,
-        burst: BurstModel {
-            enter: 0.02,
-            exit: 0.3,
-            loss: 0.9,
-        },
-        cut_members: (0..n / 2).collect(),
-        cut_at: CHAOS_CUT_AT,
-        heal_at: CHAOS_HEAL_AT,
+/// Write the chaos fault shape into a scenario's plan: 2% i.i.d. drop,
+/// Gilbert–Elliott bursts that average ~3.3 messages at 90% loss
+/// (steady-state bad fraction ≈ 6%), and the low half of the node range
+/// cut off from the rest over `[CHAOS_CUT_AT, CHAOS_HEAL_AT)`. On a
+/// hypercube the low half is a sub-hypercube, so both sides of the cut
+/// stay internally connected.
+fn apply_chaos(sc: &mut Scenario) {
+    let low_half: Vec<NodeId> = (0..sc.topology.nodes() as NodeId / 2).collect();
+    sc.plan = FaultPlan {
+        msg_loss_prob: 0.02,
+        ..std::mem::take(&mut sc.plan)
     }
-}
-
-impl ChaosScript {
-    /// Write the script into a scenario's fault plan (netsim injector).
-    pub fn apply(&self, sc: &mut Scenario) {
-        let b = self.burst;
-        sc.plan = FaultPlan {
-            msg_loss_prob: self.drop,
-            ..std::mem::take(&mut sc.plan)
-        }
-        .with_burst(b.enter, b.exit, b.loss)
-        .partition(self.cut_members.clone(), self.cut_at)
-        .heal_partition(self.cut_members.clone(), self.heal_at);
-    }
-
-    /// The same script as a real-transport chaos plan (the `--mode chaos`
-    /// lane wraps every cluster endpoint in `ChaosDelivery` with this).
-    pub fn chaos_plan(&self, seed: u64) -> gr_transport::ChaosPlan {
-        gr_transport::ChaosPlan {
-            drop: self.drop,
-            burst: Some(self.burst),
-            cuts: vec![gr_transport::ChaosCut {
-                members: self.cut_members.clone(),
-                from_op: self.cut_at,
-                until_op: self.heal_at,
-            }],
-            ..gr_transport::ChaosPlan::none(seed)
-        }
-    }
-}
-
-/// The `k`-th of `n` deterministic shards of a corpus (`k` is 0-based),
-/// for splitting a campaign across CI jobs. Scenario `i` goes to shard
-/// `i mod n`: round-robin balances templates, algorithms and seeds across
-/// shards (a contiguous split would give one job all the expensive
-/// topologies), and the shard is a pure function of `(corpus, k, n)`.
-/// Corpus order is preserved within a shard, so interleaving the shard
-/// reports round-robin reconstructs the unsharded report exactly — the
-/// merge-equality test in `report.rs` pins that.
-///
-/// # Panics
-/// Panics if `n == 0` or `k >= n`.
-pub fn shard_corpus(corpus: &[Scenario], k: usize, n: usize) -> Vec<Scenario> {
-    assert!(n > 0, "shard count must be positive");
-    assert!(k < n, "shard index {k} out of range for {n} shards");
-    corpus
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % n == k)
-        .map(|(_, sc)| sc.clone())
-        .collect()
+    .with_burst(0.02, 0.3, 0.9)
+    .partition(low_half.clone(), CHAOS_CUT_AT)
+    .heal_partition(low_half, CHAOS_HEAL_AT);
 }
 
 #[cfg(test)]
@@ -1125,7 +1037,7 @@ mod tests {
         // fields are identity, not execution hints.
         let mut sc = stress_corpus(&[1])[0].clone();
         let before = sc.hash();
-        chaos_script(sc.topology).apply(&mut sc);
+        apply_chaos(&mut sc);
         assert_ne!(sc.hash(), before);
     }
 
@@ -1149,25 +1061,7 @@ mod tests {
         assert_eq!(sc.last_fault_round(), CHAOS_HEAL_AT);
         assert_eq!(sc.validate(), Ok(()));
         assert_eq!(plan.partition_heals.len(), 1);
-        // The transport-side plan mirrors the same script, members and
-        // window included — that is what makes the chaos lane a sim-vs-
-        // real referee rather than two unrelated fault setups.
-        let tplan = chaos_script(sc.topology).chaos_plan(7);
-        assert_eq!(tplan.drop, 0.02);
-        assert_eq!(
-            tplan.burst,
-            Some(BurstModel {
-                enter: 0.02,
-                exit: 0.3,
-                loss: 0.9
-            })
-        );
-        assert_eq!(tplan.cuts.len(), 1);
-        assert_eq!(tplan.cuts[0].members, plan.partitions[0].members);
-        assert_eq!(
-            (tplan.cuts[0].from_op, tplan.cuts[0].until_op),
-            (CHAOS_CUT_AT, CHAOS_HEAL_AT)
-        );
+        assert_eq!(plan.msg_loss_prob, 0.02);
     }
 
     #[test]

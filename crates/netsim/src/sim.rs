@@ -892,19 +892,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         }
         self.faults.set_plan(&plan, self.round);
     }
-
-    /// Manually kill a link right now (physical + immediate detection).
-    /// Convenience for tests and interactive examples; scheduled plans are
-    /// the primary interface.
-    pub fn fail_link_now(&mut self, a: NodeId, b: NodeId) {
-        assert!(self.graph.has_edge(a, b), "no link ({a},{b}) to fail");
-        self.faults.mark_link_dead(self.graph, a, b);
-        for (x, y) in [(a, b), (b, a)] {
-            if self.alive_node[x as usize] && self.believed.remove(self.graph, x, y) {
-                self.protocol.on_link_failed(x, y);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1078,16 +1065,6 @@ mod tests {
             .flatten()
             .any(|&(from, v)| v != from as f64);
         assert!(corrupted);
-    }
-
-    #[test]
-    fn fail_link_now_is_immediate() {
-        let g = bus(3);
-        let mut sim = Simulator::new(&g, Recorder::new(3), FaultPlan::none(), 0);
-        sim.fail_link_now(1, 2);
-        assert_eq!(sim.believed_alive(1), &[0]);
-        assert!(sim.believed_alive(2).is_empty());
-        assert_eq!(sim.protocol().failed_links.len(), 2);
     }
 
     #[test]

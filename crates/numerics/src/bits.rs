@@ -18,9 +18,6 @@ pub fn flip_bit(x: f64, bit: u32) -> f64 {
     f64::from_bits(x.to_bits() ^ (1u64 << bit))
 }
 
-/// Number of bits in an `f64` (for generic corruption code).
-pub const F64_BITS: u32 = 64;
-
 /// Distance between two finite `f64` values in units-in-the-last-place.
 ///
 /// Uses the standard monotone mapping of IEEE-754 bit patterns onto a signed
@@ -39,15 +36,6 @@ pub fn ulp_distance(a: f64, b: f64) -> u64 {
     }
     lattice(a).abs_diff(lattice(b))
 }
-
-/// `true` if `a` and `b` are within `max_ulps` ULPs of each other.
-#[inline]
-pub fn approx_eq_ulps(a: f64, b: f64, max_ulps: u64) -> bool {
-    ulp_distance(a, b) <= max_ulps
-}
-
-/// The unit roundoff of `f64` (half the machine epsilon): `2^-53`.
-pub const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
 
 #[cfg(test)]
 mod tests {
@@ -100,12 +88,5 @@ mod tests {
     #[test]
     fn ulp_distance_nan() {
         assert_eq!(ulp_distance(f64::NAN, 1.0), u64::MAX);
-    }
-
-    #[test]
-    fn approx_eq_neighbouring_values() {
-        let a = 0.1 + 0.2;
-        assert!(approx_eq_ulps(a, 0.3, 1));
-        assert!(!approx_eq_ulps(1.0, 1.0 + 1e-10, 4));
     }
 }

@@ -147,16 +147,6 @@ impl Dd {
         let err = (self - ax_dd * ax_dd).hi;
         Dd::from_sum(ax, err * (x * 0.5))
     }
-
-    /// Multiply by an exact power of two (error-free).
-    #[inline]
-    pub fn scale_pow2(self, p: i32) -> Self {
-        let f = (p as f64).exp2();
-        Dd {
-            hi: self.hi * f,
-            lo: self.lo * f,
-        }
-    }
 }
 
 impl From<f64> for Dd {
@@ -480,13 +470,5 @@ mod tests {
         let x = Dd::from_f64(-2.0) - 1e-22;
         assert!(x.abs() > Dd::from_f64(2.0));
         assert_eq!((-x).to_f64(), x.abs().to_f64());
-    }
-
-    #[test]
-    fn scale_pow2_exact() {
-        let x = Dd::from_f64(3.0) + 1e-20;
-        let y = x.scale_pow2(10);
-        assert_eq!(y.hi(), 3072.0);
-        assert_eq!(y.lo(), 1e-20 * 1024.0);
     }
 }

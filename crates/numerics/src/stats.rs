@@ -102,39 +102,10 @@ impl Summary {
         self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
     }
 
-    /// Sample standard deviation (NaN for fewer than two samples).
-    pub fn std_dev(&self) -> f64 {
-        let n = self.sorted.len();
-        if n < 2 {
-            return f64::NAN;
-        }
-        let m = self.mean();
-        let mut acc = CompensatedSum::new();
-        for &x in &self.sorted {
-            let d = x - m;
-            acc.add(d * d);
-        }
-        (acc.value() / (n - 1) as f64).sqrt()
-    }
-
     /// The sorted samples (NaNs removed).
     pub fn sorted(&self) -> &[f64] {
         &self.sorted
     }
-}
-
-/// Geometric mean of strictly positive samples (NaN if empty or any sample
-/// is non-positive). Used when averaging errors that span many orders of
-/// magnitude, as in the paper's accuracy-vs-scale figures.
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    if values.is_empty() || values.iter().any(|&v| v <= 0.0 || v.is_nan()) {
-        return f64::NAN;
-    }
-    let mut acc = CompensatedSum::new();
-    for &v in values {
-        acc.add(v.ln());
-    }
-    (acc.value() / values.len() as f64).exp()
 }
 
 #[cfg(test)]
@@ -185,23 +156,8 @@ mod tests {
     }
 
     #[test]
-    fn std_dev_known_value() {
-        let s = Summary::from_iter([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        // population variance 4, sample variance 32/7
-        assert!((s.std_dev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "outside [0,1]")]
     fn quantile_out_of_range() {
         Summary::from_iter([1.0]).quantile(1.5);
-    }
-
-    #[test]
-    fn geometric_mean_spanning_magnitudes() {
-        let g = geometric_mean(&[1e-16, 1e-12, 1e-8]);
-        assert!((g - 1e-12).abs() / 1e-12 < 1e-10);
-        assert!(geometric_mean(&[1.0, 0.0]).is_nan());
-        assert!(geometric_mean(&[]).is_nan());
     }
 }

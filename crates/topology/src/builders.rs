@@ -188,51 +188,6 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
     b.build()
 }
 
-/// Sparse Erdős–Rényi `G(n, p)` sampler in `O(n + m)` expected time via
-/// geometric skip sampling (Batagelj & Brandes): instead of flipping a
-/// coin per candidate pair, the gap to the next present edge in the
-/// linearized lower-triangular pair order is drawn directly as
-/// `⌊ln(1−r)/ln(1−p)⌋`. This makes million-node sparse samples (`p ~ c/n`)
-/// feasible where [`erdos_renyi`]'s `O(n²)` scan is not.
-///
-/// Draws a *different* (but equally valid and equally reproducible)
-/// sample than [`erdos_renyi`] for the same seed; the dense sampler is
-/// kept unchanged so existing seeded corpora are unaffected.
-///
-/// # Panics
-/// Panics if `p` is outside `[0, 1]`.
-pub fn erdos_renyi_sparse(n: usize, p: f64, seed: u64) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "probability {p} outside [0,1]");
-    if n == 0 || p <= 0.0 {
-        return GraphBuilder::new(n).build();
-    }
-    if p >= 1.0 {
-        return complete(n);
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let log_q = (1.0 - p).ln();
-    let mut b = GraphBuilder::new(n);
-    // Walk pairs (v, w), w < v, in row-major lower-triangular order,
-    // jumping over runs of absent edges.
-    let mut v: usize = 1;
-    let mut w: i64 = -1;
-    while v < n {
-        let r: f64 = rng.random();
-        // `as i64` saturates for huge skips (tiny p), which simply walks
-        // past the end of the pair space and terminates the loop.
-        let skip = ((1.0 - r).ln() / log_q).floor() as i64;
-        w = w.saturating_add(skip.max(0)).saturating_add(1);
-        while v < n && w >= v as i64 {
-            w -= v as i64;
-            v += 1;
-        }
-        if v < n {
-            b.add_edge(w as NodeId, v as NodeId);
-        }
-    }
-    b.build()
-}
-
 /// Random `k`-regular graph via the pairing/configuration model with
 /// rejection (retry until simple). Reproducible given `seed`.
 ///
@@ -414,25 +369,6 @@ mod tests {
             let generic = lattice(&[r, c], true);
             assert_eq!(fast, generic, "torus2d({r},{c}) diverges from lattice");
         }
-    }
-
-    #[test]
-    fn erdos_renyi_sparse_shape() {
-        let n = 2000;
-        let p = 4.0 / n as f64;
-        let g = erdos_renyi_sparse(n, p, 42);
-        // Deterministic given the seed.
-        assert_eq!(g, erdos_renyi_sparse(n, p, 42));
-        // E[m] = p * n(n-1)/2 ≈ 2(n-1); allow a wide band.
-        let m = g.edge_count();
-        assert!(m > 2500 && m < 5500, "unexpected edge count {m}");
-        for (u, v) in g.edges() {
-            assert!(u < v && (v as usize) < n);
-        }
-        // Degenerate probabilities.
-        assert_eq!(erdos_renyi_sparse(50, 0.0, 7).edge_count(), 0);
-        assert_eq!(erdos_renyi_sparse(10, 1.0, 7), complete(10));
-        assert!(erdos_renyi_sparse(0, 0.5, 7).is_empty());
     }
 
     #[test]

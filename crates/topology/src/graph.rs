@@ -156,18 +156,6 @@ impl Graph {
         }
         Graph { offsets, adj }
     }
-
-    /// Graphviz DOT rendering (undirected), handy for debugging small
-    /// topologies.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("graph G {\n");
-        for (u, v) in self.edges() {
-            let _ = writeln!(s, "  {u} -- {v};");
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 impl fmt::Debug for Graph {
@@ -332,13 +320,5 @@ mod tests {
         assert_eq!(g.arc_base(0), 0);
         assert_eq!(g.arc_base(1), 1);
         assert_eq!(g.arc_base(2), 3);
-    }
-
-    #[test]
-    fn dot_output_contains_edges() {
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 1);
-        let dot = b.build().to_dot();
-        assert!(dot.contains("0 -- 1;"));
     }
 }

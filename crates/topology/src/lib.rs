@@ -28,8 +28,8 @@ mod graph;
 mod props;
 
 pub use builders::{
-    barabasi_albert, binary_tree, bus, complete, disjoint_union, erdos_renyi, erdos_renyi_sparse,
-    grid2d, hypercube, random_regular, ring, star, torus2d, torus3d, watts_strogatz,
+    barabasi_albert, binary_tree, bus, complete, disjoint_union, erdos_renyi, grid2d, hypercube,
+    random_regular, ring, star, torus2d, torus3d, watts_strogatz,
 };
 pub use graph::{Graph, GraphBuilder, NodeId};
-pub use props::{degree_histogram, diameter, is_connected, is_regular};
+pub use props::{diameter, is_connected, is_regular};

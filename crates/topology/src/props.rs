@@ -73,19 +73,6 @@ pub fn diameter(g: &Graph) -> Option<usize> {
     Some(d)
 }
 
-/// Histogram of node degrees: `hist[k]` = number of nodes with degree `k`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let max_deg = (0..g.len() as NodeId)
-        .map(|i| g.degree(i))
-        .max()
-        .unwrap_or(0);
-    let mut hist = vec![0usize; max_deg + 1];
-    for i in 0..g.len() as NodeId {
-        hist[g.degree(i)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,16 +105,5 @@ mod tests {
     fn regularity() {
         assert!(is_regular(&ring(8), 2));
         assert!(!is_regular(&bus(8), 2)); // endpoints have degree 1
-    }
-
-    #[test]
-    fn histogram() {
-        let h = degree_histogram(&bus(5));
-        assert_eq!(h, vec![0, 2, 3]); // 2 endpoints of degree 1, 3 inner of degree 2
-    }
-
-    #[test]
-    fn histogram_empty() {
-        assert_eq!(degree_histogram(&GraphBuilder::new(0).build()), vec![0]);
     }
 }

@@ -68,11 +68,6 @@ struct Report {
     max_rel_error: f64,
     self_consistency: f64,
     mass_weight: f64,
-    /// What the netsim twin's auto-partitioner would decide for this
-    /// topology (count, source, and cost-model terms when measured).
-    /// Transport clusters run one thread per node, so this is advisory:
-    /// it documents the decision the deterministic twin gate replays.
-    partitions: gr_netsim::PartitionPlan,
 }
 
 fn run_payload<P: Payload + Sync>(
@@ -277,7 +272,6 @@ fn main() {
         max_rel_error: result.max_rel_error,
         self_consistency: result.self_consistency,
         mass_weight: result.mass_weight,
-        partitions: gr_netsim::SimOptions::default().partition_plan(n, graph.arc_count()),
     };
     if json {
         println!(

@@ -103,8 +103,8 @@ fn campaign_report_is_byte_deterministic() {
         .into_iter()
         .filter(|sc| sc.template == "complete16")
         .collect();
-    let a = run_campaign(Lane::Sanity, &corpus, 1).render();
-    let b = run_campaign(Lane::Sanity, &corpus, 4).render();
+    let a = run_campaign(Lane::Sanity, &corpus, 1, 1).render();
+    let b = run_campaign(Lane::Sanity, &corpus, 4, 1).render();
     assert_eq!(a, b);
     assert!(a.contains("verdict: PASS"), "{a}");
 }
@@ -121,13 +121,13 @@ fn campaign_violation_replays_to_identical_triple() {
     let result = corpus
         .iter()
         .filter(|sc| sc.template.starts_with("flips/"))
-        .map(run_scenario)
+        .map(|sc| run_scenario(sc, 1, None).0)
         .find(|r| r.violation.is_some())
         .expect("bit-flip templates must produce at least one violation");
     let v = result.violation.clone().unwrap();
 
     let sc = find_scenario(&corpus, &result.hash).expect("report hash resolves in the corpus");
-    let replayed = run_scenario(sc);
+    let (replayed, _) = run_scenario(sc, 1, None);
     let rv = replayed.violation.expect("replay reproduces the violation");
     assert_eq!(rv.invariant, v.invariant);
     assert_eq!(rv.round, v.round);
