@@ -4,8 +4,9 @@
 //! FU on hypercubes of dimension 6/8/10, fault-free and under a stress
 //! plan, the `InlineVec` vector-payload grid on hc8 and PCF on hc8 over
 //! the `Vec<f64>` payload dmGS ships, a full PCF round over a
-//! million-node torus through the partitioned engine, and the flow-bank
-//! component kernels in their AVX2 and baseline builds) on a pinned
+//! million-node torus through the partitioned engine, the wire codec on
+//! the scalar and dim-16 PCF frames, and the flow-bank component kernels
+//! in their AVX2 and baseline builds) on a pinned
 //! workload and emits `BENCH_6.json` in a stable schema. Each kernel
 //! also reports its steady-state heap-allocation rate (a counting shim
 //! around the system allocator, armed only during a counted block), so
@@ -200,18 +201,50 @@ fn time_ops<R>(ops: u64, blocks: usize, mut f: impl FnMut() -> R) -> (f64, f64) 
     (best, allocs)
 }
 
-/// The wire-codec fixture message: the scalar PCF frame, the largest
-/// frame of the protocol family.
-fn scalar_pcf_msg() -> PcfMsg<f64> {
+/// A wire-codec fixture message: a PCF message whose masses carry
+/// `value(x)` for four fixed scalars `x`, with `r` and `inc` small
+/// enough for one-byte varints, as in the frames PCF sends in practice.
+fn pcf_msg<P: Payload>(value: impl Fn(f64) -> P) -> PcfMsg<P> {
     PcfMsg {
-        f1: Mass::new(1.5, 0.25),
-        f2: Mass::new(-2.0, 0.5),
+        f1: Mass::new(value(1.5), 0.25),
+        f2: Mass::new(value(-2.0), 0.5),
         c: 2,
         r: 7,
-        folded: Mass::new(0.0, 0.0),
-        base: Mass::new(3.0, 1.0),
+        folded: Mass::new(value(0.0), 0.0),
+        base: Mass::new(value(3.0), 1.0),
         inc: 1,
     }
+}
+
+/// Encode and decode kernels of `msg`'s frame, named
+/// `wire_codec/{encode,decode}/{label}` and filtered by `only`. The
+/// encode path reuses one buffer.
+fn codec_kernels<M: WireMsg>(
+    msg: &M,
+    label: &str,
+    only: &str,
+    blocks: usize,
+) -> Vec<(String, (f64, f64))> {
+    const CODEC_OPS: u64 = 200_000;
+    let mut frame = Vec::new();
+    msg.encode_frame(&mut frame);
+    let mut out = Vec::new();
+    let name = format!("wire_codec/encode/{label}");
+    if only.is_empty() || name.contains(only) {
+        let mut buf = frame.clone();
+        let m = time_ops(CODEC_OPS, blocks, || {
+            buf.clear();
+            msg.encode_frame(&mut buf);
+            buf.len()
+        });
+        out.push((name, m));
+    }
+    let name = format!("wire_codec/decode/{label}");
+    if only.is_empty() || name.contains(only) {
+        let m = time_ops(CODEC_OPS, blocks, || M::decode_frame(&frame).unwrap());
+        out.push((name, m));
+    }
+    out
 }
 
 fn measure<P: Payload>(
@@ -460,33 +493,21 @@ fn run_all(
         }
     }
     // Wire-codec kernels: per-message encode/decode cost of the scalar
-    // PCF frame — the per-message overhead every real transport pays
-    // twice. Reported in ns per operation (the schema's "round" is the
-    // codec op here); the encode path reuses one buffer, so both kernels
-    // are accountable to zero steady-state allocations.
-    {
-        const CODEC_OPS: u64 = 200_000;
-        let msg = scalar_pcf_msg();
-        let name = "wire_codec/encode/pcf-scalar".to_string();
-        if only.is_empty() || name.contains(only) {
-            let mut buf = Vec::new();
-            msg.encode_frame(&mut buf);
-            let m = time_ops(CODEC_OPS, blocks, || {
-                buf.clear();
-                msg.encode_frame(&mut buf);
-                buf.len()
-            });
-            push(&mut kernels, name, m);
-        }
-        let name = "wire_codec/decode/pcf-scalar".to_string();
-        if only.is_empty() || name.contains(only) {
-            let mut frame = Vec::new();
-            msg.encode_frame(&mut frame);
-            let m = time_ops(CODEC_OPS, blocks, || {
-                PcfMsg::<f64>::decode_frame(&frame).unwrap()
-            });
-            push(&mut kernels, name, m);
-        }
+    // PCF frame and of dmGS's dim-16 `Vec<f64>` frame — the per-message
+    // overhead every real transport pays twice. Reported in ns per
+    // operation (the schema's "round" is the codec op here). The scalar
+    // kernels are accountable to zero steady-state allocations; a
+    // `Vec<f64>` decode allocates its four payloads.
+    let codec = codec_kernels(&pcf_msg(|x| x), "pcf-scalar", only, blocks)
+        .into_iter()
+        .chain(codec_kernels(
+            &pcf_msg(|x| vec![x; 16]),
+            "pcf-dim16",
+            only,
+            blocks,
+        ));
+    for (name, m) in codec {
+        push(&mut kernels, name, m);
     }
     // Flow-bank component kernels: the componentwise inner loops every
     // PF/PCF bank operation reduces to, in their forced-AVX2 and baseline

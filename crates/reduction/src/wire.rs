@@ -2,8 +2,8 @@
 //!
 //! The real transports in `gr-transport` move *bytes*, not Rust values;
 //! this module fixes the mapping. The format is bincode-style — fixed
-//! little-endian scalars, a `u32` length prefix for vector payloads, no
-//! self-description — so encoding is a `memcpy`-shaped walk over the
+//! little-endian `f64`s, LEB128 varints for the dimension and counters,
+//! no self-description — so encoding is a `memcpy`-shaped walk over the
 //! message fields and a frame is byte-identical for identical field bits
 //! (which is what makes the pinned wire goldens and the twin-equivalence
 //! harness possible).
@@ -24,20 +24,44 @@
 //!   transports deliver one frame per packet and any disagreement means
 //!   truncation or garbage.
 //!
-//! Payload vectors encode as `[dim: u32 LE][dim × f64 LE]`; a
-//! [`Mass`] appends its `f64` weight. Scalar (`f64`)
-//! payloads use `dim == 1`, so a scalar run and a dim-1 vector run
-//! produce identical frames.
+//! ## Bodies
+//!
+//! Every payload in a message has the same dimension `d`, so a body
+//! states it once, as its first field; `[w]` is a mass's `f64` weight
+//! and `[payload]` is `d × f64 LE`:
+//!
+//! ```text
+//! Mass   (kind 1): [d] [payload][w]
+//! PcfMsg (kind 2): [d] [f1 payload][w] [f2 payload][w] [folded payload][w]
+//!                      [base payload][w] [c: u8] [r] [inc]
+//! FuMsg  (kind 3): [d] [flow payload] [estimate payload]
+//! ```
+//!
+//! `d`, `r` and `inc` are unsigned LEB128 varints: seven bits per byte,
+//! least significant group first, high bit set on every byte but the
+//! last. A frame's size therefore depends on `d` and, for PCF, on the
+//! magnitude of `r` and `inc` — never on the `f64` values. A scalar PCF
+//! frame with `r, inc < 128` is 74 bytes; at dimension `d < 128` it is
+//! `42 + 32d`. Decoding accepts only the shortest encoding of each
+//! varint, at most 10 bytes and within the field's range (`u64` for the
+//! counters, `u32` for `d`), so every frame a decoder accepts re-encodes
+//! to exactly its own bytes.
+//!
+//! Scalar (`f64`) payloads use `d == 1`, so a scalar run and a dim-1
+//! vector run produce identical frames.
 
 use crate::flow_updating::FuMsg;
 use crate::payload::{Mass, Payload};
 use crate::push_cancel_flow::PcfMsg;
 
 /// Current wire-format version, the first byte of every frame.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Bytes of frame header before the body (`version + kind + body_len`).
 pub const FRAME_HEADER: usize = 6;
+
+/// Longest LEB128 encoding of a `u64`: ⌈64 / 7⌉ bytes.
+const MAX_VARINT: usize = 10;
 
 /// A frame that could not be decoded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,6 +104,13 @@ pub enum WireError {
         /// Dimension declared on the wire.
         got: usize,
     },
+    /// A varint is not the shortest encoding of a value in its field's
+    /// range: overlong (a redundant zero group), longer than 10 bytes,
+    /// past `u64`, or a dimension past `u32`.
+    Varint {
+        /// Body offset of the varint's first byte.
+        at: usize,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -105,6 +136,12 @@ impl std::fmt::Display for WireError {
             }
             WireError::Dim { got } => {
                 write!(f, "payload dimension {got} does not fit the payload type")
+            }
+            WireError::Varint { at } => {
+                write!(
+                    f,
+                    "non-canonical or out-of-range varint at body offset {at}"
+                )
             }
         }
     }
@@ -138,11 +175,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Next little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     /// Next little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -151,6 +183,38 @@ impl<'a> Reader<'a> {
     /// Next little-endian `f64` (bit-exact, NaN payloads included).
     pub fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Next unsigned LEB128 varint. Only the shortest encoding of a
+    /// `u64` is accepted; anything else is [`WireError::Varint`].
+    pub fn varint(&mut self) -> Result<u64, WireError> {
+        let at = self.pos;
+        let mut v = 0u64;
+        for shift in (0..7 * MAX_VARINT as u32).step_by(7) {
+            let b = self.u8()?;
+            // The tenth byte carries bit 63 only, and ends the varint.
+            if shift == 63 && b > 1 {
+                return Err(WireError::Varint { at });
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                // A zero final group after the first byte is overlong.
+                if b == 0 && shift > 0 {
+                    return Err(WireError::Varint { at });
+                }
+                return Ok(v);
+            }
+        }
+        unreachable!("the tenth byte either ends the varint or is rejected")
+    }
+
+    /// Next payload dimension: a varint no larger than `u32::MAX`.
+    fn dim(&mut self) -> Result<usize, WireError> {
+        let at = self.pos;
+        let d = self.varint()?;
+        u32::try_from(d)
+            .map(|d| d as usize)
+            .map_err(|_| WireError::Varint { at })
     }
 
     /// Bytes not yet consumed.
@@ -165,30 +229,50 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 }
 
 #[inline]
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+/// Append `v` as an unsigned LEB128 varint (1 to [`MAX_VARINT`] bytes).
+#[inline]
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Append the one dimension a body declares for all of its payloads.
+///
+/// # Panics
+/// If the payloads disagree on their dimension — a message whose fields
+/// have different shapes is a programming error, and the wire cannot
+/// express it.
+fn put_dim<P: Payload>(out: &mut Vec<u8>, kind: &str, payloads: &[&P]) {
+    let d = payloads[0].dim();
+    assert!(
+        payloads.iter().all(|p| p.dim() == d),
+        "{kind} payloads disagree on dimension: {:?}",
+        payloads.iter().map(|p| p.dim()).collect::<Vec<_>>()
+    );
+    put_varint(out, d as u64);
 }
 
 #[inline]
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
 fn put_payload<P: Payload>(out: &mut Vec<u8>, p: &P) {
-    let comps = p.components();
-    put_u32(out, comps.len() as u32);
-    for &c in comps {
+    for &c in p.components() {
         put_f64(out, c);
     }
 }
 
-/// Decode one payload straight from the frame bytes: no scratch buffer,
-/// so a scalar or inline payload decodes without touching the allocator
-/// (a `Vec<f64>` payload allocates only its own storage). The declared
-/// dimension is checked against the bytes present before the payload is
-/// built, so a hostile `dim` is a typed error, never a huge allocation.
-fn get_payload<P: Payload>(r: &mut Reader<'_>) -> Result<P, WireError> {
-    let dim = r.u32()? as usize;
+/// Decode one `dim`-component payload straight from the frame bytes: no
+/// scratch buffer, so a scalar or inline payload decodes without
+/// touching the allocator (a `Vec<f64>` payload allocates only its own
+/// storage). The components are taken from the bytes present before the
+/// payload is built, so a hostile `dim` is a typed error, never a huge
+/// allocation.
+fn get_payload<P: Payload>(r: &mut Reader<'_>, dim: usize) -> Result<P, WireError> {
     let bytes = r.take(dim.saturating_mul(8))?;
     if !P::admits_dim(dim) {
         return Err(WireError::Dim { got: dim });
@@ -205,8 +289,8 @@ fn put_mass<P: Payload>(out: &mut Vec<u8>, m: &Mass<P>) {
     put_f64(out, m.weight);
 }
 
-fn get_mass<P: Payload>(r: &mut Reader<'_>) -> Result<Mass<P>, WireError> {
-    let value = get_payload(r)?;
+fn get_mass<P: Payload>(r: &mut Reader<'_>, dim: usize) -> Result<Mass<P>, WireError> {
+    let value = get_payload(r, dim)?;
     let weight = r.f64()?;
     Ok(Mass { value, weight })
 }
@@ -285,11 +369,13 @@ impl<P: Payload> WireMsg for Mass<P> {
     const KIND: u8 = 1;
 
     fn encode_body(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.value.dim() as u64);
         put_mass(out, self);
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        get_mass(r)
+        let dim = r.dim()?;
+        get_mass(r, dim)
     }
 }
 
@@ -298,23 +384,25 @@ impl<P: Payload> WireMsg for PcfMsg<P> {
     const KIND: u8 = 2;
 
     fn encode_body(&self, out: &mut Vec<u8>) {
-        put_mass(out, &self.f1);
-        put_mass(out, &self.f2);
-        put_mass(out, &self.folded);
-        put_mass(out, &self.base);
+        let masses = [&self.f1, &self.f2, &self.folded, &self.base];
+        put_dim(out, "PcfMsg", &masses.map(|m| &m.value));
+        for m in masses {
+            put_mass(out, m);
+        }
         out.push(self.c);
-        put_u64(out, self.r);
-        put_u64(out, self.inc);
+        put_varint(out, self.r);
+        put_varint(out, self.inc);
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let f1 = get_mass(r)?;
-        let f2 = get_mass(r)?;
-        let folded = get_mass(r)?;
-        let base = get_mass(r)?;
+        let dim = r.dim()?;
+        let f1 = get_mass(r, dim)?;
+        let f2 = get_mass(r, dim)?;
+        let folded = get_mass(r, dim)?;
+        let base = get_mass(r, dim)?;
         let c = r.u8()?;
-        let rr = r.u64()?;
-        let inc = r.u64()?;
+        let rr = r.varint()?;
+        let inc = r.varint()?;
         Ok(PcfMsg {
             f1,
             f2,
@@ -332,13 +420,15 @@ impl<P: Payload> WireMsg for FuMsg<P> {
     const KIND: u8 = 3;
 
     fn encode_body(&self, out: &mut Vec<u8>) {
+        put_dim(out, "FuMsg", &[&self.flow, &self.estimate]);
         put_payload(out, &self.flow);
         put_payload(out, &self.estimate);
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let flow = get_payload(r)?;
-        let estimate = get_payload(r)?;
+        let dim = r.dim()?;
+        let flow = get_payload(r, dim)?;
+        let estimate = get_payload(r, dim)?;
         Ok(FuMsg { flow, estimate })
     }
 }
@@ -377,26 +467,183 @@ mod tests {
     fn pcf_scalar_frame_golden() {
         let bytes = frame(&pcf_scalar());
         let expected = concat!(
-            "0102",             // version 1, kind 2 (PCF)
-            "61000000",         // body length 97
-            "01000000",         // f1 dim
+            "0202",             // version 2, kind 2 (PCF)
+            "44000000",         // body length 68
+            "01",               // dim 1
             "000000000000f83f", // f1 value 1.5
             "000000000000d03f", // f1 weight 0.25
-            "01000000",         // f2 dim
             "00000000000000c0", // f2 value -2.0
             "000000000000e03f", // f2 weight 0.5
-            "01000000",         // folded dim
             "0000000000000000", // folded value 0.0
             "0000000000000000", // folded weight 0.0
-            "01000000",         // base dim
             "0000000000000840", // base value 3.0
             "000000000000f03f", // base weight 1.0
             "02",               // c
-            "0700000000000000", // r
-            "0100000000000000", // inc
+            "07",               // r 7
+            "01",               // inc 1
         );
         assert_eq!(hex(&bytes), expected);
-        assert_eq!(bytes.len(), FRAME_HEADER + 97);
+        assert_eq!(bytes.len(), 74);
+    }
+
+    #[test]
+    fn mass_scalar_frame_golden() {
+        let bytes = frame(&Mass::new(4.25, 1.0));
+        let expected = concat!(
+            "0201",             // version 2, kind 1 (Mass)
+            "11000000",         // body length 17
+            "01",               // dim 1
+            "0000000000001140", // value 4.25
+            "000000000000f03f", // weight 1.0
+        );
+        assert_eq!(hex(&bytes), expected);
+        assert_eq!(bytes.len(), 23);
+    }
+
+    /// A dim-3 PCF frame: one dim for all four masses, `-0.0` kept, and
+    /// a two-byte `r` varint.
+    #[test]
+    fn pcf_dim3_frame_golden() {
+        let m = PcfMsg {
+            f1: Mass::new(vec![1.0, -0.5, 2.0], 0.5),
+            f2: Mass::new(vec![-0.0, 0.25, 3.0], 1.0),
+            c: 1,
+            r: 300,
+            folded: Mass::new(vec![0.0; 3], 0.0),
+            base: Mass::new(vec![4.0, -2.0, 1.5], 0.25),
+            inc: 1,
+        };
+        let bytes = frame(&m);
+        let expected = concat!(
+            "0202",             // version 2, kind 2 (PCF)
+            "85000000",         // body length 133
+            "03",               // dim 3
+            "000000000000f03f", // f1 value[0] 1.0
+            "000000000000e0bf", // f1 value[1] -0.5
+            "0000000000000040", // f1 value[2] 2.0
+            "000000000000e03f", // f1 weight 0.5
+            "0000000000000080", // f2 value[0] -0.0
+            "000000000000d03f", // f2 value[1] 0.25
+            "0000000000000840", // f2 value[2] 3.0
+            "000000000000f03f", // f2 weight 1.0
+            "0000000000000000", // folded value[0] 0.0
+            "0000000000000000", // folded value[1] 0.0
+            "0000000000000000", // folded value[2] 0.0
+            "0000000000000000", // folded weight 0.0
+            "0000000000001040", // base value[0] 4.0
+            "00000000000000c0", // base value[1] -2.0
+            "000000000000f83f", // base value[2] 1.5
+            "000000000000d03f", // base weight 0.25
+            "01",               // c
+            "ac02",             // r 300 = 0x2c | 2 << 7
+            "01",               // inc 1
+        );
+        assert_eq!(hex(&bytes), expected);
+        assert_eq!(bytes.len(), 42 + 32 * 3 + 1);
+        let back = PcfMsg::<Vec<f64>>::decode_frame(&bytes).unwrap();
+        assert_eq!(back.f2.value[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back, m);
+    }
+
+    /// The version-1 golden (a `u32` dim per mass, fixed `u64` counters)
+    /// is refused by its version byte, before any field is read.
+    #[test]
+    fn v1_frame_is_a_version_error() {
+        let v1 = concat!(
+            "0102",
+            "61000000",
+            "01000000",
+            "000000000000f83f",
+            "000000000000d03f",
+            "01000000",
+            "00000000000000c0",
+            "000000000000e03f",
+            "01000000",
+            "0000000000000000",
+            "0000000000000000",
+            "01000000",
+            "0000000000000840",
+            "000000000000f03f",
+            "02",
+            "0700000000000000",
+            "0100000000000000",
+        );
+        let bytes: Vec<u8> = (0..v1.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&v1[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(bytes.len(), 103);
+        assert_eq!(
+            PcfMsg::<f64>::decode_frame(&bytes),
+            Err(WireError::Version { got: 1 })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "PcfMsg payloads disagree on dimension: [2, 1, 1, 1]")]
+    fn pcf_with_mismatched_dims_is_not_encodable() {
+        let m = PcfMsg {
+            f1: Mass::new(vec![1.0, 2.0], 1.0),
+            f2: Mass::new(vec![1.0], 1.0),
+            c: 1,
+            r: 0,
+            folded: Mass::new(vec![0.0], 0.0),
+            base: Mass::new(vec![0.0], 0.0),
+            inc: 0,
+        };
+        frame(&m);
+    }
+
+    /// Decode `bytes` as one varint-only body.
+    fn read_varint(bytes: &[u8]) -> Result<u64, WireError> {
+        Reader::new(bytes).varint()
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_length() {
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            1 << 63,
+            u64::MAX,
+        ] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            let len = (64 - v.leading_zeros()).max(1).div_ceil(7) as usize;
+            assert_eq!(out.len(), len, "{v}");
+            let mut r = Reader::new(&out);
+            assert_eq!(r.varint(), Ok(v));
+            assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn non_canonical_varints_rejected() {
+        let bad = WireError::Varint { at: 0 };
+        // Overlong: a redundant zero group.
+        assert_eq!(read_varint(&[0x80, 0x00]), Err(bad));
+        assert_eq!(read_varint(&[0x81, 0x80, 0x00]), Err(bad));
+        // Eleven bytes: the tenth still has its continuation bit.
+        let mut run = vec![0x80; 10];
+        run.push(0x00);
+        assert_eq!(read_varint(&run), Err(bad));
+        // Ten bytes whose last carries more than bit 63.
+        let mut past = vec![0xff; 9];
+        past.push(0x02);
+        assert_eq!(read_varint(&past), Err(bad));
+        past[9] = 0x01;
+        assert_eq!(read_varint(&past), Ok(u64::MAX));
+        // Runs off the end of the body.
+        assert_eq!(
+            read_varint(&[0x80]),
+            Err(WireError::Truncated { need: 1, have: 0 })
+        );
+        assert!(bad.to_string().contains("offset 0"));
     }
 
     #[test]
@@ -511,18 +758,22 @@ mod tests {
         );
     }
 
-    /// A 10-byte PCF frame whose first payload declares `u32::MAX`
+    /// An 11-byte PCF frame whose dim varint declares `u32::MAX`
     /// components with none present: a typed error, not an attempt to
-    /// allocate 32 GiB for the components.
+    /// allocate 32 GiB for the components. One more bit is past the
+    /// dim's `u32` range.
     #[test]
     fn hostile_dim_is_truncation_not_allocation() {
-        let bytes = [WIRE_VERSION, 2, 4, 0, 0, 0, 0xff, 0xff, 0xff, 0xff];
+        let mut bytes = vec![WIRE_VERSION, 2, 5, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f];
         let want = WireError::Truncated {
             need: u32::MAX as usize * 8,
             have: 0,
         };
         assert_eq!(PcfMsg::<f64>::decode_frame(&bytes).unwrap_err(), want);
         assert_eq!(PcfMsg::<InlineVec>::decode_frame(&bytes).unwrap_err(), want);
+        assert_eq!(PcfMsg::<Vec<f64>>::decode_frame(&bytes).unwrap_err(), want);
+        bytes[6..].copy_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]);
+        let want = WireError::Varint { at: 0 };
         assert_eq!(PcfMsg::<Vec<f64>>::decode_frame(&bytes).unwrap_err(), want);
     }
 

@@ -5,15 +5,17 @@
 //! `Vec<f64>` payloads, NaN bit patterns included) are damaged the ways a
 //! network or a hostile peer damages them: truncated, spliced from two
 //! frames, with the version, kind or a body-length byte overwritten, with a
-//! payload's `dim` field overwritten, or replaced by garbage. Every result
-//! is then decoded as each of the nine message types. Decoding must never
-//! panic or abort, and any frame it accepts must re-encode to exactly the
-//! bytes it was decoded from.
+//! payload's `dim` field overwritten, with a varint field (`dim`, PCF's `r`
+//! or `inc`) rewritten as an overlong, 11-byte or past-`u64` run, or
+//! replaced by garbage. Every result is then decoded as each of the nine
+//! message types. Decoding must never panic or abort, and any frame it
+//! accepts must re-encode to exactly the bytes it was decoded from.
 
 use gr_reduction::flow_updating::FuMsg;
 use gr_reduction::{InlineVec, Mass, Payload, PcfMsg, WireMsg, FRAME_HEADER, INLINE_CAP};
 use proptest::prelude::*;
 use rand::prelude::*;
+use std::ops::Range;
 
 /// The fields of one message, independent of its payload type.
 #[derive(Clone, Debug)]
@@ -68,21 +70,32 @@ fn source(rng: &mut StdRng) -> Source {
     }
 }
 
+/// The LEB128 encoding of `v`.
+fn leb128(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
 /// Encode `src` with payload type `P`; returns the frame and the byte
-/// offsets of its payload `dim` fields.
-fn encode_as<P: Payload>(src: &Source) -> (Vec<u8>, Vec<usize>) {
+/// ranges of its varint fields, the body's one `dim` first.
+fn encode_as<P: Payload>(src: &Source) -> (Vec<u8>, Vec<Range<usize>>) {
     let mut bits = src.bits.iter().map(|&b| f64::from_bits(b));
     let mut payload = || -> P {
         let comps: Vec<f64> = (&mut bits).take(src.dim).collect();
         P::from_components(&comps)
     };
     let mut frame = Vec::new();
-    let payload_bytes = 4 + 8 * src.dim;
-    let offsets = match src.msg {
+    let dim = FRAME_HEADER..FRAME_HEADER + leb128(src.dim as u64).len();
+    let fields = match src.msg {
         0 => {
             let value = payload();
             Mass::new(value, f64::from_bits(src.bits[src.dim])).encode_frame(&mut frame);
-            vec![FRAME_HEADER]
+            vec![dim]
         }
         1 => {
             let mut mass = |k: usize| {
@@ -99,21 +112,21 @@ fn encode_as<P: Payload>(src: &Source) -> (Vec<u8>, Vec<usize>) {
                 inc: src.inc,
             }
             .encode_frame(&mut frame);
-            (0..4)
-                .map(|k| FRAME_HEADER + k * (payload_bytes + 8))
-                .collect()
+            let inc = frame.len() - leb128(src.inc).len()..frame.len();
+            let r = inc.start - leb128(src.r).len()..inc.start;
+            vec![dim, r, inc]
         }
         _ => {
             let flow = payload();
             let estimate = payload();
             FuMsg { flow, estimate }.encode_frame(&mut frame);
-            (0..2).map(|k| FRAME_HEADER + k * payload_bytes).collect()
+            vec![dim]
         }
     };
-    (frame, offsets)
+    (frame, fields)
 }
 
-fn encode(src: &Source) -> (Vec<u8>, Vec<usize>) {
+fn encode(src: &Source) -> (Vec<u8>, Vec<Range<usize>>) {
     match src.pay {
         0 => encode_as::<f64>(src),
         1 => encode_as::<InlineVec>(src),
@@ -163,14 +176,43 @@ enum Mutation {
     /// Overwrite header byte `at` (0 = version, 1 = kind, 2..6 = body
     /// length) with `v`.
     Header(usize, u8),
-    /// Overwrite payload dim field `which` (modulo their count) with `v`.
-    Dim(usize, u32),
+    /// Rewrite the body's payload dim field as `v`.
+    Dim(u32),
+    /// Replace varint field `which` (modulo their count) with these bytes.
+    Varint(usize, Vec<u8>),
     /// Replace the whole frame with arbitrary bytes.
     Garbage(Vec<u8>),
 }
 
+/// A damaged varint: an overlong form of a small value, an 11-byte
+/// run, a ten-byte run past `u64`, or the largest legal value.
+fn varint_damage(rng: &mut StdRng) -> Vec<u8> {
+    match rng.random_range(0..4) {
+        0 => {
+            let mut v = vec![rng.random_range(0x80..=u8::MAX); rng.random_range(1..10)];
+            v.push(0x00);
+            v
+        }
+        1 => {
+            let mut v: Vec<u8> = (0..10).map(|_| rng.random_range(0x80..=u8::MAX)).collect();
+            v.push(rng.random_range(0..0x80));
+            v
+        }
+        2 => {
+            let mut v = vec![0xff; 9];
+            v.push(rng.random_range(0x02..0x80));
+            v
+        }
+        _ => {
+            let mut v = vec![0xff; 9];
+            v.push(0x01);
+            v
+        }
+    }
+}
+
 fn mutation(rng: &mut StdRng) -> Mutation {
-    match rng.random_range(0..5) {
+    match rng.random_range(0..6) {
         0 => Mutation::Truncate(rng.random()),
         1 => Mutation::Splice(source(rng), rng.random(), rng.random()),
         2 => Mutation::Header(
@@ -189,8 +231,9 @@ fn mutation(rng: &mut StdRng) -> Mutation {
                 6 => rng.random(),
                 _ => rng.random_range(0..64),
             };
-            Mutation::Dim(rng.random(), v)
+            Mutation::Dim(v)
         }
+        4 => Mutation::Varint(rng.random(), varint_damage(rng)),
         _ => {
             let len = rng.random_range(0..160);
             Mutation::Garbage((0..len).map(|_| rng.random_range(0..=u8::MAX)).collect())
@@ -198,7 +241,17 @@ fn mutation(rng: &mut StdRng) -> Mutation {
     }
 }
 
-fn apply(frame: &[u8], dims: &[usize], m: &Mutation) -> Vec<u8> {
+/// `frame` with the bytes in `at` replaced by `with`, the header's body
+/// length patched so the decoder reads on into the damage.
+fn rewrite(frame: &[u8], at: &Range<usize>, with: &[u8]) -> Vec<u8> {
+    let mut out = frame.to_vec();
+    out.splice(at.clone(), with.iter().copied());
+    let body = (out.len() - FRAME_HEADER) as u32;
+    out[2..FRAME_HEADER].copy_from_slice(&body.to_le_bytes());
+    out
+}
+
+fn apply(frame: &[u8], fields: &[Range<usize>], m: &Mutation) -> Vec<u8> {
     let mut out = frame.to_vec();
     match m {
         Mutation::Truncate(n) => out.truncate(n % frame.len()),
@@ -208,9 +261,9 @@ fn apply(frame: &[u8], dims: &[usize], m: &Mutation) -> Vec<u8> {
             out.extend_from_slice(&tail[b % (tail.len() + 1)..]);
         }
         Mutation::Header(at, v) => out[*at] = *v,
-        Mutation::Dim(which, v) => {
-            let at = dims[which % dims.len()];
-            out[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        Mutation::Dim(v) => out = rewrite(frame, &fields[0], &leb128(u64::from(*v))),
+        Mutation::Varint(which, bytes) => {
+            out = rewrite(frame, &fields[which % fields.len()], bytes);
         }
         Mutation::Garbage(bytes) => out = bytes.clone(),
     }
@@ -227,10 +280,10 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let src = source(&mut rng);
         let m = mutation(&mut rng);
-        let (frame, dims) = encode(&src);
+        let (frame, fields) = encode(&src);
         // The undamaged frame decodes (at least as its own type).
         prop_assert!(check_all(&frame)? >= 1);
-        let damaged = apply(&frame, &dims, &m);
+        let damaged = apply(&frame, &fields, &m);
         check_all(&damaged)?;
     }
 }

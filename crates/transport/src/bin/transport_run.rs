@@ -31,11 +31,11 @@
 
 use gr_experiments::Opts;
 use gr_netsim::{BurstModel, Delivery};
-use gr_reduction::{AggregateKind, InitialData, Payload, PcfMsg, PushCancelFlow, WireMsg};
+use gr_reduction::{AggregateKind, InitialData, Payload, PushCancelFlow};
 use gr_topology::{hypercube, Graph, NodeId};
 use gr_transport::{
-    mem_cluster, run_cluster, udp_cluster, validate_datagram, ChaosCut, ChaosDelivery, ChaosPlan,
-    ClusterOptions, ClusterResult, TransportError, WireInstrumented,
+    mem_cluster, run_cluster, udp_cluster, validate_datagram, worst_case_pcf, ChaosCut,
+    ChaosDelivery, ChaosPlan, ClusterOptions, ClusterResult, TransportError, WireInstrumented,
 };
 use std::time::Duration;
 
@@ -46,7 +46,9 @@ struct Report {
     dim: usize,
     seed: u64,
     target: f64,
-    frame_bytes: usize,
+    /// Mean bytes per frame on the wire: `bytes_sent_total` over the
+    /// frames sent.
+    frame_bytes: f64,
     converged: bool,
     wall_ms: f64,
     rounds_min: u64,
@@ -77,29 +79,13 @@ fn run_payload<P: Payload + Sync>(
     opts: &ClusterOptions,
     capacity: usize,
     chaos: Option<&ChaosPlan>,
-) -> Result<(ClusterResult, usize), TransportError> {
+) -> Result<ClusterResult, TransportError> {
     let n = graph.len();
     let values: Vec<P> = (0..n)
         .map(|i| P::from_components(&vec![i as f64; dim]))
         .collect();
     let reference = vec![(n - 1) as f64 / 2.0; dim];
     let data = InitialData::with_kind(values, AggregateKind::Average);
-    // A zero PCF message of this dimension has the steady-state frame
-    // size (PCF frames are dimension-determined, not value-determined).
-    let sample: PcfMsg<P> = PcfMsg {
-        f1: gr_reduction::Mass::zero(dim),
-        f2: gr_reduction::Mass::zero(dim),
-        c: 1,
-        r: 0,
-        folded: gr_reduction::Mass::zero(dim),
-        base: gr_reduction::Mass::zero(dim),
-        inc: 0,
-    };
-    let frame_bytes = {
-        let mut buf = Vec::new();
-        sample.encode_frame(&mut buf);
-        buf.len()
-    };
     let make = |node| {
         let _ = node;
         PushCancelFlow::new(graph, &data)
@@ -131,7 +117,7 @@ fn run_payload<P: Payload + Sync>(
             None => run_cluster(graph, eps, make, reference, opts),
         }
     }
-    let result = match backend {
+    Ok(match backend {
         "mem" => launch(
             graph,
             mem_cluster(n, capacity)?,
@@ -141,15 +127,14 @@ fn run_payload<P: Payload + Sync>(
             chaos,
         )?,
         "udp" => {
-            validate_datagram(&sample)?;
+            validate_datagram(&worst_case_pcf::<P>(dim))?;
             launch(graph, udp_cluster(n)?, make, &reference, opts, chaos)?
         }
         other => {
             eprintln!("unknown --backend {other:?} (expected mem or udp)");
             std::process::exit(2);
         }
-    };
-    Ok((result, frame_bytes))
+    })
 }
 
 fn main() {
@@ -241,7 +226,7 @@ fn main() {
             plan.as_ref(),
         )
     };
-    let (result, frame_bytes) = match outcome {
+    let result = match outcome {
         Ok(r) => r,
         Err(e) => {
             eprintln!("transport-run failed: {e}");
@@ -255,7 +240,7 @@ fn main() {
         dim,
         seed,
         target,
-        frame_bytes,
+        frame_bytes: result.bytes_sent_total as f64 / result.frames_sent_total.max(1) as f64,
         converged: result.converged,
         wall_ms: result.wall_ms,
         rounds_min: result.rounds_min,
@@ -280,7 +265,7 @@ fn main() {
         );
     } else {
         println!(
-            "transport-run: backend={} nodes={} dim={} seed={} frame={}B",
+            "transport-run: backend={} nodes={} dim={} seed={} frame={:.1}B",
             report.backend, report.nodes, report.dim, report.seed, report.frame_bytes
         );
         println!(

@@ -141,6 +141,9 @@ pub struct ClusterResult {
     pub rounds_max: u64,
     /// Total bytes put on the wire across nodes.
     pub bytes_sent_total: u64,
+    /// Total frames put on the wire across nodes (sends the chaos layer
+    /// dropped or backpressure lost never reach it).
+    pub frames_sent_total: u64,
     /// Total sends lost to backpressure across nodes.
     pub dropped_total: u64,
     /// Worst final per-node relative error against the reference. Under
@@ -478,6 +481,7 @@ where
         rounds_mean: rounds.iter().sum::<u64>() as f64 / rounds.len().max(1) as f64,
         rounds_max: rounds.iter().copied().max().unwrap_or(0),
         bytes_sent_total: nodes.iter().map(|r| r.bytes_sent).sum(),
+        frames_sent_total: outcomes.iter().map(|o| o.wire.sent).sum(),
         dropped_total: nodes.iter().map(|r| r.dropped).sum(),
         max_rel_error: max_err,
         mass_value,

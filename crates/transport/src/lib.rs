@@ -43,7 +43,7 @@ pub use cluster::{
 pub use error::{TransportConfigError, TransportError};
 pub use mem::{mem_cluster, MemDelivery};
 pub use twin::{twin_equivalence, TwinReport};
-pub use udp::{udp_cluster, validate_datagram, UdpDelivery, MAX_DATAGRAM};
+pub use udp::{udp_cluster, validate_datagram, worst_case_pcf, UdpDelivery, MAX_DATAGRAM};
 
 /// Message/byte counters every real backend keeps.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]

@@ -17,7 +17,7 @@
 use crate::error::{TransportConfigError, TransportError};
 use crate::WireStats;
 use gr_netsim::Delivery;
-use gr_reduction::WireMsg;
+use gr_reduction::{Mass, Payload, PcfMsg, WireMsg};
 use gr_topology::NodeId;
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -45,8 +45,9 @@ pub struct UdpDelivery<M: WireMsg> {
 
 /// Encoded frame size of `sample`, checked against the datagram budget —
 /// the bring-up guard that rejects payload dimensions a UDP cluster could
-/// never carry. Message sizes are fixed per run (payload dimensions do
-/// not change), so checking one representative message covers the run.
+/// never carry. A frame's size depends on its payload dimension, fixed
+/// per run, and on the varint counters some messages carry, so `sample`
+/// must be the run's largest message ([`worst_case_pcf`] for PCF).
 pub fn validate_datagram<M: WireMsg>(sample: &M) -> Result<usize, TransportConfigError> {
     let mut buf = Vec::new();
     sample.encode_frame(&mut buf);
@@ -57,6 +58,20 @@ pub fn validate_datagram<M: WireMsg>(sample: &M) -> Result<usize, TransportConfi
         });
     }
     Ok(buf.len())
+}
+
+/// The largest PCF message of dimension `dim`: `r` and `inc` at
+/// `u64::MAX` take the ten bytes each that their varints can grow to.
+pub fn worst_case_pcf<P: Payload>(dim: usize) -> PcfMsg<P> {
+    PcfMsg {
+        f1: Mass::zero(dim),
+        f2: Mass::zero(dim),
+        c: 1,
+        r: u64::MAX,
+        folded: Mass::zero(dim),
+        base: Mass::zero(dim),
+        inc: u64::MAX,
+    }
 }
 
 /// Bind an `n`-node loopback cluster: every node gets its own
@@ -180,7 +195,6 @@ impl<M: WireMsg> Delivery<M> for UdpDelivery<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gr_reduction::{Mass, PcfMsg};
 
     /// Sandboxes without sockets surface as `PortBind`; every test that
     /// needs a socket downgrades to a skip in that case.
@@ -221,7 +235,31 @@ mod tests {
         assert_eq!(
             validate_datagram(&big).unwrap_err(),
             TransportConfigError::OversizeDatagram {
-                bytes: gr_reduction::FRAME_HEADER + 4 + 8000 * 8 + 8,
+                bytes: gr_reduction::FRAME_HEADER + 2 + 8000 * 8 + 8,
+                max: MAX_DATAGRAM,
+            }
+        );
+    }
+
+    #[test]
+    fn guard_checks_the_largest_pcf_frame() {
+        // Counters at their widest add 9 bytes each to the 74-byte
+        // scalar frame whose `r` and `inc` fit one byte.
+        assert_eq!(validate_datagram(&worst_case_pcf::<f64>(1)), Ok(92));
+        let small = PcfMsg {
+            r: 0,
+            inc: 0,
+            ..worst_case_pcf::<f64>(1)
+        };
+        assert_eq!(validate_datagram(&small), Ok(74));
+        // Header, two-byte dim, four masses, `c` and two ten-byte
+        // counters: dim 1873 is the largest that fits a datagram.
+        let worst = |dim| validate_datagram(&worst_case_pcf::<Vec<f64>>(dim));
+        assert_eq!(worst(1873), Ok(6 + 2 + 4 * (1873 * 8 + 8) + 1 + 20));
+        assert_eq!(
+            worst(1874).unwrap_err(),
+            TransportConfigError::OversizeDatagram {
+                bytes: 6 + 2 + 4 * (1874 * 8 + 8) + 1 + 20,
                 max: MAX_DATAGRAM,
             }
         );
