@@ -2,9 +2,8 @@
 //!
 //! Times the simulator's hot kernels (one synchronous round of PF / PCF /
 //! FU on hypercubes of dimension 6/8/10, fault-free and under a stress
-//! plan, the `InlineVec` vector-payload grid on hc8 and PCF on hc8 over
-//! the `Vec<f64>` payload dmGS ships, a full PCF round over a
-//! million-node torus through the partitioned engine, the wire codec on
+//! plan, the `Vec<f64>` vector-payload grid on hc8, a full PCF round over
+//! a million-node torus through the partitioned engine, the wire codec on
 //! the scalar and dim-16 PCF frames, and the flow-bank component kernels
 //! in their AVX2 and baseline builds) on a pinned
 //! workload and emits `BENCH_6.json` in a stable schema. Each kernel
@@ -57,8 +56,8 @@ use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantSpec};
 use gr_experiments::Opts;
 use gr_netsim::{FaultPlan, LinkFailure, NodeCrash, Protocol, SimOptions, Simulator};
 use gr_reduction::{
-    kernels, with_protocol, AggregateKind, Algorithm, InitialData, InlineVec, Mass, Payload,
-    PcfMsg, PhiMode, PushCancelFlow, WireMsg,
+    kernels, with_protocol, AggregateKind, Algorithm, InitialData, Mass, Payload, PcfMsg, PhiMode,
+    PushCancelFlow, WireMsg,
 };
 use gr_topology::{hypercube, torus2d, Graph};
 use serde_json::Value;
@@ -217,8 +216,11 @@ fn pcf_msg<P: Payload>(value: impl Fn(f64) -> P) -> PcfMsg<P> {
 }
 
 /// Encode and decode kernels of `msg`'s frame, named
-/// `wire_codec/{encode,decode}/{label}` and filtered by `only`. The
-/// encode path reuses one buffer.
+/// `wire_codec/{encode,decode,decode_fresh}/{label}` and filtered by
+/// `only`. The encode path reuses one buffer; `decode` decodes into one
+/// warm message, as a `NodeDriver` receive on either transport backend
+/// does, and `decode_fresh` builds a new message, as a receive without a
+/// spare does.
 fn codec_kernels<M: WireMsg>(
     msg: &M,
     label: &str,
@@ -240,6 +242,15 @@ fn codec_kernels<M: WireMsg>(
         out.push((name, m));
     }
     let name = format!("wire_codec/decode/{label}");
+    if only.is_empty() || name.contains(only) {
+        let mut warm = M::decode_frame(&frame).unwrap();
+        let m = time_ops(CODEC_OPS, blocks, || {
+            warm.decode_frame_into(&frame).unwrap();
+            std::hint::black_box(&mut warm);
+        });
+        out.push((name, m));
+    }
+    let name = format!("wire_codec/decode_fresh/{label}");
     if only.is_empty() || name.contains(only) {
         let m = time_ops(CODEC_OPS, blocks, || M::decode_frame(&frame).unwrap());
         out.push((name, m));
@@ -405,13 +416,13 @@ fn run_all(
             }
         }
     }
-    // Vector-payload grid: fault-free hc8, dims straddling the inline cap
-    // (4 and 16 inline, 64 heap-spilled). These are the kernels the
-    // allocation-free vector fast path is accountable to.
+    // Vector-payload grid: fault-free hc8 over `Vec<f64>`, the payload
+    // dmGS ships. These are the kernels the allocation-free vector fast
+    // path (recycled wire buffers) is accountable to.
     {
         let graph = hypercube(8);
         for vdim in [4usize, 16, 64] {
-            let (_, data) = gr_bench::vector_fixture::<InlineVec>(8, vdim, SEED);
+            let (_, data) = gr_bench::vector_fixture(8, vdim, SEED);
             for alg in SIM_STEP_ALGORITHMS {
                 let name = format!("sim_step/{}/hc8/vec{vdim}", alg.label().to_lowercase());
                 if !only.is_empty() && !name.contains(only) {
@@ -422,18 +433,13 @@ fn run_all(
             }
         }
     }
-    // The payload dmGS ships: heap `Vec<f64>` masses, PCF on fault-free
-    // hc8 at dims 1 and 16 (dmGS's narrowest and widest column batches),
-    // beside the `InlineVec` rows above. Recycled wire buffers keep these
-    // allocation-free too.
+    // dmGS's narrowest column batch: PCF on fault-free hc8 over dim-1
+    // `Vec<f64>` masses.
     {
-        let graph = hypercube(8);
-        for vdim in [1usize, 16] {
-            let name = format!("sim_step/pcf/hc8/heapvec{vdim}");
-            if !only.is_empty() && !name.contains(only) {
-                continue;
-            }
-            let (_, data) = gr_bench::vector_fixture::<Vec<f64>>(8, vdim, SEED);
+        let name = "sim_step/pcf/hc8/heapvec1".to_string();
+        if only.is_empty() || name.contains(only) {
+            let graph = hypercube(8);
+            let (_, data) = gr_bench::vector_fixture(8, 1, SEED);
             let alg = Algorithm::PushCancelFlow(PhiMode::Eager);
             let m = measure(&graph, &data, alg, FaultPlan::none(), blocks);
             push(&mut kernels, name, m);
@@ -495,9 +501,9 @@ fn run_all(
     // Wire-codec kernels: per-message encode/decode cost of the scalar
     // PCF frame and of dmGS's dim-16 `Vec<f64>` frame — the per-message
     // overhead every real transport pays twice. Reported in ns per
-    // operation (the schema's "round" is the codec op here). The scalar
-    // kernels are accountable to zero steady-state allocations; a
-    // `Vec<f64>` decode allocates its four payloads.
+    // operation (the schema's "round" is the codec op here). Every codec
+    // kernel but the dim-16 fresh decode, which allocates its four
+    // payloads, is accountable to zero steady-state allocations.
     let codec = codec_kernels(&pcf_msg(|x| x), "pcf-scalar", only, blocks)
         .into_iter()
         .chain(codec_kernels(

@@ -1,6 +1,6 @@
 //! Proof that the steady-state round loop is allocation-free: on the
-//! single-partition simulator, for scalar payloads, for vector payloads
-//! at the inline cap and for the heap `Vec<f64>` payloads dmGS ships,
+//! single-partition simulator, for scalar payloads and for the
+//! `Vec<f64>` payloads dmGS ships,
 //! and on the batch executor; that a four-partition simulator running
 //! the timeout detector allocates only to grow buffers to new high-water
 //! marks; and that reading a node's estimate or mass allocates nothing.
@@ -23,8 +23,8 @@ use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantSpec};
 use gr_bench::vector_fixture;
 use gr_netsim::{DetectorModel, FaultPlan, SimOptions, Simulator};
 use gr_reduction::{
-    with_protocol, AggregateKind, Algorithm, InitialData, InlineVec, PhiMode, PushCancelFlow,
-    ReductionProtocol, INLINE_CAP,
+    with_protocol, AggregateKind, Algorithm, InitialData, PhiMode, PushCancelFlow,
+    ReductionProtocol,
 };
 use gr_topology::hypercube;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -88,32 +88,13 @@ fn steady_state_rounds_do_not_allocate() {
     assert_eq!(sim.stats().rounds, 1064);
 }
 
-/// The vector fast path at its widest inline payload: `InlineVec` masses
-/// of dim `INLINE_CAP`, flows in the SoA banks and wire buffers recycled
-/// through `Protocol::reclaim` leave nothing to allocate per round.
-#[test]
-fn steady_state_vector_rounds_do_not_allocate() {
-    let (g, data) = vector_fixture::<InlineVec>(6, INLINE_CAP, 1);
-    let mut sim = Simulator::new(&g, PushCancelFlow::new(&g, &data), FaultPlan::none(), 1);
-    // Warm-up: grow the delivery buckets and the wire-buffer pool to
-    // steady-state capacity.
-    sim.run(64);
-
-    let n = count_allocs(|| sim.run(1000));
-    assert_eq!(
-        n, 0,
-        "steady-state vector hot loop performed {n} heap allocations"
-    );
-    assert_eq!(sim.stats().rounds, 1064);
-}
-
 /// The payload dmGS ships: heap `Vec<f64>` masses at dim 16 on hc8,
 /// PCF-Eager under 2% loss. Every wire buffer, lost or delivered, goes
 /// back to the protocol's pool through `Protocol::reclaim`, so once the
 /// pool holds a round's worth of messages nothing allocates.
 #[test]
 fn steady_state_heap_vector_rounds_do_not_allocate() {
-    let (g, data) = vector_fixture::<Vec<f64>>(8, 16, 1);
+    let (g, data) = vector_fixture(8, 16, 1);
     let pcf = PushCancelFlow::with_mode(&g, &data, PhiMode::Eager);
     let mut sim = Simulator::new(&g, pcf, FaultPlan::with_loss(0.02), 1);
     sim.run(64);
@@ -132,7 +113,7 @@ fn steady_state_heap_vector_rounds_do_not_allocate() {
 /// heap allocation, reading every estimate and mass allocates nothing.
 #[test]
 fn oracle_reads_over_heap_vectors_do_not_allocate() {
-    let (g, data) = vector_fixture::<Vec<f64>>(4, 16, 3);
+    let (g, data) = vector_fixture(4, 16, 3);
     for alg in Algorithm::all() {
         with_protocol!(alg, &g, &data, |proto| {
             let mut sim = Simulator::new(&g, proto, FaultPlan::none(), 3);

@@ -17,7 +17,7 @@ use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantProtocol, TenantSpec};
 use gr_netsim::{SimOptions, SimStats, Simulator, Trace};
 use gr_reduction::{
     with_protocol, AggregateKind, Algorithm, Checkpoint, ErrorSample, FlowUpdating, InitialData,
-    InlineVec, Payload, PushCancelFlow, PushFlow, ReductionProtocol,
+    Payload, PushCancelFlow, PushFlow, ReductionProtocol,
 };
 use gr_topology::{Graph, NodeId};
 use rand::prelude::*;
@@ -88,14 +88,11 @@ pub fn run_scenario(
 }
 
 /// Deterministic vector workload: `dim` uniform components per node,
-/// same seeding discipline as `InitialData::uniform_random`. The draw
-/// order is unchanged from the original `Vec<f64>` workload — `InlineVec`
-/// is numerically transparent, so every fingerprinted result is
-/// byte-identical while small dims run allocation-free.
-fn vector_data(n: usize, dim: usize, seed: u64) -> InitialData<InlineVec> {
+/// same seeding discipline as `InitialData::uniform_random`.
+fn vector_data(n: usize, dim: usize, seed: u64) -> InitialData<Vec<f64>> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let values: Vec<InlineVec> = (0..n)
-        .map(|_| InlineVec::from((0..dim).map(|_| rng.random::<f64>()).collect::<Vec<f64>>()))
+    let values: Vec<Vec<f64>> = (0..n)
+        .map(|_| (0..dim).map(|_| rng.random::<f64>()).collect())
         .collect();
     InitialData::with_kind(values, AggregateKind::Average)
 }

@@ -424,10 +424,7 @@ pub fn sanity_corpus(seeds: &[u64]) -> Vec<Scenario> {
     }
     // Workload block: sum and vector-average on the fast mixers. Flow
     // updating is average-only (it asserts unit weights), so it skips
-    // the sum workload. The vector dims straddle the small-vector inline
-    // cap (`gr_reduction::INLINE_CAP`): dim 3 runs the inline payload
-    // representation, dim 24 the heap spill — both code paths stay
-    // exercised in CI.
+    // the sum workload. The dims are part of each scenario's hash.
     let workloads = [
         Workload::Sum,
         Workload::VectorAvg { dim: 3 },
@@ -592,8 +589,8 @@ pub fn stress_corpus(seeds: &[u64]) -> Vec<Scenario> {
     // Scale templates: the ROADMAP's "hypercube 8+, torus 16x16" item.
     // Larger topologies under a multi-fault plan (two link failures plus
     // one crash in the same run) and both payload shapes — scalar average
-    // and a vector average sized at the inline cap, so the wide-payload
-    // fast path is exercised at scale. Three scheduled faults stay below
+    // and a dim-16 vector average, so the wide-payload fast path is
+    // exercised at scale. Three scheduled faults stay below
     // the smallest connectivity in the set (the torus has vertex
     // connectivity 4), so the survivor graph can never partition. The
     // round budget is raised: the torus diameter (16) slows mixing
@@ -931,18 +928,6 @@ mod tests {
         assert_eq!(opts.delay, DelayModel::Uniform { min: 0, max: 4 });
         assert_eq!(opts.detector, DetectorModel::Oracle);
         assert!(!sc.has_scheduled_faults());
-    }
-
-    #[test]
-    fn sanity_vector_workloads_straddle_the_inline_cap() {
-        use gr_reduction::INLINE_CAP;
-        let corpus = sanity_corpus(&[1]);
-        assert!(corpus
-            .iter()
-            .any(|s| matches!(s.workload, Workload::VectorAvg { dim } if dim <= INLINE_CAP)));
-        assert!(corpus
-            .iter()
-            .any(|s| matches!(s.workload, Workload::VectorAvg { dim } if dim > INLINE_CAP)));
     }
 
     #[test]

@@ -111,12 +111,10 @@ fn vector_sum_reduction(
     // measurably more accurate at scale than the single-unit-weight SUM
     // start (whose per-node weights are O(1/N) and noisy — compare the
     // SUM vs AVG series of Figs. 3/6).
-    // Payloads ride as `Vec<f64>`: a PCF message is then 152 bytes, not
-    // the 600 of four inline `InlineVec` buffers, and every message is
-    // moved by value through the pool, the mailbox lanes and back. The
+    // Payloads ride as `Vec<f64>`: a PCF message is 152 bytes, moved by
+    // value through the pool, the mailbox lanes and back, and the
     // protocols' wire-buffer pools keep the heap payloads allocation-free
-    // in steady state, and the arithmetic is the same for every payload
-    // type (see `payload_equiv`), so results do not depend on the choice.
+    // in steady state.
     let n = graph.len() as f64;
     let data = InitialData::with_kind(locals, gr_reduction::AggregateKind::Average);
     let seed = cfg.seed ^ (0x9E37_79B9 * (reduction_idx + 1));

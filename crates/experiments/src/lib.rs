@@ -6,7 +6,8 @@
 //! * [`figures`] — the experiment implementations (callable from binaries,
 //!   benches and integration tests alike);
 //! * [`output`] — CSV/markdown/JSON emitters writing under `results/`;
-//! * [`parallel`] — a small crossbeam work-stealing `par_map` so
+//! * [`parallel`] — a small `par_map` over `std::thread::scope` workers
+//!   that claim chunks of the input from one atomic cursor, so
 //!   independent simulation runs use all cores while each run stays
 //!   sequential and deterministic;
 //! * [`opts`] — minimal `--key=value` argument parsing (experiments have

@@ -1,4 +1,4 @@
-//! Work-stealing parallel map over independent simulation runs.
+//! Parallel map over independent simulation runs, with chunked claiming.
 //!
 //! Experiments replicate runs over seeds and sweep configurations; every
 //! run is an independent, internally-sequential, deterministic simulation

@@ -52,6 +52,30 @@ pub trait Delivery<M> {
     /// The next message delivered to `node`, as `(from, msg)`, or `None`
     /// when nothing is pending.
     fn try_recv(&mut self, node: NodeId) -> Result<Option<(NodeId, M)>, Self::Error>;
+
+    /// [`send`](Self::send), handing `msg` back when the backend is done
+    /// with it (a backend that encodes frames is, once the frame is
+    /// written), so the caller can reuse its storage. The default sends
+    /// and hands nothing back.
+    fn send_returning(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        msg: M,
+    ) -> Result<Option<M>, Self::Error> {
+        self.send(src, dst, msg).map(|()| None)
+    }
+
+    /// [`try_recv`](Self::try_recv), free to take `spare` and decode the
+    /// delivered frame into its storage. The default leaves `spare` alone.
+    fn try_recv_reusing(
+        &mut self,
+        node: NodeId,
+        spare: &mut Option<M>,
+    ) -> Result<Option<(NodeId, M)>, Self::Error> {
+        let _ = spare;
+        self.try_recv(node)
+    }
 }
 
 /// The deterministic simulator's delivery substrate: a ring of delivery

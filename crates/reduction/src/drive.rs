@@ -55,6 +55,9 @@ pub struct NodeDriver<Pr: ReductionProtocol> {
     /// Timeout detector over the neighbor slots, ticked once per own
     /// iteration (`None`: off).
     detector: Option<SilenceDetector>,
+    /// A spent message the backend may decode the next frame into; see
+    /// [`recycle`](Self::recycle).
+    spare: Option<Pr::Msg>,
 }
 
 impl<Pr: ReductionProtocol> NodeDriver<Pr> {
@@ -70,6 +73,7 @@ impl<Pr: ReductionProtocol> NodeDriver<Pr> {
             rng: stream_rng(seed, RngStream::Aux(DRIVER_STREAM ^ u64::from(node))),
             stats: DriverStats::default(),
             detector: None,
+            spare: None,
         }
     }
 
@@ -129,17 +133,33 @@ impl<Pr: ReductionProtocol> NodeDriver<Pr> {
         &mut self.proto
     }
 
+    /// Keep a spent message: as the spare the next receive may decode
+    /// into when there is none, else in the protocol's wire pool (via
+    /// `reclaim`), where the next send takes it. A backend that decodes
+    /// into the spare and hands every sent message back
+    /// ([`Delivery::send_returning`]) thus closes both loops: after
+    /// warm-up no message is built afresh, however many frames a pump
+    /// finds.
+    fn recycle(&mut self, msg: Pr::Msg) {
+        if self.spare.is_none() {
+            self.spare = Some(msg);
+        } else {
+            self.proto.reclaim(msg);
+        }
+    }
+
     /// Drain every message currently deliverable to this node: each one
-    /// runs `on_receive`, then the gutted buffer is returned to the
-    /// protocol's wire pool via `reclaim`. Nothing is sent back: like the
+    /// runs `on_receive`, then the gutted buffer is kept, as the spare
+    /// the next receive may decode into or in the protocol's wire pool
+    /// (via `reclaim`). Nothing is sent back: like the
     /// simulator's round, a node's only send is the one push per
     /// [`step`](Self::step). Returns the number of messages processed.
     pub fn pump<D: Delivery<Pr::Msg>>(&mut self, delivery: &mut D) -> Result<usize, D::Error> {
         let mut n = 0;
-        while let Some((from, mut msg)) = delivery.try_recv(self.node)? {
+        while let Some((from, mut msg)) = delivery.try_recv_reusing(self.node, &mut self.spare)? {
             self.proto.prewarm(self.node, from);
             self.proto.on_receive(self.node, from, &mut msg);
-            self.proto.reclaim(msg);
+            self.recycle(msg);
             // After `on_receive`, so a flow protocol has already processed
             // any incarnation resync the message carried.
             if let Some(det) = self.detector.as_mut() {
@@ -163,7 +183,9 @@ impl<Pr: ReductionProtocol> NodeDriver<Pr> {
         self.pump(delivery)?;
         if let Some(target) = Schedule::uniform().pick(self.node, &self.neighbors, &mut self.rng) {
             let msg = self.proto.on_send(self.node, target);
-            delivery.send(self.node, target, msg)?;
+            if let Some(msg) = delivery.send_returning(self.node, target, msg)? {
+                self.recycle(msg);
+            }
             self.stats.sent += 1;
         }
         if let Some(det) = self.detector.as_mut() {

@@ -29,7 +29,7 @@ use gr_topology::{Graph, NodeId};
 
 /// A flow-updating message: the sender's flow toward the receiver and the
 /// sender's current estimate, both absolute state.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FuMsg<P> {
     /// `f_{i,j}` as stored at the sender.
     pub flow: P,

@@ -59,7 +59,9 @@ pub use aggregate::{AggregateKind, InitialData};
 pub use drive::{DriverStats, NodeDriver};
 pub use extremum::{Extremum, ExtremumGossip};
 pub use flow_updating::FlowUpdating;
-pub use payload::{InlineVec, Mass, Payload, INLINE_CAP};
+#[allow(deprecated)]
+pub use payload::InlineVec;
+pub use payload::{Mass, Payload};
 pub use protocol::ReductionProtocol;
 pub use push_cancel_flow::{PcfMsg, PhiMode, PushCancelFlow};
 pub use push_flow::PushFlow;

@@ -16,17 +16,21 @@ use std::fmt;
 /// An implementation provides only storage: [`Payload::zeros`],
 /// [`Payload::from_components`] and the two component views. Every
 /// arithmetic method is provided here, once, over those views and the
-/// dispatching [`kernels`], so `f64`, `Vec<f64>` and
-/// [`InlineVec`] run exactly the same componentwise loops (a scalar is a
-/// one-component slice, below the kernels' vector width). Like the
+/// dispatching [`kernels`], so `f64` and `Vec<f64>` run exactly the
+/// same componentwise loops (a scalar is a one-component slice, below
+/// the kernels' vector width). Like the
 /// kernels, the one-line wrappers are `#[inline(always)]`, so a scalar
 /// operation stays a single instruction in the protocols' hot loops.
+///
+/// [`Default`] is the payload with the fewest components its type holds
+/// (no components for `Vec<f64>`, the scalar zero): the placeholder a
+/// wire decoder overwrites, so it allocates nothing.
 ///
 /// All arithmetic is plain IEEE-754 — deliberately so: the numerical
 /// weaknesses of push-flow that the paper analyses *are* plain-f64
 /// artefacts, and compensated tricks here would mask the phenomenon under
 /// study.
-pub trait Payload: Clone + PartialEq + fmt::Debug + Corrupt + Send + 'static {
+pub trait Payload: Clone + Default + PartialEq + fmt::Debug + Corrupt + Send + 'static {
     /// A zero value of dimension `dim`.
     fn zeros(dim: usize) -> Self;
 
@@ -169,130 +173,15 @@ impl Payload for Vec<f64> {
     }
 }
 
-/// Largest dimension an [`InlineVec`] stores inline (in the payload
-/// itself, without a heap allocation). Chosen to cover the dot-product
-/// batches `gr-dmgs` actually ships (a panel of ≤16 columns) while keeping
-/// the inline footprint at two cache lines.
-pub const INLINE_CAP: usize = 16;
-
-/// The storage of an [`InlineVec`]: components live in the fixed inline
-/// buffer up to [`INLINE_CAP`], on the heap above it. The representation is
-/// decided once (by the construction dimension) and never migrates —
-/// payload dimensions are fixed per run.
-#[derive(Clone, Debug)]
-enum Repr {
-    Inline { len: u8, buf: [f64; INLINE_CAP] },
-    Heap(Vec<f64>),
-}
-
-/// A small-vector payload: bit-identical arithmetic to `Vec<f64>`, but
-/// dimensions up to [`INLINE_CAP`] are stored inline so cloning a mass or
-/// refilling a wire buffer never touches the allocator.
-///
-/// The impl provides storage only; the arithmetic is [`Payload`]'s
-/// provided methods over [`InlineVec::as_slice`] /
-/// [`InlineVec::as_mut_slice`] — the same code every payload type runs —
-/// so a run over `InlineVec` payloads replays the `Vec<f64>` run bit for
-/// bit (pinned by the `payload_equiv` proptest).
-#[derive(Debug)]
-pub struct InlineVec(Repr);
-
-impl InlineVec {
-    /// Read-only view of the components.
-    #[inline(always)]
-    pub fn as_slice(&self) -> &[f64] {
-        match &self.0 {
-            Repr::Inline { len, buf } => &buf[..*len as usize],
-            Repr::Heap(v) => v,
-        }
-    }
-
-    /// Mutable view of the components.
-    #[inline(always)]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        match &mut self.0 {
-            Repr::Inline { len, buf } => &mut buf[..*len as usize],
-            Repr::Heap(v) => v,
-        }
-    }
-
-    /// `true` iff the components are stored inline (no heap allocation).
-    #[inline]
-    pub fn is_inline(&self) -> bool {
-        matches!(self.0, Repr::Inline { .. })
-    }
-}
-
-impl Clone for InlineVec {
-    #[inline]
-    fn clone(&self) -> Self {
-        InlineVec(self.0.clone())
-    }
-    #[inline]
-    fn clone_from(&mut self, source: &Self) {
-        // Reuse an existing heap buffer instead of reallocating (the
-        // derived `clone_from` would drop and clone). Inline reprs are a
-        // plain copy either way.
-        match (&mut self.0, &source.0) {
-            (Repr::Heap(dst), Repr::Heap(src)) => dst.clone_from(src),
-            (dst, src) => *dst = src.clone(),
-        }
-    }
-}
-
-impl PartialEq for InlineVec {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl From<Vec<f64>> for InlineVec {
-    fn from(v: Vec<f64>) -> Self {
-        InlineVec::from_components(&v)
-    }
-}
-
-impl Corrupt for InlineVec {
-    fn corruptible_bits(&self) -> u32 {
-        // Same layout as `Vec<f64>`: 64 sequential bits per component.
-        self.as_slice().len() as u32 * 64
-    }
-    fn flip_bit(&mut self, bit: u32) {
-        let comps = self.as_mut_slice();
-        let idx = (bit / 64) as usize;
-        assert!(idx < comps.len(), "bit index out of range for InlineVec");
-        comps[idx].flip_bit(bit % 64);
-    }
-}
-
-impl Payload for InlineVec {
-    fn zeros(dim: usize) -> Self {
-        if dim <= INLINE_CAP {
-            InlineVec(Repr::Inline {
-                len: dim as u8,
-                buf: [0.0; INLINE_CAP],
-            })
-        } else {
-            InlineVec(Repr::Heap(vec![0.0; dim]))
-        }
-    }
-    #[inline(always)]
-    fn components(&self) -> &[f64] {
-        self.as_slice()
-    }
-    #[inline(always)]
-    fn components_mut(&mut self) -> &mut [f64] {
-        self.as_mut_slice()
-    }
-    fn from_components(comps: &[f64]) -> Self {
-        let mut v = Self::zeros(comps.len());
-        v.as_mut_slice().copy_from_slice(comps);
-        v
-    }
-}
+/// The former small-vector payload, now plain `Vec<f64>`, which runs the
+/// same kernels faster, ships smaller messages and decodes in place
+/// ([`WireMsg::decode_frame_into`](crate::WireMsg::decode_frame_into)).
+/// Kept only because `perfbench` still names it.
+#[deprecated(note = "use `Vec<f64>`")]
+pub type InlineVec = Vec<f64>;
 
 /// A `(value, weight)` pair — the paper's `(x_i, w_i)` tuples.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Mass<P> {
     /// Aggregated data.
     pub value: P,
@@ -526,18 +415,10 @@ mod tests {
     fn provided_arithmetic_matches_reference_bits() {
         check_provided_arithmetic::<f64>(&[1]);
         check_provided_arithmetic::<Vec<f64>>(&[1, 3, 4, 7, 16, 24]);
-        // Inline up to the cap, heap-spilled above it.
-        check_provided_arithmetic::<InlineVec>(&[1, 3, 4, 7, INLINE_CAP, INLINE_CAP + 1, 24]);
-        for (dim, inline) in [(INLINE_CAP, true), (INLINE_CAP + 1, false)] {
-            assert_eq!(InlineVec::zeros(dim).is_inline(), inline);
-        }
         // A dimension change goes through `from_components`.
         let mut v = vec![1.0; 3];
         v.copy_from_components(&[2.0, -0.0]);
         assert_eq!(bits(&v), bits(&[2.0, -0.0]));
-        let mut iv = InlineVec::zeros(3);
-        iv.copy_from_components(&[4.0; INLINE_CAP + 2]);
-        assert!(!iv.is_inline() && iv.components() == [4.0; INLINE_CAP + 2]);
     }
 
     #[test]
@@ -609,66 +490,8 @@ mod tests {
     }
 
     #[test]
-    fn inline_vec_matches_vec_ops_both_sides_of_cap() {
-        for dim in [1, 4, INLINE_CAP, INLINE_CAP + 8, 64] {
-            let comps: Vec<f64> = (0..dim).map(|k| 0.5 * k as f64 - 3.0).collect();
-            let rhs: Vec<f64> = (0..dim).map(|k| 1.0 / (k as f64 + 1.0)).collect();
-            let mut iv = InlineVec::from_components(&comps);
-            assert_eq!(iv.is_inline(), dim <= INLINE_CAP);
-            assert_eq!(iv.dim(), dim);
-            let mut v = comps.clone();
-            iv.add_assign(&InlineVec::from_components(&rhs));
-            v.add_assign(&rhs);
-            assert_eq!(iv.components(), v.as_slice());
-            iv.scale(-0.75);
-            v.scale(-0.75);
-            assert_eq!(iv.components(), v.as_slice());
-            iv.sub_assign(&InlineVec::from_components(&rhs));
-            v.sub_assign(&rhs);
-            assert_eq!(iv.components(), v.as_slice());
-            let neg = {
-                let mut n = iv.clone();
-                n.negate();
-                n
-            };
-            assert!(iv.is_neg_of(&neg));
-            assert!(iv.eq_components(&iv.clone()));
-            iv.set_zero();
-            assert!(iv.components().iter().all(|&c| c == 0.0));
-        }
-    }
-
-    #[test]
-    fn inline_vec_corruption_matches_vec_layout() {
-        for dim in [3, INLINE_CAP + 2] {
-            let comps: Vec<f64> = (0..dim).map(|k| k as f64 + 1.0).collect();
-            let mut iv = InlineVec::from_components(&comps);
-            let mut v = comps.clone();
-            assert_eq!(iv.corruptible_bits(), v.corruptible_bits());
-            for bit in [0, 63, 64 * (dim as u32 - 1) + 17] {
-                iv.flip_bit(bit);
-                v.flip_bit(bit);
-            }
-            assert_eq!(iv.components(), v.as_slice());
-        }
-    }
-
-    #[test]
-    fn inline_vec_copy_from_components_reuses_storage() {
-        let mut iv = InlineVec::zeros(4);
-        iv.copy_from_components(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(iv.components(), &[1.0, 2.0, 3.0, 4.0]);
-        assert!(iv.is_inline());
-        let mut big = InlineVec::zeros(INLINE_CAP + 4);
-        assert!(!big.is_inline());
-        let vals: Vec<f64> = (0..INLINE_CAP + 4).map(|k| k as f64).collect();
-        big.copy_from_components(&vals);
-        assert_eq!(big.components(), vals.as_slice());
-    }
-
-    #[test]
     fn mass_copy_from_matches_clone() {
-        let src = Mass::new(InlineVec::from_components(&[1.5, -2.5]), 0.75);
+        let src = Mass::new(vec![1.5, -2.5], 0.75);
         let mut dst = Mass::zero(2);
         dst.copy_from(&src);
         assert_eq!(dst, src);

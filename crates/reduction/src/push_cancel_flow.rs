@@ -79,7 +79,7 @@ pub enum PhiMode {
 /// delayed links the unextended protocol systematically destroys mass
 /// through mismatched folds (see `ablation_execution_models` and
 /// DESIGN.md §4).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PcfMsg<P> {
     /// Flow slot 1.
     pub f1: Mass<P>,

@@ -221,6 +221,14 @@ impl<'a> Reader<'a> {
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
+
+    /// `Ok` iff the body has been read to its last byte.
+    fn finish(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(WireError::Trailing { extra }),
+        }
+    }
 }
 
 #[inline]
@@ -266,22 +274,25 @@ fn put_payload<P: Payload>(out: &mut Vec<u8>, p: &P) {
     }
 }
 
-/// Decode one `dim`-component payload straight from the frame bytes: no
-/// scratch buffer, so a scalar or inline payload decodes without
-/// touching the allocator (a `Vec<f64>` payload allocates only its own
-/// storage). The components are taken from the bytes present before the
-/// payload is built, so a hostile `dim` is a typed error, never a huge
+/// Overwrite `p` with one `dim`-component payload read straight from
+/// the frame bytes, no scratch buffer. `p` keeps its storage when its
+/// dimension already matches, so decoding into a warm message allocates
+/// nothing; otherwise it is rebuilt at `dim` (a `Vec<f64>` payload
+/// allocates only its own storage). The component bytes are taken before
+/// anything is built, so a hostile `dim` is a typed error, never a huge
 /// allocation.
-fn get_payload<P: Payload>(r: &mut Reader<'_>, dim: usize) -> Result<P, WireError> {
+fn get_payload<P: Payload>(r: &mut Reader<'_>, dim: usize, p: &mut P) -> Result<(), WireError> {
     let bytes = r.take(dim.saturating_mul(8))?;
     if !P::admits_dim(dim) {
         return Err(WireError::Dim { got: dim });
     }
-    let mut p = P::zeros(dim);
+    if p.dim() != dim {
+        *p = P::zeros(dim);
+    }
     for (c, b) in p.components_mut().iter_mut().zip(bytes.chunks_exact(8)) {
         *c = f64::from_bits(u64::from_le_bytes(b.try_into().unwrap()));
     }
-    Ok(p)
+    Ok(())
 }
 
 fn put_mass<P: Payload>(out: &mut Vec<u8>, m: &Mass<P>) {
@@ -289,19 +300,52 @@ fn put_mass<P: Payload>(out: &mut Vec<u8>, m: &Mass<P>) {
     put_f64(out, m.weight);
 }
 
-fn get_mass<P: Payload>(r: &mut Reader<'_>, dim: usize) -> Result<Mass<P>, WireError> {
-    let value = get_payload(r, dim)?;
-    let weight = r.f64()?;
-    Ok(Mass { value, weight })
+fn get_mass<P: Payload>(r: &mut Reader<'_>, dim: usize, m: &mut Mass<P>) -> Result<(), WireError> {
+    get_payload(r, dim, &mut m.value)?;
+    m.weight = r.f64()?;
+    Ok(())
+}
+
+/// The body of a complete frame for a `kind` message — exactly one frame
+/// per slice, the datagram discipline. These are the version, kind and
+/// length checks every decoder runs; [`Reader::finish`] is the
+/// trailing-byte check that closes the body.
+fn frame_body(bytes: &[u8], kind: u8) -> Result<Reader<'_>, WireError> {
+    if bytes.len() < FRAME_HEADER {
+        return Err(WireError::Truncated {
+            need: FRAME_HEADER,
+            have: bytes.len(),
+        });
+    }
+    let version = bytes[0];
+    if version != WIRE_VERSION {
+        return Err(WireError::Version { got: version });
+    }
+    if bytes[1] != kind {
+        return Err(WireError::Kind {
+            got: bytes[1],
+            want: kind,
+        });
+    }
+    let declared = u32::from_le_bytes(bytes[2..6].try_into().unwrap()) as usize;
+    let body = &bytes[FRAME_HEADER..];
+    if declared != body.len() {
+        return Err(WireError::Length {
+            declared,
+            actual: body.len(),
+        });
+    }
+    Ok(Reader::new(body))
 }
 
 /// A message type with a fixed binary wire representation.
 ///
 /// Implementors provide the body codec; the framing (version byte, kind
 /// byte, length prefix, trailing-byte check) is shared through the
-/// provided [`encode_frame`](WireMsg::encode_frame) /
-/// [`decode_frame`](WireMsg::decode_frame) pair, so every backend frames
-/// identically and version/kind policing cannot be forgotten.
+/// provided [`encode_frame`](WireMsg::encode_frame),
+/// [`decode_frame`](WireMsg::decode_frame) and
+/// [`decode_frame_into`](WireMsg::decode_frame_into), so every backend
+/// frames identically and version/kind policing cannot be forgotten.
 pub trait WireMsg: Sized {
     /// Frame kind byte — distinct per message type.
     const KIND: u8;
@@ -328,39 +372,43 @@ pub trait WireMsg: Sized {
     /// [`encode_frame`](WireMsg::encode_frame) — exactly one frame per
     /// slice, the datagram discipline).
     fn decode_frame(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() < FRAME_HEADER {
-            return Err(WireError::Truncated {
-                need: FRAME_HEADER,
-                have: bytes.len(),
-            });
-        }
-        let version = bytes[0];
-        if version != WIRE_VERSION {
-            return Err(WireError::Version { got: version });
-        }
-        let kind = bytes[1];
-        if kind != Self::KIND {
-            return Err(WireError::Kind {
-                got: kind,
-                want: Self::KIND,
-            });
-        }
-        let declared = u32::from_le_bytes(bytes[2..6].try_into().unwrap()) as usize;
-        let body = &bytes[FRAME_HEADER..];
-        if declared != body.len() {
-            return Err(WireError::Length {
-                declared,
-                actual: body.len(),
-            });
-        }
-        let mut r = Reader::new(body);
+        let mut r = frame_body(bytes, Self::KIND)?;
         let msg = Self::decode_body(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(WireError::Trailing {
-                extra: r.remaining(),
-            });
-        }
+        r.finish()?;
         Ok(msg)
+    }
+
+    /// Decode one complete frame into `self`: the same checks and the
+    /// same result as [`decode_frame`](WireMsg::decode_frame), but
+    /// `Mass`, `PcfMsg` and `FuMsg` overwrite their payloads in place, so
+    /// decoding into a warm message of the frame's dimension allocates
+    /// nothing. This default builds a fresh message. After an error,
+    /// `self` holds unspecified but valid field values.
+    fn decode_frame_into(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        *self = Self::decode_frame(bytes)?;
+        Ok(())
+    }
+}
+
+/// A message whose body decodes in place. [`read_body`](ReadBody::read_body)
+/// is the one statement of a kind's field order, behind both its fresh
+/// decode (into [`Default`] placeholders) and its in-place one.
+trait ReadBody: WireMsg + Default {
+    /// Overwrite every field of `self` from a body, in wire order.
+    fn read_body(&mut self, r: &mut Reader<'_>) -> Result<(), WireError>;
+
+    /// [`WireMsg::decode_body`]: a body read into a placeholder.
+    fn fresh(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mut m = Self::default();
+        m.read_body(r)?;
+        Ok(m)
+    }
+
+    /// [`WireMsg::decode_frame_into`], in place.
+    fn read_frame(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        let mut r = frame_body(bytes, Self::KIND)?;
+        self.read_body(&mut r)?;
+        r.finish()
     }
 }
 
@@ -374,8 +422,18 @@ impl<P: Payload> WireMsg for Mass<P> {
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Self::fresh(r)
+    }
+
+    fn decode_frame_into(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        self.read_frame(bytes)
+    }
+}
+
+impl<P: Payload> ReadBody for Mass<P> {
+    fn read_body(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
         let dim = r.dim()?;
-        get_mass(r, dim)
+        get_mass(r, dim, self)
     }
 }
 
@@ -395,23 +453,24 @@ impl<P: Payload> WireMsg for PcfMsg<P> {
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Self::fresh(r)
+    }
+
+    fn decode_frame_into(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        self.read_frame(bytes)
+    }
+}
+
+impl<P: Payload> ReadBody for PcfMsg<P> {
+    fn read_body(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
         let dim = r.dim()?;
-        let f1 = get_mass(r, dim)?;
-        let f2 = get_mass(r, dim)?;
-        let folded = get_mass(r, dim)?;
-        let base = get_mass(r, dim)?;
-        let c = r.u8()?;
-        let rr = r.varint()?;
-        let inc = r.varint()?;
-        Ok(PcfMsg {
-            f1,
-            f2,
-            c,
-            r: rr,
-            folded,
-            base,
-            inc,
-        })
+        for m in [&mut self.f1, &mut self.f2, &mut self.folded, &mut self.base] {
+            get_mass(r, dim, m)?;
+        }
+        self.c = r.u8()?;
+        self.r = r.varint()?;
+        self.inc = r.varint()?;
+        Ok(())
     }
 }
 
@@ -426,17 +485,25 @@ impl<P: Payload> WireMsg for FuMsg<P> {
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Self::fresh(r)
+    }
+
+    fn decode_frame_into(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        self.read_frame(bytes)
+    }
+}
+
+impl<P: Payload> ReadBody for FuMsg<P> {
+    fn read_body(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
         let dim = r.dim()?;
-        let flow = get_payload(r, dim)?;
-        let estimate = get_payload(r, dim)?;
-        Ok(FuMsg { flow, estimate })
+        get_payload(r, dim, &mut self.flow)?;
+        get_payload(r, dim, &mut self.estimate)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::payload::InlineVec;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -646,38 +713,46 @@ mod tests {
         assert!(bad.to_string().contains("offset 0"));
     }
 
+    /// A dim-`dim` PCF message with distinct components per mass.
+    fn pcf_vec(dim: usize) -> PcfMsg<Vec<f64>> {
+        let v = |k: f64| -> Vec<f64> { (0..dim).map(|i| k * i as f64 - 0.5).collect() };
+        PcfMsg {
+            f1: Mass::new(v(1.0), 0.1),
+            f2: Mass::new(v(-2.0), 0.2),
+            c: 1,
+            r: 9,
+            folded: Mass::new(vec![0.0; dim], 0.0),
+            base: Mass::new(v(0.25), -0.75),
+            inc: 3,
+        }
+    }
+
     #[test]
     fn pcf_roundtrips_all_payload_types() {
         let m = pcf_scalar();
         assert_eq!(PcfMsg::<f64>::decode_frame(&frame(&m)).unwrap(), m);
-
-        // Vector payloads, both sides of the inline cap.
         for dim in [3usize, 24] {
-            let v = |k: f64| -> Vec<f64> { (0..dim).map(|i| k * i as f64 - 0.5).collect() };
-            let m = PcfMsg {
-                f1: Mass::new(InlineVec::from_components(&v(1.0)), 0.1),
-                f2: Mass::new(InlineVec::from_components(&v(-2.0)), 0.2),
-                c: 1,
-                r: 9,
-                folded: Mass::new(InlineVec::zeros(dim), 0.0),
-                base: Mass::new(InlineVec::from_components(&v(0.25)), -0.75),
-                inc: 3,
-            };
-            let bytes = frame(&m);
-            assert_eq!(PcfMsg::<InlineVec>::decode_frame(&bytes).unwrap(), m);
-            // An `InlineVec` frame is byte-identical to the `Vec<f64>`
-            // frame of the same components (the wire does not know about
-            // inline storage).
-            let mv = PcfMsg {
-                f1: Mass::new(v(1.0), 0.1),
-                f2: Mass::new(v(-2.0), 0.2),
-                c: 1,
-                r: 9,
-                folded: Mass::new(vec![0.0; dim], 0.0),
-                base: Mass::new(v(0.25), -0.75),
-                inc: 3,
-            };
-            assert_eq!(frame(&mv), bytes);
+            let m = pcf_vec(dim);
+            assert_eq!(PcfMsg::<Vec<f64>>::decode_frame(&frame(&m)).unwrap(), m);
+        }
+    }
+
+    /// Decoding into a warm message keeps its payload storage when the
+    /// dimension matches and rebuilds the payloads when it changes.
+    /// (`wire_mutation.rs` checks it against the fresh decode, damaged
+    /// frames included.)
+    #[test]
+    fn decode_frame_into_reuses_storage() {
+        let mut warm = pcf_vec(3);
+        warm.base.negate();
+        warm.c = 2;
+        let storage = warm.base.value.as_ptr();
+        warm.decode_frame_into(&frame(&pcf_vec(3))).unwrap();
+        assert_eq!(warm, pcf_vec(3));
+        assert_eq!(warm.base.value.as_ptr(), storage);
+        for dim in [24, 3] {
+            warm.decode_frame_into(&frame(&pcf_vec(dim))).unwrap();
+            assert_eq!(warm, pcf_vec(dim));
         }
     }
 
@@ -770,8 +845,9 @@ mod tests {
             have: 0,
         };
         assert_eq!(PcfMsg::<f64>::decode_frame(&bytes).unwrap_err(), want);
-        assert_eq!(PcfMsg::<InlineVec>::decode_frame(&bytes).unwrap_err(), want);
         assert_eq!(PcfMsg::<Vec<f64>>::decode_frame(&bytes).unwrap_err(), want);
+        let mut warm = PcfMsg::<Vec<f64>>::default();
+        assert_eq!(warm.decode_frame_into(&bytes).unwrap_err(), want);
         bytes[6..].copy_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]);
         let want = WireError::Varint { at: 0 };
         assert_eq!(PcfMsg::<Vec<f64>>::decode_frame(&bytes).unwrap_err(), want);
@@ -787,8 +863,8 @@ mod tests {
             Err(WireError::Dim { got: 2 })
         );
         assert_eq!(
-            Mass::<InlineVec>::decode_frame(&bytes).unwrap(),
-            Mass::new(InlineVec::from_components(&[1.0, 2.0]), 1.0)
+            Mass::<Vec<f64>>::decode_frame(&bytes).unwrap(),
+            Mass::new(vec![1.0, 2.0], 1.0)
         );
         assert!(WireError::Dim { got: 2 }
             .to_string()

@@ -1,18 +1,17 @@
-//! Property test: `InlineVec` is a drop-in, bit-identical replacement for
-//! `Vec<f64>` payloads.
+//! Property test: a scalar run and a dim-1 `Vec<f64>` run are the same
+//! run.
 //!
-//! The inline small-vector representation changes *where* components live
-//! (an inline array below `INLINE_CAP`, a heap spill above), never *what*
-//! arithmetic runs on them — every payload op lowers to the same
-//! slice-wise f64 loops. This test pins that claim end to end: full
-//! simulations over both payload types, same topology / seed / fault
-//! plan, must produce bit-identical estimate streams and transport
-//! counters on every checkpoint, on both sides of the inline cap.
+//! Every payload op lowers to the same slice-wise f64 loops, and a scalar
+//! is a one-component slice; a bit flip addresses the same 64 value bits
+//! in both. This test pins that claim end to end: full simulations over
+//! both payload types, same topology / seed / fault plan, must produce
+//! bit-identical estimate streams and transport counters on every
+//! checkpoint.
 
 use gr_netsim::{FaultPlan, Simulator};
 use gr_reduction::{
-    AggregateKind, FlowUpdating, InitialData, InlineVec, Payload, PhiMode, PushCancelFlow,
-    PushFlow, PushSum, ReductionProtocol, INLINE_CAP,
+    AggregateKind, FlowUpdating, InitialData, Payload, PhiMode, PushCancelFlow, PushFlow, PushSum,
+    ReductionProtocol,
 };
 use gr_topology::{complete, hypercube, ring, Graph};
 use proptest::prelude::*;
@@ -26,13 +25,11 @@ fn mix(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Shared random per-node vectors — the single source both payload types
+/// Shared random per-node values — the single source both payload types
 /// are built from, so any divergence is the payload's fault.
-fn rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
+fn values(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| (0..dim).map(|_| rng.random::<f64>()).collect())
-        .collect()
+    (0..n).map(|_| rng.random::<f64>()).collect()
 }
 
 /// The fault-plan sweep: failure-free, probabilistic loss, payload bit
@@ -56,16 +53,10 @@ fn fault_plan(kind: usize, graph: &Graph) -> FaultPlan {
 
 /// Run 300 rounds, folding every alive node's estimate bits at each
 /// 50-round checkpoint plus the final transport counters into one hash.
-fn run_hash<Pr: ReductionProtocol>(
-    graph: &Graph,
-    protocol: Pr,
-    plan: FaultPlan,
-    seed: u64,
-    dim: usize,
-) -> u64 {
+fn run_hash<Pr: ReductionProtocol>(graph: &Graph, protocol: Pr, plan: FaultPlan, seed: u64) -> u64 {
     let mut sim = Simulator::new(graph, protocol, plan, seed);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut buf = vec![0.0; dim];
+    let mut buf = [0.0];
     for round in 1..=300u32 {
         sim.step();
         if round % 50 == 0 {
@@ -87,44 +78,39 @@ fn pcf_hardened<'a, P: Payload>(g: &'a Graph, d: &InitialData<P>) -> PushCancelF
 
 /// One full equivalence check: both payload types through every
 /// algorithm, identical run hashes required.
-fn check_equiv(topo: usize, dim: usize, seed: u64, fault: usize) -> Result<(), TestCaseError> {
+fn check_equiv(topo: usize, seed: u64, fault: usize) -> Result<(), TestCaseError> {
     let graph = match topo {
         0 => complete(8),
         1 => hypercube(4),
         _ => ring(12),
     };
-    let data_vec: InitialData<Vec<f64>> =
-        InitialData::with_kind(rows(graph.len(), dim, seed), AggregateKind::Average);
-    let data_inline: InitialData<InlineVec> = InitialData::with_kind(
-        rows(graph.len(), dim, seed)
-            .into_iter()
-            .map(InlineVec::from)
-            .collect(),
+    let scalars = values(graph.len(), seed);
+    let data_scalar: InitialData<f64> =
+        InitialData::with_kind(scalars.clone(), AggregateKind::Average);
+    let data_vec: InitialData<Vec<f64>> = InitialData::with_kind(
+        scalars.into_iter().map(|x| vec![x]).collect(),
         AggregateKind::Average,
     );
     macro_rules! check {
         ($make:path, $label:expr) => {{
             let a = run_hash(
                 &graph,
-                $make(&graph, &data_vec),
+                $make(&graph, &data_scalar),
                 fault_plan(fault, &graph),
                 seed,
-                dim,
             );
             let b = run_hash(
                 &graph,
-                $make(&graph, &data_inline),
+                $make(&graph, &data_vec),
                 fault_plan(fault, &graph),
                 seed,
-                dim,
             );
             prop_assert_eq!(
                 a,
                 b,
-                "{} diverged: topo={} dim={} seed={} fault={}",
+                "{} diverged: topo={} seed={} fault={}",
                 $label,
                 topo,
-                dim,
                 seed,
                 fault
             );
@@ -142,26 +128,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn inline_vec_runs_are_bit_identical_to_vec(
+    fn scalar_runs_are_bit_identical_to_dim1_vec(
         topo in 0usize..3,
-        // Straddle the inline cap: `spill` shifts the drawn dim past
-        // `INLINE_CAP`, so both the inline representation and the heap
-        // spill get cases.
-        dim in 1usize..=INLINE_CAP,
-        spill in proptest::bool::ANY,
         seed in 0u64..1_000_000,
         fault in 0usize..4,
     ) {
-        let dim = if spill { dim + INLINE_CAP } else { dim };
-        check_equiv(topo, dim, seed, fault)?;
+        check_equiv(topo, seed, fault)?;
     }
 }
 
-/// Deterministic pin exactly at the representation boundary: the largest
-/// inline dim and the smallest spilled dim, under the multi-fault plan.
+/// Deterministic pin under the multi-fault plan.
 #[test]
-fn boundary_dims_are_bit_identical() {
-    for dim in [INLINE_CAP, INLINE_CAP + 1] {
-        check_equiv(1, dim, 42, 3).unwrap();
-    }
+fn scalar_and_dim1_vec_agree_under_faults() {
+    check_equiv(1, 42, 3).unwrap();
 }

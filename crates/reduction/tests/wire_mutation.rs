@@ -1,28 +1,34 @@
 //! Property test: the wire decoder is total and canonical on damaged
 //! frames.
 //!
-//! Real frames (`Mass`, `PcfMsg`, `FuMsg` over `f64`, `InlineVec` and
-//! `Vec<f64>` payloads, NaN bit patterns included) are damaged the ways a
+//! Real frames (`Mass`, `PcfMsg`, `FuMsg` over `f64` and `Vec<f64>`
+//! payloads, NaN bit patterns included) are damaged the ways a
 //! network or a hostile peer damages them: truncated, spliced from two
 //! frames, with the version, kind or a body-length byte overwritten, with a
 //! payload's `dim` field overwritten, with a varint field (`dim`, PCF's `r`
 //! or `inc`) rewritten as an overlong, 11-byte or past-`u64` run, or
-//! replaced by garbage. Every result is then decoded as each of the nine
-//! message types. Decoding must never panic or abort, and any frame it
-//! accepts must re-encode to exactly the bytes it was decoded from.
+//! replaced by garbage. Every result is then decoded as each of the six
+//! message types, both fresh and into warm messages (the decodes of the
+//! undamaged frame and of a second random frame, whose dimension may
+//! differ). Decoding must never panic or abort, every decode must return
+//! the same result, and any frame they accept must re-encode to exactly
+//! the bytes it was decoded from.
 
 use gr_reduction::flow_updating::FuMsg;
-use gr_reduction::{InlineVec, Mass, Payload, PcfMsg, WireMsg, FRAME_HEADER, INLINE_CAP};
+use gr_reduction::{Mass, Payload, PcfMsg, WireMsg, FRAME_HEADER};
 use proptest::prelude::*;
 use rand::prelude::*;
 use std::ops::Range;
+
+/// Largest payload dimension a source frame draws.
+const MAX_DIM: usize = 24;
 
 /// The fields of one message, independent of its payload type.
 #[derive(Clone, Debug)]
 struct Source {
     /// 0 = `Mass`, 1 = `PcfMsg`, 2 = `FuMsg`.
     msg: u8,
-    /// 0 = `f64`, 1 = `InlineVec`, 2 = `Vec<f64>`.
+    /// 0 = `f64`, 1 = `Vec<f64>`.
     pay: u8,
     /// Payload dimension (forced to 1 for `f64`).
     dim: usize,
@@ -44,13 +50,13 @@ const SPECIAL_BITS: [u64; 4] = [
 
 fn source(rng: &mut StdRng) -> Source {
     let msg = rng.random_range(0..3);
-    let pay = rng.random_range(0..3);
+    let pay = rng.random_range(0..2);
     let dim = if pay == 0 {
         1
     } else {
-        rng.random_range(0..=INLINE_CAP + 8)
+        rng.random_range(0..=MAX_DIM)
     };
-    let bits = (0..4 * (INLINE_CAP + 9))
+    let bits = (0..4 * (MAX_DIM + 1))
         .map(|_| {
             if rng.random_bool(0.2) {
                 SPECIAL_BITS[rng.random_range(0..SPECIAL_BITS.len())]
@@ -129,14 +135,29 @@ fn encode_as<P: Payload>(src: &Source) -> (Vec<u8>, Vec<Range<usize>>) {
 fn encode(src: &Source) -> (Vec<u8>, Vec<Range<usize>>) {
     match src.pay {
         0 => encode_as::<f64>(src),
-        1 => encode_as::<InlineVec>(src),
         _ => encode_as::<Vec<f64>>(src),
     }
 }
 
-/// Decode `bytes` as `M`; an accepted frame must re-encode to `bytes`.
-fn check<M: WireMsg>(bytes: &[u8]) -> Result<bool, TestCaseError> {
-    let Ok(m) = M::decode_frame(bytes) else {
+/// Decode `bytes` as `M`, fresh and into a warm message decoded from
+/// each of `warm` that is an `M` frame: the decodes must agree, and an
+/// accepted frame must re-encode to `bytes`.
+fn check<M: WireMsg>(bytes: &[u8], warm: &[&[u8]]) -> Result<bool, TestCaseError> {
+    let fresh = M::decode_frame(bytes);
+    for mut into in warm.iter().filter_map(|w| M::decode_frame(w).ok()) {
+        let res = into.decode_frame_into(bytes);
+        prop_assert_eq!(res.err(), fresh.as_ref().err().copied());
+        if res.is_ok() {
+            let mut again = Vec::new();
+            into.encode_frame(&mut again);
+            prop_assert_eq!(
+                again.as_slice(),
+                bytes,
+                "warm decode re-encodes differently"
+            );
+        }
+    }
+    let Ok(m) = fresh else {
         return Ok(false);
     };
     let mut again = Vec::new();
@@ -149,19 +170,16 @@ fn check<M: WireMsg>(bytes: &[u8]) -> Result<bool, TestCaseError> {
     Ok(true)
 }
 
-/// [`check`] under all nine message/payload types; the number that
+/// [`check`] under all six message/payload types; the number that
 /// accepted `bytes`.
-fn check_all(bytes: &[u8]) -> Result<usize, TestCaseError> {
+fn check_all(bytes: &[u8], warm: &[&[u8]]) -> Result<usize, TestCaseError> {
     let accepted = [
-        check::<Mass<f64>>(bytes)?,
-        check::<Mass<InlineVec>>(bytes)?,
-        check::<Mass<Vec<f64>>>(bytes)?,
-        check::<PcfMsg<f64>>(bytes)?,
-        check::<PcfMsg<InlineVec>>(bytes)?,
-        check::<PcfMsg<Vec<f64>>>(bytes)?,
-        check::<FuMsg<f64>>(bytes)?,
-        check::<FuMsg<InlineVec>>(bytes)?,
-        check::<FuMsg<Vec<f64>>>(bytes)?,
+        check::<Mass<f64>>(bytes, warm)?,
+        check::<Mass<Vec<f64>>>(bytes, warm)?,
+        check::<PcfMsg<f64>>(bytes, warm)?,
+        check::<PcfMsg<Vec<f64>>>(bytes, warm)?,
+        check::<FuMsg<f64>>(bytes, warm)?,
+        check::<FuMsg<Vec<f64>>>(bytes, warm)?,
     ];
     Ok(accepted.iter().filter(|&&a| a).count())
 }
@@ -220,13 +238,13 @@ fn mutation(rng: &mut StdRng) -> Mutation {
             rng.random_range(0..=u8::MAX),
         ),
         3 => {
-            let cap = INLINE_CAP as u32;
+            let max = MAX_DIM as u32;
             let v = match rng.random_range(0..8) {
                 0 => 0,
                 1 => 1,
                 2 => 2,
-                3 => cap,
-                4 => cap + 1,
+                3 => max,
+                4 => max + 1,
                 5 => u32::MAX,
                 6 => rng.random(),
                 _ => rng.random_range(0..64),
@@ -282,8 +300,9 @@ proptest! {
         let m = mutation(&mut rng);
         let (frame, fields) = encode(&src);
         // The undamaged frame decodes (at least as its own type).
-        prop_assert!(check_all(&frame)? >= 1);
+        let (other, _) = encode(&source(&mut rng));
+        prop_assert!(check_all(&frame, &[&frame, &other])? >= 1);
         let damaged = apply(&frame, &fields, &m);
-        check_all(&damaged)?;
+        check_all(&damaged, &[&frame, &other])?;
     }
 }

@@ -170,6 +170,10 @@ fn main() {
     let detector_window = o.u64("detector-window", if churn > 0 { 200 } else { 0 });
     o.finish();
 
+    if dim == 0 {
+        eprintln!("transport-run: --dim must be at least 1");
+        std::process::exit(2);
+    }
     let graph = hypercube(hc);
     let n = graph.len();
     let mut plan = ChaosPlan {
@@ -217,14 +221,7 @@ fn main() {
     let outcome = if dim == 1 {
         run_payload::<f64>(&backend, &graph, dim, &opts, capacity, plan.as_ref())
     } else {
-        run_payload::<gr_reduction::InlineVec>(
-            &backend,
-            &graph,
-            dim,
-            &opts,
-            capacity,
-            plan.as_ref(),
-        )
+        run_payload::<Vec<f64>>(&backend, &graph, dim, &opts, capacity, plan.as_ref())
     };
     let result = match outcome {
         Ok(r) => r,

@@ -295,7 +295,22 @@ where
 {
     type Error = D::Error;
 
-    fn send(&mut self, src: NodeId, dst: NodeId, mut msg: M) -> Result<(), Self::Error> {
+    fn send(&mut self, src: NodeId, dst: NodeId, msg: M) -> Result<(), Self::Error> {
+        self.send_returning(src, dst, msg).map(drop)
+    }
+
+    fn try_recv(&mut self, node: NodeId) -> Result<Option<(NodeId, M)>, Self::Error> {
+        self.try_recv_reusing(node, &mut None)
+    }
+
+    /// A dropped or severed message comes straight back, a passed one
+    /// as the inner backend hands it back, a held one not at all.
+    fn send_returning(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        mut msg: M,
+    ) -> Result<Option<M>, Self::Error> {
         self.op += 1;
         self.flush_due()?;
         let op = self.op;
@@ -305,7 +320,7 @@ where
         if self.plan.cuts.iter().any(|c| c.severs(src, dst, op)) {
             self.stats.drops += 1;
             self.stats.note(ACT_CUT, op);
-            return Ok(());
+            return Ok(Some(msg));
         }
         match self.faults.decide(&mut self.burst, &mut self.rng, &mut msg) {
             FaultVerdict::Pass => {}
@@ -316,35 +331,39 @@ where
             FaultVerdict::LostBurst => {
                 self.stats.drops += 1;
                 self.stats.note(ACT_BURST, op);
-                return Ok(());
+                return Ok(Some(msg));
             }
             FaultVerdict::LostRandom => {
                 self.stats.drops += 1;
                 self.stats.note(ACT_DROP, op);
-                return Ok(());
+                return Ok(Some(msg));
             }
         }
         if self.plan.delay > 0.0 && self.rng.random::<f64>() < self.plan.delay {
             self.stats.delayed += 1;
             self.stats.note(ACT_DELAY, op);
             self.held.push((op + self.plan.delay_ops, dst, msg));
-            return Ok(());
+            return Ok(None);
         }
         if self.plan.duplicate > 0.0 && self.rng.random::<f64>() < self.plan.duplicate {
             self.stats.duplicates += 1;
             self.stats.note(ACT_DUP, op);
             self.inner.send(src, dst, msg.clone())?;
         }
-        self.inner.send(src, dst, msg)
+        self.inner.send_returning(src, dst, msg)
     }
 
-    fn try_recv(&mut self, node: NodeId) -> Result<Option<(NodeId, M)>, Self::Error> {
+    fn try_recv_reusing(
+        &mut self,
+        node: NodeId,
+        spare: &mut Option<M>,
+    ) -> Result<Option<(NodeId, M)>, Self::Error> {
         // The clock ticks on receive polls too, so held frames drain even
         // after a node stops sending (the settle phase only pumps) —
         // nothing can be stranded in the delay stage at audit time.
         self.op += 1;
         self.flush_due()?;
-        self.inner.try_recv(node)
+        self.inner.try_recv_reusing(node, spare)
     }
 }
 

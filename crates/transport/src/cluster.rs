@@ -13,7 +13,7 @@
 //! `Protocol` impl the deterministic twin runs, built per node and driven
 //! only for that node's id.
 
-use crate::error::TransportError;
+use crate::error::{TransportConfigError, TransportError};
 use crate::mem::MemDelivery;
 use crate::udp::UdpDelivery;
 use crate::WireStats;
@@ -220,7 +220,9 @@ fn max_rel_error(estimate: &[f64], reference: &[f64]) -> f64 {
 /// [`mem_cluster`](crate::mem_cluster) / [`udp_cluster`](crate::udp_cluster));
 /// `make_proto` builds node `i`'s protocol instance (each thread owns a
 /// full instance, driven only for its node); `reference` is the true
-/// aggregate the convergence monitor measures against.
+/// aggregate the convergence monitor measures against. An empty
+/// `reference` is [`TransportConfigError::EmptyReference`]: the monitor
+/// would find every node converged over zero components.
 pub fn run_cluster<Pr, D>(
     graph: &Graph,
     endpoints: Vec<D>,
@@ -234,6 +236,9 @@ where
     D: WireInstrumented,
 {
     let n = graph.len();
+    if reference.is_empty() {
+        return Err(TransportConfigError::EmptyReference.into());
+    }
     if endpoints.len() != n {
         return Err(TransportError::Io(format!(
             "{} endpoints for a {n}-node graph",
@@ -515,6 +520,20 @@ impl<M: gr_reduction::WireMsg> WireInstrumented for crate::udp::UdpDelivery<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::mem_cluster;
+    use gr_reduction::{AggregateKind, InitialData, PushCancelFlow};
+    use gr_topology::hypercube;
+
+    #[test]
+    fn empty_reference_is_a_typed_error() {
+        let graph = hypercube(2);
+        let data = InitialData::with_kind(vec![Vec::new(); 4], AggregateKind::Average);
+        let make = |_| PushCancelFlow::new(&graph, &data);
+        let eps = mem_cluster(4, 8).unwrap();
+        let err = run_cluster(&graph, eps, make, &[], &ClusterOptions::default()).unwrap_err();
+        assert_eq!(err, TransportConfigError::EmptyReference.into());
+        assert!(err.to_string().contains("no components"));
+    }
 
     #[test]
     fn destroyed_estimates_read_as_infinite_error() {

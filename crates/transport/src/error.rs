@@ -11,6 +11,9 @@ use gr_topology::NodeId;
 pub enum TransportConfigError {
     /// A cluster needs at least one node.
     ZeroNodes,
+    /// The reference aggregate has no components, so no run over it can
+    /// be judged converged or not.
+    EmptyReference,
     /// An OS socket could not be bound (ports exhausted, sockets
     /// unavailable in the sandbox, permissions).
     PortBind {
@@ -34,6 +37,9 @@ impl std::fmt::Display for TransportConfigError {
         match self {
             TransportConfigError::ZeroNodes => {
                 write!(f, "transport cluster needs at least one node")
+            }
+            TransportConfigError::EmptyReference => {
+                write!(f, "reference aggregate has no components")
             }
             TransportConfigError::PortBind { addr, detail } => {
                 write!(f, "could not bind UDP socket at {addr}: {detail}")

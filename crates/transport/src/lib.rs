@@ -67,3 +67,19 @@ pub struct WireStats {
     /// is off.
     pub chaos_corrupt: u64,
 }
+
+/// Decode a received frame into `spare`, a spent message the caller lent
+/// the endpoint, when there is one (a warm decode allocates nothing), and
+/// into a fresh message otherwise.
+fn decode_into_spare<M: gr_reduction::WireMsg>(
+    spare: &mut Option<M>,
+    frame: &[u8],
+) -> Result<M, TransportError> {
+    match spare.take() {
+        Some(mut msg) => {
+            msg.decode_frame_into(frame)?;
+            Ok(msg)
+        }
+        None => Ok(M::decode_frame(frame)?),
+    }
+}

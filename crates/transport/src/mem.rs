@@ -15,7 +15,7 @@
 //! loss injector with real thread-race timing.
 
 use crate::error::{TransportConfigError, TransportError};
-use crate::WireStats;
+use crate::{decode_into_spare, WireStats};
 use gr_netsim::Delivery;
 use gr_reduction::WireMsg;
 use gr_topology::NodeId;
@@ -83,7 +83,22 @@ impl<M: WireMsg> MemDelivery<M> {
 impl<M: WireMsg> Delivery<M> for MemDelivery<M> {
     type Error = TransportError;
 
-    fn send(&mut self, _src: NodeId, dst: NodeId, msg: M) -> Result<(), Self::Error> {
+    fn send(&mut self, src: NodeId, dst: NodeId, msg: M) -> Result<(), Self::Error> {
+        self.send_returning(src, dst, msg).map(drop)
+    }
+
+    fn try_recv(&mut self, node: NodeId) -> Result<Option<(NodeId, M)>, Self::Error> {
+        self.try_recv_reusing(node, &mut None)
+    }
+
+    /// Encodes `msg` and hands it back, whether or not the frame was
+    /// accepted.
+    fn send_returning(
+        &mut self,
+        _src: NodeId,
+        dst: NodeId,
+        msg: M,
+    ) -> Result<Option<M>, Self::Error> {
         let Some(peer) = self.peers.get(dst as usize) else {
             return Err(TransportError::UnknownPeer { dst });
         };
@@ -102,14 +117,19 @@ impl<M: WireMsg> Delivery<M> for MemDelivery<M> {
                 self.stats.dropped += 1;
             }
         }
-        Ok(())
+        Ok(Some(msg))
     }
 
-    fn try_recv(&mut self, node: NodeId) -> Result<Option<(NodeId, M)>, Self::Error> {
+    /// Decodes the frame into `spare` when there is one.
+    fn try_recv_reusing(
+        &mut self,
+        node: NodeId,
+        spare: &mut Option<M>,
+    ) -> Result<Option<(NodeId, M)>, Self::Error> {
         debug_assert_eq!(node, self.node, "endpoint polled for a foreign node");
         match self.rx.try_recv() {
             Ok((src, frame)) => {
-                let msg = M::decode_frame(&frame)?;
+                let msg = decode_into_spare(spare, &frame)?;
                 self.stats.delivered += 1;
                 self.stats.bytes_recv += frame.len() as u64;
                 Ok(Some((src, msg)))

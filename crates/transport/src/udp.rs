@@ -8,14 +8,16 @@
 //! transmit scratch and the receive buffer are allocated once per
 //! endpoint and reused for every packet: the receive path hands the
 //! protocol a decoded message and keeps the buffer, the datagram analogue
-//! of the simulator's reclaim-pooled wire buffers.
+//! of the simulator's reclaim-pooled wire buffers. A send hands its
+//! encoded message back, and a receive decodes into the spare message the
+//! caller lends it ([`Delivery::try_recv_reusing`]).
 //!
 //! Peers are identified by their bound socket address; datagrams from
 //! addresses outside the cluster are counted and ignored rather than
 //! decoded (a stray packet on a loopback port must not abort a run).
 
 use crate::error::{TransportConfigError, TransportError};
-use crate::WireStats;
+use crate::{decode_into_spare, WireStats};
 use gr_netsim::Delivery;
 use gr_reduction::{Mass, Payload, PcfMsg, WireMsg};
 use gr_topology::NodeId;
@@ -143,7 +145,22 @@ impl<M: WireMsg> UdpDelivery<M> {
 impl<M: WireMsg> Delivery<M> for UdpDelivery<M> {
     type Error = TransportError;
 
-    fn send(&mut self, _src: NodeId, dst: NodeId, msg: M) -> Result<(), Self::Error> {
+    fn send(&mut self, src: NodeId, dst: NodeId, msg: M) -> Result<(), Self::Error> {
+        self.send_returning(src, dst, msg).map(drop)
+    }
+
+    fn try_recv(&mut self, node: NodeId) -> Result<Option<(NodeId, M)>, Self::Error> {
+        self.try_recv_reusing(node, &mut None)
+    }
+
+    /// Encodes `msg` and hands it back, whether or not the datagram went
+    /// out.
+    fn send_returning(
+        &mut self,
+        _src: NodeId,
+        dst: NodeId,
+        msg: M,
+    ) -> Result<Option<M>, Self::Error> {
         let Some(&peer) = self.peers.get(dst as usize) else {
             return Err(TransportError::UnknownPeer { dst });
         };
@@ -159,19 +176,24 @@ impl<M: WireMsg> Delivery<M> for UdpDelivery<M> {
             Ok(_) => {
                 self.stats.sent += 1;
                 self.stats.bytes_sent += self.tx_buf.len() as u64;
-                Ok(())
+                Ok(Some(msg))
             }
             // A full socket buffer is loss, the regime the protocols
             // already tolerate.
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 self.stats.dropped += 1;
-                Ok(())
+                Ok(Some(msg))
             }
             Err(e) => Err(TransportError::Io(e.to_string())),
         }
     }
 
-    fn try_recv(&mut self, node: NodeId) -> Result<Option<(NodeId, M)>, Self::Error> {
+    /// Decodes the datagram into `spare` when there is one.
+    fn try_recv_reusing(
+        &mut self,
+        node: NodeId,
+        spare: &mut Option<M>,
+    ) -> Result<Option<(NodeId, M)>, Self::Error> {
         debug_assert_eq!(node, self.node, "endpoint polled for a foreign node");
         loop {
             match self.socket.recv_from(&mut self.rx_buf) {
@@ -180,7 +202,7 @@ impl<M: WireMsg> Delivery<M> for UdpDelivery<M> {
                         self.foreign += 1;
                         continue;
                     };
-                    let msg = M::decode_frame(&self.rx_buf[..len])?;
+                    let msg = decode_into_spare(spare, &self.rx_buf[..len])?;
                     self.stats.delivered += 1;
                     self.stats.bytes_recv += len as u64;
                     return Ok(Some((src, msg)));

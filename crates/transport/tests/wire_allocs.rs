@@ -1,18 +1,22 @@
 //! Allocation pins for the real-transport wire path.
 //!
 //! A counting shim around the system allocator is installed as the global
-//! allocator for this binary. Decoding a scalar or inline-vector PCF frame
-//! must not allocate at all, and a warm mem-backend round trip (encode,
-//! channel send, receive, decode) must cost at most one allocation per
-//! frame: the exact-size frame the sender ships.
+//! allocator for this binary. Decoding a scalar PCF frame, or a dim-16
+//! `Vec<f64>` PCF frame into a warm message, must not allocate at all,
+//! and warm `NodeDriver` traffic over `mem_cluster` (encode, channel
+//! send, receive, decode into the driver's spare message, process) must
+//! cost at most one allocation per frame: the exact-size frame the
+//! sender ships.
 //!
 //! Counting is per thread: the tests of this binary run in parallel, and
 //! libtest's main thread may allocate while a test measures. Only the
 //! measuring thread's own allocations count.
 
-use gr_netsim::Delivery;
-use gr_reduction::{InlineVec, Mass, Payload, PcfMsg, WireMsg};
-use gr_transport::{mem_cluster, MemDelivery};
+use gr_reduction::{
+    AggregateKind, InitialData, Mass, NodeDriver, Payload, PcfMsg, PushCancelFlow, WireMsg,
+};
+use gr_topology::hypercube;
+use gr_transport::{mem_cluster, ChaosDelivery, ChaosPlan, WireInstrumented};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -87,38 +91,68 @@ fn decode_is_allocation_free() {
     assert_eq!(n, 0, "scalar PCF decode made {n} allocations");
     assert_eq!(back.unwrap(), scalar);
 
-    let inline = pcf(|x| InlineVec::from_components(&[x; 16]));
-    let bytes = frame(&inline);
-    let (n, back) = allocs_in(|| PcfMsg::<InlineVec>::decode_frame(&bytes));
-    assert_eq!(n, 0, "dim-16 InlineVec PCF decode made {n} allocations");
-    assert_eq!(back.unwrap(), inline);
+    let vector = pcf(|x| vec![x; 16]);
+    let bytes = frame(&vector);
+    let mut warm = pcf(|x| vec![-x; 16]);
+    let (n, back) = allocs_in(|| warm.decode_frame_into(&bytes));
+    assert_eq!(
+        n, 0,
+        "dim-16 Vec<f64> PCF decode into a warm message made {n} allocations"
+    );
+    back.unwrap();
+    assert_eq!(warm, vector);
+}
+
+/// Allocations and frames sent over `sweeps` round-robin sweeps of 16
+/// PCF drivers on hypercube-4 over `mem_cluster` endpoints, each behind a
+/// fault-free `ChaosDelivery` (so its forwarding is pinned too), after
+/// 200 warm-up sweeps. Each step drains however many frames arrived since
+/// the node's last step (none, one or several) and then sends one: the
+/// real driver pattern, not a strict send/receive alternation.
+fn driver_allocs<P: Payload>(dim: usize, sweeps: usize) -> (u64, u64) {
+    let graph = hypercube(4);
+    let n = graph.len();
+    let values = (0..n)
+        .map(|i| P::from_components(&vec![i as f64; dim]))
+        .collect();
+    let data = InitialData::with_kind(values, AggregateKind::Average);
+    let plan = ChaosPlan::none(0);
+    let mut eps: Vec<_> = mem_cluster::<PcfMsg<P>>(n, 4 * n)
+        .unwrap()
+        .into_iter()
+        .enumerate()
+        .map(|(i, ep)| ChaosDelivery::new(ep, i as u32, &plan))
+        .collect();
+    let mut drivers: Vec<_> = (0..n as u32)
+        .map(|i| NodeDriver::new(i, PushCancelFlow::new(&graph, &data), &graph, 7))
+        .collect();
+    let mut sweep = |rounds: usize| {
+        for _ in 0..rounds {
+            for (d, ep) in drivers.iter_mut().zip(&mut eps) {
+                d.step(ep).unwrap();
+            }
+        }
+        let sent: u64 = eps.iter().map(|ep| ep.wire_stats().sent).sum();
+        let delivered: u64 = eps.iter().map(|ep| ep.wire_stats().delivered).sum();
+        assert!(sent - delivered <= n as u64, "frames lost or stranded");
+        sent
+    };
+    let before = sweep(200);
+    let (allocs, after) = allocs_in(|| sweep(sweeps));
+    (allocs, after - before)
 }
 
 #[test]
-fn warm_mem_round_trip_allocates_once_per_frame() {
-    const FRAMES: u64 = 1000;
-    let mut eps = mem_cluster::<PcfMsg<f64>>(2, 4).unwrap();
-    let msg = pcf(|x| x);
-    let round_trip = |eps: &mut Vec<MemDelivery<PcfMsg<f64>>>| {
-        eps[0].send(0, 1, msg.clone()).unwrap();
-        let (src, got) = eps[1]
-            .try_recv(1)
-            .unwrap()
-            .expect("frame crossed the fabric");
-        assert_eq!(src, 0);
-        got
-    };
-    // Warm-up: the sender's encode buffer reaches frame size.
-    assert_eq!(round_trip(&mut eps), msg);
-
-    let (n, ()) = allocs_in(|| {
-        for _ in 0..FRAMES {
-            round_trip(&mut eps);
-        }
-    });
-    assert!(
-        n <= FRAMES,
-        "{FRAMES} warm round trips made {n} allocations (more than one per frame)"
-    );
-    assert_eq!(eps[1].wire_stats().delivered, FRAMES + 1);
+fn warm_driver_traffic_allocates_once_per_frame() {
+    for (label, (allocs, frames)) in [
+        ("scalar", driver_allocs::<f64>(1, 1000)),
+        ("dim-16", driver_allocs::<Vec<f64>>(16, 1000)),
+    ] {
+        assert_eq!(frames, 16_000, "{label}: one frame per driver step");
+        assert!(
+            allocs <= frames,
+            "{frames} warm {label} frames of driver traffic made {allocs} allocations \
+             (more than one per frame)"
+        );
+    }
 }
