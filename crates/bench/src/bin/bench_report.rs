@@ -53,7 +53,7 @@
 //! the timed ones.
 
 use gr_batch::{BatchHost, BatchOptions, BatchSim, TenantSpec};
-use gr_experiments::Opts;
+use gr_experiments::{ConfigError, Opts};
 use gr_netsim::{FaultPlan, LinkFailure, NodeCrash, Protocol, SimOptions, Simulator};
 use gr_reduction::{
     kernels, with_protocol, AggregateKind, Algorithm, InitialData, Mass, Payload, PcfMsg, PhiMode,
@@ -712,6 +712,8 @@ fn compare(kernels: &[Kernel], baseline: &Value, tolerance: f64) -> Vec<String> 
     regressions
 }
 
+const BIN: &str = "bench-report";
+
 fn main() {
     let opts = Opts::from_env();
     let out = opts.string("out", "");
@@ -723,11 +725,21 @@ fn main() {
     let batch_tenants = opts.u64("batch-tenants", 10_000) as usize;
     let simd_ab = opts.bool("simd-ab", false);
     let simd_min_ratio = opts.f64("simd-min-ratio", 1.3);
-    opts.finish();
-    assert!(blocks >= 1, "--blocks must be at least 1");
-    assert!(tolerance >= 0.0, "--tolerance must be non-negative");
-    assert!(sim_threads >= 1, "--sim-threads must be at least 1");
-    assert!(batch_tenants >= 1, "--batch-tenants must be at least 1");
+    opts.finish().unwrap_or_else(|e| e.exit(BIN));
+    for (bad, key, reason) in [
+        (blocks < 1, "blocks", "must be at least 1"),
+        (
+            tolerance.is_nan() || tolerance < 0.0,
+            "tolerance",
+            "must be non-negative",
+        ),
+        (sim_threads < 1, "sim-threads", "must be at least 1"),
+        (batch_tenants < 1, "batch-tenants", "must be at least 1"),
+    ] {
+        if bad {
+            ConfigError::invalid(key, reason).exit(BIN);
+        }
+    }
 
     if simd_ab {
         if !kernels::simd_supported() {
@@ -762,7 +774,9 @@ fn main() {
 
     println!("bench-report: timing kernels (filter: {only:?}, sim threads: {sim_threads})");
     let (kernels, partition_decision) = run_all(blocks, &only, sim_threads, batch_tenants);
-    assert!(!kernels.is_empty(), "--only {only:?} matched no kernel");
+    if kernels.is_empty() {
+        ConfigError::invalid("only", format!("{only:?} matched no kernel")).exit(BIN);
+    }
 
     if !out.is_empty() {
         let json = serde_json::to_string_pretty(&report_json(&kernels, blocks, partition_decision))

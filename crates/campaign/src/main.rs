@@ -21,18 +21,30 @@ use gr_campaign::{
     stress_corpus, CampaignReport, Lane, DEFAULT_SANITY_SEEDS, DEFAULT_STRESS_SEEDS,
 };
 use gr_experiments::parallel::default_threads;
-use gr_experiments::Opts;
+use gr_experiments::{ConfigError, Opts};
+
+const BIN: &str = "gr-campaign";
 
 fn main() {
     let opts = Opts::from_env();
     let mode = opts.string("mode", "sanity");
+    // --seeds N widens the corpus to seeds 1..=N; 0 keeps the lane default.
+    let n_seeds = opts.u64("seeds", 0);
+    let replay = opts.string("replay", "");
+    let tail = opts.u64("tail", 64) as usize;
+    let list = opts.bool("list", false);
+    let list_full = opts.bool("list-full", false);
+    let threads = opts.u64("threads", default_threads() as u64) as usize;
+    let sim_threads = opts.u64("sim-threads", 1) as usize;
+    let json_path = opts.string("json", "");
+    let baseline_path = opts.string("baseline", "");
+    opts.finish().unwrap_or_else(|e| e.exit(BIN));
     let lane = match mode.as_str() {
         "sanity" => Lane::Sanity,
         "stress" => Lane::Stress,
-        other => panic!("--mode must be sanity or stress, got {other:?}"),
+        other => ConfigError::invalid("mode", format!("must be sanity or stress, got {other:?}"))
+            .exit(BIN),
     };
-    // --seeds N widens the corpus to seeds 1..=N; 0 keeps the lane default.
-    let n_seeds = opts.u64("seeds", 0);
     let seeds: Vec<u64> = if n_seeds > 0 {
         (1..=n_seeds).collect()
     } else {
@@ -45,15 +57,6 @@ fn main() {
         Lane::Sanity => sanity_corpus(&seeds),
         Lane::Stress => stress_corpus(&seeds),
     };
-    let replay = opts.string("replay", "");
-    let tail = opts.u64("tail", 64) as usize;
-    let list = opts.bool("list", false);
-    let list_full = opts.bool("list-full", false);
-    let threads = opts.u64("threads", default_threads() as u64) as usize;
-    let sim_threads = opts.u64("sim-threads", 1) as usize;
-    let json_path = opts.string("json", "");
-    let baseline_path = opts.string("baseline", "");
-    opts.finish();
 
     if !replay.is_empty() {
         let sc = find_scenario(&corpus, &replay).unwrap_or_else(|| {

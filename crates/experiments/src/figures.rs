@@ -1,7 +1,7 @@
 //! Experiment implementations, one per paper figure plus ablations.
 //!
-//! Each function returns a [`Table`]; the `bin/` wrappers parse options,
-//! call these, and emit results. Keeping the logic here makes every
+//! Each function returns a [`Table`]; the `figures` binary picks the
+//! sizes, calls these, and emits the results. Keeping the logic here makes every
 //! experiment callable from integration tests and benches.
 
 use crate::output::{fmt_err, Table};

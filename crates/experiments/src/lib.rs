@@ -1,22 +1,23 @@
-//! The per-figure experiment harness.
+//! The experiment harness behind the `figures` binary.
 //!
-//! One binary per figure of the paper's evaluation (see `DESIGN.md` for
-//! the experiment index), built on shared machinery:
+//! One binary, `figures`, runs every figure of the paper's evaluation and
+//! the ablations (see `DESIGN.md` for the experiment index), built on
+//! shared machinery:
 //!
-//! * [`figures`] — the experiment implementations (callable from binaries,
-//!   benches and integration tests alike);
+//! * [`figures`] — the experiment implementations (callable from the
+//!   binary, benches and integration tests alike);
 //! * [`output`] — CSV/markdown/JSON emitters writing under `results/`;
 //! * [`parallel`] — a small `par_map` over `std::thread::scope` workers
 //!   that claim chunks of the input from one atomic cursor, so
 //!   independent simulation runs use all cores while each run stays
 //!   sequential and deterministic;
-//! * [`opts`] — minimal `--key=value` argument parsing (experiments have
-//!   few knobs; a CLI framework would be a heavier dependency than the
-//!   harness itself).
+//! * [`opts`] — minimal `--key=value` argument parsing with a typed
+//!   [`ConfigError`] (experiments have few knobs; a CLI framework would
+//!   be a heavier dependency than the harness itself).
 //!
-//! All experiments are deterministic given `--seed`; the defaults
-//! reproduce the committed `EXPERIMENTS.md` numbers exactly. Paper-scale
-//! sweeps (2¹⁵ nodes, 50 dmGS repetitions) are gated behind `--full=true`
+//! Every experiment is deterministic: the seeds are fixed, and the
+//! defaults reproduce the committed `results/` exactly. Paper-scale
+//! sweeps (2¹⁵ nodes, 50 dmGS repetitions) are gated behind `--full`
 //! because they take tens of minutes on a laptop-class machine.
 
 pub mod figures;
@@ -24,5 +25,5 @@ pub mod opts;
 pub mod output;
 pub mod parallel;
 
-pub use opts::Opts;
+pub use opts::{ConfigError, Opts};
 pub use output::Table;

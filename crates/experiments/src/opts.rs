@@ -1,16 +1,77 @@
-//! Minimal `--key=value` command-line options.
+//! Minimal `--key=value` command-line options with typed errors.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::fmt;
+
+/// A bad command line. Its `Display` is the one line a binary prints
+/// before it exits with status 2 (see [`ConfigError::exit`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// An argument that is not `--key`, `--key=value` or `--key value`.
+    Malformed(String),
+    /// A key given more than once.
+    Repeated(String),
+    /// `--key`'s value does not parse as what its accessor reads
+    /// (`expected`: "an integer", "true/false", …).
+    BadValue {
+        key: String,
+        value: String,
+        expected: &'static str,
+    },
+    /// A key no accessor consulted (a typo), and the keys that were.
+    Unknown { key: String, known: Vec<String> },
+    /// `--key`'s value parses but is out of range or not one of the
+    /// choices; `reason` completes the sentence "`--key` …".
+    Invalid { key: String, reason: String },
+}
+
+impl ConfigError {
+    /// An [`Invalid`](ConfigError::Invalid) error for `--key`.
+    pub fn invalid(key: &str, reason: impl Into<String>) -> Self {
+        ConfigError::Invalid {
+            key: key.to_string(),
+            reason: reason.into(),
+        }
+    }
+
+    /// Print `<bin>: <error>` to stderr and exit with status 2.
+    pub fn exit(&self, bin: &str) -> ! {
+        eprintln!("{bin}: {self}");
+        std::process::exit(2)
+    }
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::Malformed(arg) => write!(f, "expected --key=value, got {arg:?}"),
+            ConfigError::Repeated(key) => write!(f, "option --{key} given more than once"),
+            ConfigError::BadValue {
+                key,
+                value,
+                expected,
+            } => write!(f, "--{key} must be {expected}, got {value:?}"),
+            ConfigError::Unknown { key, known } => {
+                let known: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
+                write!(f, "unknown option --{key} (known: {})", known.join(", "))
+            }
+            ConfigError::Invalid { key, reason } => write!(f, "--{key} {reason}"),
+        }
+    }
+}
 
 /// Parsed `--key=value` / `--key value` arguments with typed accessors.
 ///
-/// Unknown keys are rejected at access-check time via [`Opts::finish`], so
-/// a typo'd flag fails loudly instead of silently running the default
-/// experiment.
+/// Nothing here panics. [`Opts::parse`] and the accessors record the
+/// first error and carry on with defaults; [`Opts::finish`] returns it,
+/// or reports a key no accessor consulted, so a typo'd flag fails loudly
+/// instead of silently running the default experiment.
 #[derive(Debug, Default)]
 pub struct Opts {
     values: BTreeMap<String, String>,
-    touched: std::cell::RefCell<Vec<String>>,
+    touched: RefCell<Vec<String>>,
+    error: RefCell<Option<ConfigError>>,
 }
 
 impl Opts {
@@ -18,40 +79,33 @@ impl Opts {
     ///
     /// Both `--key=value` and the two-token `--key value` spelling are
     /// accepted; a trailing `--key` with no value (or followed by another
-    /// option) is read as the boolean `--key=true`.
-    ///
-    /// # Panics
-    /// Panics on malformed arguments: anything not starting with `--`, or
-    /// a key given twice.
+    /// option) is read as the boolean `--key=true`. The first argument
+    /// not starting with `--`, or the first key given twice, is recorded
+    /// for [`Opts::finish`].
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+        let opts = Opts::default();
         let mut values = BTreeMap::new();
         let mut it = args.into_iter().peekable();
         while let Some(a) = it.next() {
-            let rest = a
-                .strip_prefix("--")
-                .unwrap_or_else(|| panic!("expected --key=value, got {a:?}"));
+            let Some(rest) = a.strip_prefix("--") else {
+                opts.record(ConfigError::Malformed(a));
+                continue;
+            };
             let (k, v) = match rest.split_once('=') {
                 Some((k, v)) => (k.to_string(), v.to_string()),
                 None => {
-                    let takes_next = it.peek().is_some_and(|n| !n.starts_with("--"));
-                    let v = if takes_next {
-                        it.next().unwrap()
-                    } else {
-                        "true".to_string()
-                    };
-                    (rest.to_string(), v)
+                    let v = it.next_if(|n| !n.starts_with("--"));
+                    (rest.to_string(), v.unwrap_or_else(|| "true".to_string()))
                 }
             };
-            assert!(
-                !values.contains_key(&k),
-                "option --{k} given more than once"
-            );
-            values.insert(k, v);
+            match values.entry(k) {
+                Entry::Occupied(e) => opts.record(ConfigError::Repeated(e.key().clone())),
+                Entry::Vacant(e) => {
+                    e.insert(v);
+                }
+            }
         }
-        Opts {
-            values,
-            touched: std::cell::RefCell::new(Vec::new()),
-        }
+        Opts { values, ..opts }
     }
 
     /// Parse from the process arguments.
@@ -59,39 +113,43 @@ impl Opts {
         Self::parse(std::env::args().skip(1))
     }
 
+    fn record(&self, e: ConfigError) {
+        self.error.borrow_mut().get_or_insert(e);
+    }
+
     fn raw(&self, key: &str) -> Option<&str> {
         self.touched.borrow_mut().push(key.to_string());
         self.values.get(key).map(String::as_str)
     }
 
+    fn typed<T: std::str::FromStr>(&self, key: &str, default: T, expected: &'static str) -> T {
+        match self.raw(key).map(|v| (v, v.parse())) {
+            None => default,
+            Some((_, Ok(x))) => x,
+            Some((v, Err(_))) => {
+                self.record(ConfigError::BadValue {
+                    key: key.to_string(),
+                    value: v.to_string(),
+                    expected,
+                });
+                default
+            }
+        }
+    }
+
     /// A `u64` option with default.
     pub fn u64(&self, key: &str, default: u64) -> u64 {
-        self.raw(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} must be an integer, got {v:?}"))
-            })
-            .unwrap_or(default)
+        self.typed(key, default, "an integer")
     }
 
     /// An `f64` option with default.
     pub fn f64(&self, key: &str, default: f64) -> f64 {
-        self.raw(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} must be a number, got {v:?}"))
-            })
-            .unwrap_or(default)
+        self.typed(key, default, "a number")
     }
 
     /// A boolean option (`true`/`false`) with default.
     pub fn bool(&self, key: &str, default: bool) -> bool {
-        self.raw(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} must be true/false, got {v:?}"))
-            })
-            .unwrap_or(default)
+        self.typed(key, default, "true/false")
     }
 
     /// A string option with default.
@@ -99,15 +157,19 @@ impl Opts {
         self.raw(key).unwrap_or(default).to_string()
     }
 
-    /// Panic if any supplied key was never consulted (catches typos).
-    pub fn finish(&self) {
+    /// The first error parsing or reading recorded, else the first key
+    /// that no accessor consulted.
+    pub fn finish(&self) -> Result<(), ConfigError> {
+        if let Some(e) = self.error.borrow().clone() {
+            return Err(e);
+        }
         let touched = self.touched.borrow();
-        for k in self.values.keys() {
-            assert!(
-                touched.iter().any(|t| t == k),
-                "unknown option --{k} (known: {:?})",
-                touched
-            );
+        match self.values.keys().find(|k| !touched.contains(k)) {
+            Some(key) => Err(ConfigError::Unknown {
+                key: key.clone(),
+                known: touched.clone(),
+            }),
+            None => Ok(()),
         }
     }
 }
@@ -116,69 +178,71 @@ impl Opts {
 mod tests {
     use super::*;
 
-    fn opts(args: &[&str]) -> Opts {
-        Opts::parse(args.iter().map(|s| s.to_string()))
+    fn opts(args: &str) -> Opts {
+        Opts::parse(args.split_whitespace().map(String::from))
     }
 
     #[test]
     fn typed_accessors() {
-        let o = opts(&["--runs=7", "--eps=1e-9", "--full=true", "--out=x.csv"]);
+        let o = opts("--runs=7 --eps=1e-9 --full=true --out=x.csv");
         assert_eq!(o.u64("runs", 1), 7);
         assert_eq!(o.f64("eps", 0.0), 1e-9);
         assert!(o.bool("full", false));
         assert_eq!(o.string("out", "y"), "x.csv");
-        o.finish();
+        assert_eq!(o.finish(), Ok(()));
     }
 
     #[test]
     fn defaults_apply() {
-        let o = opts(&[]);
+        let o = opts("");
         assert_eq!(o.u64("runs", 3), 3);
         assert!(!o.bool("full", false));
-        o.finish();
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown option")]
-    fn unknown_key_caught() {
-        let o = opts(&["--tyop=1"]);
-        let _ = o.u64("runs", 1);
-        o.finish();
-    }
-
-    #[test]
-    #[should_panic(expected = "expected --key=value")]
-    fn malformed_rejected() {
-        let _ = opts(&["runs=3"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "option --seed given more than once")]
-    fn repeated_key_rejected() {
-        let _ = opts(&["--seed", "1", "--seed=2"]);
+        assert_eq!(o.finish(), Ok(()));
     }
 
     #[test]
     fn space_separated_values() {
-        let o = opts(&["--mode", "sanity", "--runs", "7", "--x", "-5"]);
+        let o = opts("--mode sanity --runs 7 --x -5");
         assert_eq!(o.string("mode", "stress"), "sanity");
         assert_eq!(o.u64("runs", 1), 7);
         assert_eq!(o.string("x", "0"), "-5");
-        o.finish();
+        assert_eq!(o.finish(), Ok(()));
     }
 
     #[test]
     fn bare_flag_is_boolean_true() {
-        let o = opts(&["--full", "--mode", "stress"]);
+        let o = opts("--full --mode stress");
         assert!(o.bool("full", false));
         assert_eq!(o.string("mode", "sanity"), "stress");
-        o.finish();
+        assert_eq!(o.finish(), Ok(()));
     }
 
+    /// One row per bad command line: the error `finish` returns after a
+    /// binary reads `--runs`, `--full` and `--threads`, each of which
+    /// reads as its default.
     #[test]
-    #[should_panic(expected = "must be an integer")]
-    fn bad_int_rejected() {
-        let o = opts(&["--runs=abc"]);
-        let _ = o.u64("runs", 1);
+    fn each_bad_command_line_is_one_typed_error() {
+        let cases = [
+            ("runs=3", "expected --key=value, got \"runs=3\""),
+            ("--runs=1 --runs 2", "option --runs given more than once"),
+            ("--runs=abc", "--runs must be an integer, got \"abc\""),
+            ("--full=maybe", "--full must be true/false, got \"maybe\""),
+            ("--threads", "--threads must be an integer, got \"true\""),
+            (
+                "--thread=2",
+                "unknown option --thread (known: --runs, --full, --threads)",
+            ),
+            ("--runs=x --full=y", "--runs must be an integer, got \"x\""),
+        ];
+        for (args, want) in cases {
+            let o = opts(args);
+            let read = (o.u64("runs", 1), o.bool("full", false), o.u64("threads", 1));
+            assert_eq!(read, (1, false, 1), "{args}");
+            assert_eq!(
+                o.finish().map_err(|e| e.to_string()),
+                Err(want.into()),
+                "{args}"
+            );
+        }
     }
 }

@@ -106,14 +106,14 @@ impl Table {
         Ok(csv_path)
     }
 
-    /// Print the markdown rendering plus a save notice (main() helper).
-    pub fn emit(&self, results_dir: &Path) {
+    /// Print the markdown rendering, save the table and print where it
+    /// went. A failed save is returned, so a run that saved nothing fails.
+    pub fn emit(&self, results_dir: &Path) -> std::io::Result<()> {
         println!("\n## {}\n", self.name);
         print!("{}", self.to_markdown());
-        match self.save(results_dir) {
-            Ok(p) => println!("\nsaved: {} (+ .json)", p.display()),
-            Err(e) => eprintln!("warning: could not save results: {e}"),
-        }
+        let p = self.save(results_dir)?;
+        println!("\nsaved: {} (+ .json)", p.display());
+        Ok(())
     }
 }
 
@@ -184,6 +184,15 @@ mod tests {
                 .unwrap();
         assert_eq!(json["rows"][1]["n"], 64);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn emit_into_a_file_fails() {
+        let file = std::env::temp_dir().join(format!("gr_test_file_{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let r = sample().emit(&file.join("results"));
+        std::fs::remove_file(&file).ok();
+        assert!(r.is_err(), "saving under a regular file must fail");
     }
 
     #[test]

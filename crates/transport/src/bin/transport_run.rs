@@ -29,7 +29,7 @@
 //! and convergence is judged by estimate spread + the self-consistency
 //! audit, since killed mass makes the prior reference void.
 
-use gr_experiments::Opts;
+use gr_experiments::{ConfigError, Opts};
 use gr_netsim::{BurstModel, Delivery};
 use gr_reduction::{AggregateKind, InitialData, Payload, PushCancelFlow};
 use gr_topology::{hypercube, Graph, NodeId};
@@ -38,6 +38,8 @@ use gr_transport::{
     ChaosDelivery, ChaosPlan, ClusterOptions, ClusterResult, TransportError, WireInstrumented,
 };
 use std::time::Duration;
+
+const BIN: &str = "transport-run";
 
 #[derive(serde::Serialize)]
 struct Report {
@@ -131,8 +133,7 @@ fn run_payload<P: Payload + Sync>(
             launch(graph, udp_cluster(n)?, make, &reference, opts, chaos)?
         }
         other => {
-            eprintln!("unknown --backend {other:?} (expected mem or udp)");
-            std::process::exit(2);
+            ConfigError::invalid("backend", format!("must be mem or udp, got {other:?}")).exit(BIN)
         }
     })
 }
@@ -168,11 +169,10 @@ fn main() {
     let churn_at = o.u64("churn-at", 300);
     let churn_down_ms = o.u64("churn-down-ms", 300);
     let detector_window = o.u64("detector-window", if churn > 0 { 200 } else { 0 });
-    o.finish();
+    o.finish().unwrap_or_else(|e| e.exit(BIN));
 
     if dim == 0 {
-        eprintln!("transport-run: --dim must be at least 1");
-        std::process::exit(2);
+        ConfigError::invalid("dim", "must be at least 1").exit(BIN);
     }
     let graph = hypercube(hc);
     let n = graph.len();
@@ -199,10 +199,8 @@ fn main() {
     }
     let plan = (!plan.is_passthrough()).then_some(plan);
     if churn as usize >= n {
-        eprintln!(
-            "--churn {churn} must leave node 0 and at least one victim in a {n}-node cluster"
-        );
-        std::process::exit(2);
+        let reason = format!("{churn} must leave node 0 and a victim in a {n}-node cluster");
+        ConfigError::invalid("churn", reason).exit(BIN);
     }
     let opts = ClusterOptions {
         seed,
