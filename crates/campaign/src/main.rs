@@ -53,6 +53,9 @@ fn main() {
             Lane::Stress => DEFAULT_STRESS_SEEDS.to_vec(),
         }
     };
+    // Read the baseline before anything runs, so a bad path fails at once.
+    let baseline = (!baseline_path.is_empty())
+        .then(|| load_baseline(&baseline_path).unwrap_or_else(|e| e.exit(BIN)));
     let corpus = match lane {
         Lane::Sanity => sanity_corpus(&seeds),
         Lane::Stress => stress_corpus(&seeds),
@@ -60,12 +63,13 @@ fn main() {
 
     if !replay.is_empty() {
         let sc = find_scenario(&corpus, &replay).unwrap_or_else(|| {
-            panic!(
-                "fingerprint {replay:?} not found in the {} corpus ({} scenarios); \
+            let reason = format!(
+                "{replay:?} is not in the {} corpus ({} scenarios); \
                  pass the same --mode/--seeds the report was generated with",
                 lane.label(),
                 corpus.len()
-            )
+            );
+            ConfigError::invalid("replay", reason).exit(BIN)
         });
         print!("{}", render_replay(sc, tail));
         return;
@@ -107,10 +111,15 @@ fn main() {
     print!("{}", report.render());
     if !json_path.is_empty() {
         let j = serde_json::to_string_pretty(&report.to_json()).unwrap();
-        std::fs::write(&json_path, j).unwrap_or_else(|e| panic!("writing {json_path:?}: {e}"));
+        if let Err(e) = std::fs::write(&json_path, j) {
+            eprintln!("{BIN}: writing {json_path:?}: {e}");
+            std::process::exit(1);
+        }
     }
-    if !baseline_path.is_empty() && !baseline_gate(&report, &baseline_path) {
-        std::process::exit(1);
+    if let Some(known) = baseline {
+        if !baseline_gate(&report, &known, &baseline_path) {
+            std::process::exit(1);
+        }
     }
     // The sanity lane is a hard gate; stress violations are findings, not
     // build failures.
@@ -119,18 +128,21 @@ fn main() {
     }
 }
 
+/// The violation fingerprints of the `--baseline` report at `path`.
+fn load_baseline(path: &str) -> Result<Vec<String>, ConfigError> {
+    let bad = |reason: String| ConfigError::invalid("baseline", format!("{path:?} {reason}"));
+    let raw = std::fs::read_to_string(path).map_err(|e| bad(format!("cannot be read: {e}")))?;
+    let parsed = serde_json::from_str(&raw).map_err(|e| bad(format!("is not JSON: {e}")))?;
+    baseline_fingerprints(&parsed).map_err(bad)
+}
+
 /// `--baseline` turns a trend lane into a regression gate: violations
 /// whose fingerprint (scenario hash + invariant) appears in the committed
 /// baseline report are known findings and stay non-fatal; any fingerprint
 /// *not* in the baseline is a new failure mode. Returns `false` when new
 /// fingerprints were found (callers decide the exit).
-fn baseline_gate(report: &CampaignReport, baseline_path: &str) -> bool {
-    let raw = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("reading baseline {baseline_path:?}: {e}"));
-    let parsed: serde_json::Value = serde_json::from_str(&raw)
-        .unwrap_or_else(|e| panic!("parsing baseline {baseline_path:?}: {e}"));
-    let known = baseline_fingerprints(&parsed);
-    let fresh = report.new_violations(&known);
+fn baseline_gate(report: &CampaignReport, known: &[String], baseline_path: &str) -> bool {
+    let fresh = report.new_violations(known);
     if fresh.is_empty() {
         println!(
             "baseline: no new violation fingerprints ({} known in {})",

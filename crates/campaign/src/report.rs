@@ -191,23 +191,18 @@ impl CampaignReport {
 }
 
 /// Extract violation fingerprints from a previously written `--json`
-/// report (the committed stress baseline). Panics on a malformed file:
-/// a corrupt baseline must fail the gate loudly, not pass it silently.
-pub fn baseline_fingerprints(report: &Value) -> Vec<String> {
-    let scenarios = report["scenarios"]
-        .as_array()
-        .expect("baseline report has a scenarios array");
-    scenarios
-        .iter()
+/// report (the committed stress baseline). A malformed file is an
+/// error, never an empty list: a corrupt baseline must fail the gate
+/// loudly, not pass it silently.
+pub fn baseline_fingerprints(report: &Value) -> Result<Vec<String>, String> {
+    let scenarios = report["scenarios"].as_array();
+    let fingerprint = |s: &Value| match (s["hash"].as_str(), s["violation"]["invariant"].as_str()) {
+        (Some(hash), Some(invariant)) => Ok(violation_fingerprint(hash, invariant)),
+        _ => Err(format!("has a violation without hash or invariant: {s}")),
+    };
+    (scenarios.ok_or("has no scenarios array")?.iter())
         .filter(|s| !s["violation"].is_null())
-        .map(|s| {
-            violation_fingerprint(
-                s["hash"].as_str().expect("scenario hash"),
-                s["violation"]["invariant"]
-                    .as_str()
-                    .expect("violation invariant"),
-            )
-        })
+        .map(fingerprint)
         .collect()
 }
 
@@ -323,7 +318,7 @@ mod tests {
         assert_eq!(fps[0], "aaaa:MassConservation");
 
         // The baseline round-trips through the --json report format.
-        let known = baseline_fingerprints(&report.to_json());
+        let known = baseline_fingerprints(&report.to_json()).unwrap();
         assert_eq!(known, fps);
         assert!(report.new_violations(&known).is_empty());
 
@@ -333,6 +328,16 @@ mod tests {
         let mut extra = known.clone();
         extra.push("dddd:Convergence".to_string());
         assert!(report.new_violations(&extra).is_empty());
+    }
+
+    /// A malformed baseline is an error the CLI reports, not a panic.
+    #[test]
+    fn malformed_baseline_is_an_error() {
+        let no_invariant = r#"{"scenarios": [{"hash": "aaaa", "violation": {"round": 5}}]}"#;
+        for bad in [r#"{"lane": "stress"}"#, no_invariant] {
+            let parsed = serde_json::from_str(bad).unwrap();
+            assert!(baseline_fingerprints(&parsed).is_err(), "{bad}");
+        }
     }
 
     #[test]

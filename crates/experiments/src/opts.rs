@@ -142,11 +142,6 @@ impl Opts {
         self.typed(key, default, "an integer")
     }
 
-    /// An `f64` option with default.
-    pub fn f64(&self, key: &str, default: f64) -> f64 {
-        self.typed(key, default, "a number")
-    }
-
     /// A boolean option (`true`/`false`) with default.
     pub fn bool(&self, key: &str, default: bool) -> bool {
         self.typed(key, default, "true/false")
@@ -184,9 +179,8 @@ mod tests {
 
     #[test]
     fn typed_accessors() {
-        let o = opts("--runs=7 --eps=1e-9 --full=true --out=x.csv");
+        let o = opts("--runs=7 --full=true --out=x.csv");
         assert_eq!(o.u64("runs", 1), 7);
-        assert_eq!(o.f64("eps", 0.0), 1e-9);
         assert!(o.bool("full", false));
         assert_eq!(o.string("out", "y"), "x.csv");
         assert_eq!(o.finish(), Ok(()));

@@ -1,45 +1,67 @@
 //! `transport-run`: execute a PCF average over a real transport backend.
 //!
 //! ```text
-//! transport-run [--backend mem|udp] [--hc 6] [--dim 1] [--seed 42]
-//!               [--target 1e-9] [--max-rounds 10000] [--capacity 4096]
-//!               [--wall-limit-ms 30000] [--json]
-//!               [--chaos] [--chaos-drop P] [--chaos-burst-enter P]
-//!               [--chaos-burst-exit P] [--chaos-burst-loss P]
-//!               [--chaos-dup P] [--chaos-corrupt P] [--chaos-delay P]
-//!               [--chaos-delay-ops K] [--cut-from OP --cut-until OP]
-//!               [--churn K] [--churn-at R] [--churn-down-ms MS]
-//!               [--detector-window W]
+//! transport-run [--backend mem|udp] [--hc 6] [--dim 1] [--json]
+//!               [--chaos] [--churn K]
 //! ```
 //!
 //! Builds a `2^hc`-node hypercube, gives node `i` the initial value `i`
 //! (replicated across `dim` components for vector payloads), runs
-//! Push-Cancel-Flow to the target relative accuracy over the chosen
-//! backend, and reports wall-clock convergence time, per-node rounds and
-//! bytes-on-wire. `--json` emits the machine-readable report used for the
-//! committed `TRANSPORT_BASELINE.json` example artifact.
+//! Push-Cancel-Flow to relative accuracy 1e-9 over the chosen backend
+//! (seed 42, 4096-frame mem inboxes, a 30 s wall limit), and reports
+//! wall-clock convergence time, per-node rounds and bytes-on-wire.
+//! `--json` emits the machine-readable report used for the committed
+//! `TRANSPORT_BASELINE.json` example artifact.
 //!
-//! `--chaos` wraps every endpoint in a seeded [`ChaosDelivery`] (default
-//! rates give a survivable beating; override any rate individually — the
-//! individual flags also work without `--chaos`). `--cut-from/--cut-until`
-//! scripts a partition of the low half of the nodes over that chaos-clock
-//! window. `--churn K` kills nodes `1..=K` mid-run and restarts them with
-//! purged state after `--churn-down-ms`; recovery is driven by the driver
-//! timeout detectors (`--detector-window`) plus PCF's incarnation fences,
-//! and convergence is judged by estimate spread + the self-consistency
-//! audit, since killed mass makes the prior reference void.
+//! Every endpoint is wrapped in a seeded [`ChaosDelivery`]. Without
+//! `--chaos` its plan is [`ChaosPlan::none`], a byte-exact passthrough
+//! (pinned by `tests/chaos_passthrough.rs`); `--chaos` gives the
+//! survivable beating of [`chaos_plan`]. `--churn K` kills nodes `1..=K`
+//! mid-run (from round 300, staggered) and restarts them with purged
+//! state after 300 ms dark; recovery is driven by the driver timeout
+//! detectors (window 200) plus PCF's incarnation fences, and convergence
+//! is judged by estimate spread + the self-consistency audit, since
+//! killed mass makes the prior reference void. Churn runs get a
+//! 2,000,000-round budget instead of 10,000: peers keep iterating while a
+//! victim is dark.
 
 use gr_experiments::{ConfigError, Opts};
-use gr_netsim::{BurstModel, Delivery};
+use gr_netsim::BurstModel;
 use gr_reduction::{AggregateKind, InitialData, Payload, PushCancelFlow};
 use gr_topology::{hypercube, Graph, NodeId};
 use gr_transport::{
-    mem_cluster, run_cluster, udp_cluster, validate_datagram, worst_case_pcf, ChaosCut,
-    ChaosDelivery, ChaosPlan, ClusterOptions, ClusterResult, TransportError, WireInstrumented,
+    mem_cluster, run_cluster, udp_cluster, validate_datagram, worst_case_pcf, ChaosDelivery,
+    ChaosPlan, ChurnEvent, ClusterOptions, ClusterResult, TransportError,
 };
 use std::time::Duration;
 
 const BIN: &str = "transport-run";
+/// Master seed for the schedule, the chaos streams and the report.
+const SEED: u64 = 42;
+/// Target relative accuracy.
+const TARGET: f64 = 1e-9;
+
+/// The plan every endpoint runs under: the passthrough without `--chaos`,
+/// with it 5% i.i.d. drop, Gilbert–Elliott bursts (enter 0.02, exit 0.25,
+/// loss 0.9), 5% of frames held back 8 ops, 2% duplicated, none
+/// corrupted and no partition.
+fn chaos_plan(chaos: bool) -> ChaosPlan {
+    if !chaos {
+        return ChaosPlan::none(SEED);
+    }
+    ChaosPlan {
+        drop: 0.05,
+        burst: Some(BurstModel {
+            enter: 0.02,
+            exit: 0.25,
+            loss: 0.9,
+        }),
+        duplicate: 0.02,
+        delay: 0.05,
+        delay_ops: 8,
+        ..ChaosPlan::none(SEED)
+    }
+}
 
 #[derive(serde::Serialize)]
 struct Report {
@@ -74,13 +96,20 @@ struct Report {
     mass_weight: f64,
 }
 
+/// Wrap node `i`'s endpoint in a [`ChaosDelivery`] under `plan`.
+fn wrap<D, M>(eps: Vec<D>, plan: &ChaosPlan) -> Vec<ChaosDelivery<D, M>> {
+    eps.into_iter()
+        .enumerate()
+        .map(|(i, ep)| ChaosDelivery::new(ep, i as NodeId, plan))
+        .collect()
+}
+
 fn run_payload<P: Payload + Sync>(
     backend: &str,
     graph: &Graph,
     dim: usize,
     opts: &ClusterOptions,
-    capacity: usize,
-    chaos: Option<&ChaosPlan>,
+    plan: &ChaosPlan,
 ) -> Result<ClusterResult, TransportError> {
     let n = graph.len();
     let values: Vec<P> = (0..n)
@@ -88,54 +117,20 @@ fn run_payload<P: Payload + Sync>(
         .collect();
     let reference = vec![(n - 1) as f64 / 2.0; dim];
     let data = InitialData::with_kind(values, AggregateKind::Average);
-    let make = |node| {
-        let _ = node;
-        PushCancelFlow::new(graph, &data)
-    };
-    // Monomorphization-friendly dispatch: each backend runs either bare or
-    // wrapped, so the chaos layer costs nothing when it is off.
-    fn launch<Pr, D>(
-        graph: &Graph,
-        eps: Vec<D>,
-        make: impl Fn(NodeId) -> Pr + Sync,
-        reference: &[f64],
-        opts: &ClusterOptions,
-        chaos: Option<&ChaosPlan>,
-    ) -> Result<ClusterResult, TransportError>
-    where
-        Pr: gr_reduction::ReductionProtocol + Send,
-        Pr::Msg: Send,
-        D: Delivery<Pr::Msg, Error = TransportError> + Send + WireInstrumented,
-    {
-        match chaos {
-            Some(plan) => {
-                let wrapped: Vec<_> = eps
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, ep)| ChaosDelivery::new(ep, i as NodeId, plan))
-                    .collect();
-                run_cluster(graph, wrapped, make, reference, opts)
-            }
-            None => run_cluster(graph, eps, make, reference, opts),
+    let make = |_| PushCancelFlow::new(graph, &data);
+    match backend {
+        "mem" => {
+            let eps = wrap(mem_cluster(n, 4096)?, plan);
+            run_cluster(graph, eps, make, &reference, opts)
         }
-    }
-    Ok(match backend {
-        "mem" => launch(
-            graph,
-            mem_cluster(n, capacity)?,
-            make,
-            &reference,
-            opts,
-            chaos,
-        )?,
         "udp" => {
             validate_datagram(&worst_case_pcf::<P>(dim))?;
-            launch(graph, udp_cluster(n)?, make, &reference, opts, chaos)?
+            run_cluster(graph, wrap(udp_cluster(n)?, plan), make, &reference, opts)
         }
         other => {
             ConfigError::invalid("backend", format!("must be mem or udp, got {other:?}")).exit(BIN)
         }
-    })
+    }
 }
 
 fn main() {
@@ -143,32 +138,10 @@ fn main() {
     let backend = o.string("backend", "mem");
     let hc = o.u64("hc", 6) as u32;
     let dim = o.u64("dim", 1) as usize;
-    let seed = o.u64("seed", 42);
-    let target = o.f64("target", 1e-9);
-    let max_rounds = o.u64("max-rounds", 10_000);
-    let capacity = o.u64("capacity", 4096) as usize;
-    let wall_limit_ms = o.u64("wall-limit-ms", 30_000);
     let json = o.bool("json", false);
-    // Chaos: `--chaos` turns on a default beating; individual rates can
-    // be set with or without it (any nonzero rate/cut enables the layer).
-    let chaos_on = o.bool("chaos", false);
-    let drop = o.f64("chaos-drop", if chaos_on { 0.05 } else { 0.0 });
-    let burst = BurstModel {
-        enter: o.f64("chaos-burst-enter", if chaos_on { 0.02 } else { 0.0 }),
-        exit: o.f64("chaos-burst-exit", 0.25),
-        loss: o.f64("chaos-burst-loss", 0.9),
-    };
-    let duplicate = o.f64("chaos-dup", if chaos_on { 0.02 } else { 0.0 });
-    let corrupt = o.f64("chaos-corrupt", 0.0);
-    let delay = o.f64("chaos-delay", if chaos_on { 0.05 } else { 0.0 });
-    let delay_ops = o.u64("chaos-delay-ops", 8);
-    let cut_from = o.u64("cut-from", 0);
-    let cut_until = o.u64("cut-until", 0);
+    let chaos = o.bool("chaos", false);
     // Churn: kill nodes 1..=K (staggered), restart after the dark window.
     let churn = o.u64("churn", 0);
-    let churn_at = o.u64("churn-at", 300);
-    let churn_down_ms = o.u64("churn-down-ms", 300);
-    let detector_window = o.u64("detector-window", if churn > 0 { 200 } else { 0 });
     o.finish().unwrap_or_else(|e| e.exit(BIN));
 
     if dim == 0 {
@@ -176,50 +149,30 @@ fn main() {
     }
     let graph = hypercube(hc);
     let n = graph.len();
-    let mut plan = ChaosPlan {
-        drop,
-        burst: (burst.enter > 0.0).then_some(burst),
-        duplicate,
-        corrupt,
-        delay,
-        delay_ops,
-        ..ChaosPlan::none(seed)
-    };
-    if cut_until > cut_from {
-        // Partition the low half of the hypercube over the given window.
-        plan.cuts.push(ChaosCut {
-            members: (0..(n / 2) as NodeId).collect(),
-            from_op: cut_from,
-            until_op: cut_until,
-        });
-    }
-    if let Err(e) = plan.check_rates().and(burst.validate()) {
-        eprintln!("transport-run: --chaos-*: {e}");
-        std::process::exit(2);
-    }
-    let plan = (!plan.is_passthrough()).then_some(plan);
     if churn as usize >= n {
         let reason = format!("{churn} must leave node 0 and a victim in a {n}-node cluster");
         ConfigError::invalid("churn", reason).exit(BIN);
     }
+    let plan = chaos_plan(chaos);
     let opts = ClusterOptions {
-        seed,
-        target,
-        max_rounds,
-        wall_limit: Duration::from_millis(wall_limit_ms),
+        seed: SEED,
+        target: TARGET,
+        // Peers keep iterating while a churn victim is dark.
+        max_rounds: if churn > 0 { 2_000_000 } else { 10_000 },
+        wall_limit: Duration::from_secs(30),
         churn: (1..=churn as NodeId)
-            .map(|i| gr_transport::ChurnEvent {
+            .map(|i| ChurnEvent {
                 node: i,
-                at_round: churn_at + 25 * u64::from(i - 1),
-                down_for: Duration::from_millis(churn_down_ms),
+                at_round: 300 + 25 * u64::from(i - 1),
+                down_for: Duration::from_millis(300),
             })
             .collect(),
-        detector_window: (detector_window > 0).then_some(detector_window),
+        detector_window: (churn > 0).then_some(200),
     };
     let outcome = if dim == 1 {
-        run_payload::<f64>(&backend, &graph, dim, &opts, capacity, plan.as_ref())
+        run_payload::<f64>(&backend, &graph, dim, &opts, &plan)
     } else {
-        run_payload::<Vec<f64>>(&backend, &graph, dim, &opts, capacity, plan.as_ref())
+        run_payload::<Vec<f64>>(&backend, &graph, dim, &opts, &plan)
     };
     let result = match outcome {
         Ok(r) => r,
@@ -233,8 +186,8 @@ fn main() {
         backend: backend.clone(),
         nodes: n,
         dim,
-        seed,
-        target,
+        seed: SEED,
+        target: TARGET,
         frame_bytes: result.bytes_sent_total as f64 / result.frames_sent_total.max(1) as f64,
         converged: result.converged,
         wall_ms: result.wall_ms,
@@ -296,5 +249,26 @@ fn main() {
     }
     if !report.converged {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gr_reduction::Mass;
+
+    /// The always-wrap design rests on these: chaos off is the verified
+    /// passthrough, and the `--chaos` preset is a valid plan that does
+    /// alter traffic, without a partition.
+    #[test]
+    fn chaos_off_is_a_passthrough_and_the_preset_is_valid() {
+        assert!(chaos_plan(false).is_passthrough());
+        let preset = chaos_plan(true);
+        assert!(!preset.is_passthrough());
+        assert!(preset.cuts.is_empty());
+        // `ChaosDelivery::new` panics on an invalid plan.
+        let eps = mem_cluster::<Mass<f64>>(2, 1).unwrap();
+        let wrapped: Vec<ChaosDelivery<_, Mass<f64>>> = wrap(eps, &preset);
+        assert_eq!(wrapped.len(), 2);
     }
 }

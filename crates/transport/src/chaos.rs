@@ -32,7 +32,7 @@
 use crate::WireStats;
 use gr_netsim::{
     check_probability, stream_rng, BurstChain, BurstModel, Corrupt, Delivery, FaultVerdict,
-    MessageFaults, RngStream, SimConfigError,
+    MessageFaults, RngStream,
 };
 use gr_topology::NodeId;
 use rand::rngs::StdRng;
@@ -125,20 +125,16 @@ impl ChaosPlan {
             && self.cuts.is_empty()
     }
 
-    /// Check that every rate is a probability, with the simulator's
-    /// [`check_probability`].
-    pub fn check_rates(&self) -> Result<(), SimConfigError> {
-        check_probability("drop", self.drop)?;
-        check_probability("duplicate", self.duplicate)?;
-        check_probability("corrupt", self.corrupt)?;
-        check_probability("delay", self.delay)?;
-        self.burst.as_ref().map_or(Ok(()), BurstModel::validate)
-    }
-
-    /// Panics if any probability is NaN or outside `[0, 1]`, or a cut's
-    /// window is empty or inverted.
+    /// Panics if any probability is NaN or outside `[0, 1]` (the
+    /// simulator's [`check_probability`]), or a cut's window is empty or
+    /// inverted.
     fn assert_valid(&self) {
-        if let Err(e) = self.check_rates() {
+        let rates = check_probability("drop", self.drop)
+            .and(check_probability("duplicate", self.duplicate))
+            .and(check_probability("corrupt", self.corrupt))
+            .and(check_probability("delay", self.delay))
+            .and(self.burst.as_ref().map_or(Ok(()), BurstModel::validate));
+        if let Err(e) = rates {
             panic!("chaos {e}");
         }
         for c in &self.cuts {
