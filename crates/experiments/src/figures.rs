@@ -1,24 +1,57 @@
 //! Experiment implementations, one per paper figure plus ablations.
 //!
-//! Each function returns a [`Table`]; the `figures` binary picks the
-//! sizes, calls these, and emits the results. Keeping the logic here makes every
-//! experiment callable from integration tests and benches.
+//! Each public function returns one named [`Table`], and its only input
+//! is the run [`Scale`]. Two also take which of their two figures to
+//! draw: the algorithm of Figs. 3/6 and the failure round of Figs. 4/7;
+//! Figs. 2 and 4/7, which are neither sized nor parallel, take nothing
+//! else. Every size, seed and budget is a constant next to the code that
+//! uses it, and those constants reproduce the committed `results/`.
 
-use crate::output::{fmt_err, Table};
+use crate::output::{Cell, Table};
 use crate::parallel::par_map;
 use gr_netsim::{Activation, DelayModel, FaultPlan, Schedule, SimOptions, Simulator};
 use gr_reduction::{
-    run_reduction, run_with_options, AggregateKind, Algorithm, Checkpoint, ErrorSample,
-    InitialData, PhiMode, PushCancelFlow, PushFlow, ReductionProtocol, RunConfig,
+    run_reduction, run_with_options, AggregateKind, Algorithm, Checkpoint, InitialData, PhiMode,
+    PushCancelFlow, PushFlow, ReductionProtocol, RunConfig, RunResult,
 };
 use gr_topology::{hypercube, torus3d, Graph};
-use serde::Serialize;
+
+/// The run scale: the one input the command line sets for every figure.
+#[derive(Clone, Copy, Debug)]
+pub struct Scale {
+    /// The paper's sizes instead of the laptop-scale defaults.
+    pub full: bool,
+    /// Sweep workers; no output depends on it.
+    pub threads: usize,
+}
+
+impl Scale {
+    /// Figs. 3/6 sweep `8^1 … 8^max_exp` nodes: up to `8^4`, or the
+    /// paper's `8^5` (32768 nodes) under `full`.
+    fn accuracy_max_exp(self) -> u32 {
+        if self.full {
+            5
+        } else {
+            4
+        }
+    }
+
+    /// Fig. 8's `(max_exp, runs)`: 5 runs on `2^5 … 2^8` nodes, or the
+    /// paper's 50 runs up to `2^10` under `full`.
+    fn dmgs_sizes(self) -> (u32, u32) {
+        if self.full {
+            (10, 50)
+        } else {
+            (8, 5)
+        }
+    }
+}
 
 /// Build the `i`-th evaluation topology of Figs. 3/6: a `2^i × 2^i × 2^i`
 /// torus (`8^i` nodes). The `i = 1` case (2×2×2) *is* the 3-cube — a
 /// 2-torus direction collapses its two parallel edges — so it is built as
 /// `hypercube(3)`.
-pub fn torus_of_exp(i: u32) -> Graph {
+fn torus_of_exp(i: u32) -> Graph {
     let side = 1usize << i;
     if side < 3 {
         hypercube(3)
@@ -27,446 +60,279 @@ pub fn torus_of_exp(i: u32) -> Graph {
     }
 }
 
-/// Options shared by the Fig. 3 / Fig. 6 accuracy sweeps.
-#[derive(Clone, Copy, Debug)]
-pub struct AccuracySweepOpts {
-    /// Largest size exponent `i` (node counts `8^1 … 8^i`; the paper uses
-    /// `i = 5`, i.e. up to 32768 nodes).
-    pub max_exp: u32,
-    /// Oracle target accuracy (paper: 1e-15).
-    pub target: f64,
-    /// Stop when the best error stops improving for this many rounds.
-    pub plateau: u64,
-    /// Hard per-run round cap.
-    pub max_rounds: u64,
-    /// Master seed.
-    pub seed: u64,
-    /// Worker threads for the sweep.
-    pub threads: usize,
+/// Master seed of Figs. 3/6 and A5; each size mixes its exponent into
+/// the data seed.
+const ACCURACY_SEED: u64 = 42;
+/// Figs. 3/6 and A5 stop a run once its best error has stopped improving
+/// for this many rounds: the "globally achievable accuracy".
+const PLATEAU: u64 = 4000;
+/// Figs. 3/6 and A5: fault-free toward the paper's 1e-15, until the
+/// plateau or 200 000 rounds.
+const TO_PLATEAU: RunConfig = RunConfig {
+    target_accuracy: Some(1e-15),
+    max_rounds: 200_000,
+    record_every: 0,
+    plateau_window: Some(PLATEAU),
+};
+
+/// The uniform random data of Figs. 3/6 and A5 on `8^exp` nodes.
+fn accuracy_data(exp: u32, kind: AggregateKind) -> InitialData<f64> {
+    InitialData::uniform_random(8usize.pow(exp), kind, ACCURACY_SEED ^ (exp as u64) << 8)
 }
 
-impl Default for AccuracySweepOpts {
-    fn default() -> Self {
-        AccuracySweepOpts {
-            max_exp: 4,
-            target: 1e-15,
-            plateau: 4000,
-            max_rounds: 200_000,
-            seed: 42,
-            threads: crate::parallel::default_threads(),
-        }
-    }
-}
-
-#[derive(Serialize)]
-struct AccuracyRow {
-    topology: &'static str,
-    aggregate: &'static str,
-    nodes: usize,
-    best_max_err: f64,
-    final_max_err: f64,
-    rounds: u64,
-    converged: bool,
-}
-
-/// Figs. 3 and 6: globally achievable accuracy vs. system size, on 3D
-/// torus and hypercube, for SUM and AVG, for the given algorithm (PF
-/// reproduces Fig. 3, PCF Fig. 6).
-pub fn accuracy_sweep(name: &str, algorithm: Algorithm, opts: &AccuracySweepOpts) -> Table {
-    #[derive(Clone, Copy)]
-    struct Job {
-        exp: u32,
-        topo: &'static str,
-        kind: AggregateKind,
-    }
-    let mut jobs = Vec::new();
-    for exp in 1..=opts.max_exp {
-        for topo in ["torus3d", "hypercube"] {
-            for kind in [AggregateKind::Average, AggregateKind::Sum] {
-                jobs.push(Job { exp, topo, kind });
-            }
-        }
-    }
-    let o = *opts;
-    let rows = par_map(jobs, opts.threads, move |job| {
-        let n = 8usize.pow(job.exp);
-        let graph = match job.topo {
-            "torus3d" => torus_of_exp(job.exp),
-            _ => hypercube(3 * job.exp),
-        };
-        let data = InitialData::uniform_random(n, job.kind, o.seed ^ (job.exp as u64) << 8);
-        let cfg = RunConfig {
-            target_accuracy: Some(o.target),
-            max_rounds: o.max_rounds,
-            record_every: 0,
-            plateau_window: Some(o.plateau),
-        };
-        let r = run_reduction(
-            algorithm,
-            &graph,
-            &data,
-            FaultPlan::none(),
-            o.seed,
-            cfg,
-            SimOptions::default(),
-        );
-        AccuracyRow {
-            topology: job.topo,
-            aggregate: job.kind.label(),
-            nodes: n,
-            best_max_err: r.best_max_err,
-            final_max_err: r.final_err.max,
-            rounds: r.rounds,
-            converged: r.converged,
-        }
-    });
-
-    let mut t = Table::new(
-        name,
-        &[
-            "topology",
-            "aggregate",
-            "nodes",
-            "best max err",
-            "rounds",
-            "reached 1e-15",
-        ],
-    );
-    for row in rows {
-        t.push(
-            vec![
-                row.topology.into(),
-                row.aggregate.into(),
-                row.nodes.to_string(),
-                fmt_err(row.best_max_err),
-                row.rounds.to_string(),
-                row.converged.to_string(),
-            ],
-            &row,
-        );
-    }
-    t
-}
-
-/// Options for the Fig. 4 / Fig. 7 single-link-failure trajectories.
-#[derive(Clone, Copy, Debug)]
-pub struct FailureTrajOpts {
-    /// Hypercube dimension (paper: 6 → 64 nodes).
-    pub cube_dim: u32,
-    /// Iterations to simulate (paper: 200).
-    pub rounds: u64,
-    /// Master seed (same for PF and PCF, as in the paper).
-    pub seed: u64,
-}
-
-impl Default for FailureTrajOpts {
-    fn default() -> Self {
-        FailureTrajOpts {
-            cube_dim: 6,
-            rounds: 200,
-            seed: 7,
-        }
-    }
-}
-
-/// Run one algorithm's error trajectory with a single permanent link
-/// failure handled at `fail_at` (paper Figs. 4/7; `fail_at = None` gives
-/// the failure-free baseline).
-pub fn failure_trajectory(
-    algorithm: Algorithm,
-    opts: &FailureTrajOpts,
-    fail_at: Option<u64>,
-) -> Vec<ErrorSample> {
-    let n = 1usize << opts.cube_dim;
-    let graph = hypercube(opts.cube_dim);
-    let data = InitialData::uniform_random(n, AggregateKind::Average, opts.seed ^ 0xACC);
-    let plan = match fail_at {
-        Some(t) => FaultPlan::none().fail_link(0, 1, t),
-        None => FaultPlan::none(),
+/// One run of Figs. 3/6: `algorithm` on the `exp`-th torus or hypercube.
+fn accuracy_run(algorithm: Algorithm, exp: u32, torus: bool, kind: AggregateKind) -> RunResult {
+    let graph = if torus {
+        torus_of_exp(exp)
+    } else {
+        hypercube(3 * exp)
     };
-    let cfg = RunConfig::fixed(opts.rounds, 1);
-    let r = run_reduction(
+    let data = accuracy_data(exp, kind);
+    run_reduction(
         algorithm,
         &graph,
         &data,
-        plan,
-        opts.seed,
-        cfg,
+        FaultPlan::none(),
+        ACCURACY_SEED,
+        TO_PLATEAU,
         SimOptions::default(),
-    );
-    r.series
+    )
 }
 
-#[derive(Serialize)]
-struct TrajRow {
-    round: u64,
-    pf_max: f64,
-    pf_median: f64,
-    pcf_max: f64,
-    pcf_median: f64,
-}
-
-/// Figs. 4 and 7 combined: PF and PCF error trajectories under a link
-/// failure handled at round `fail_at`, same seed, one row per iteration.
-pub fn failure_figure(name: &str, opts: &FailureTrajOpts, fail_at: u64) -> Table {
-    let pf = failure_trajectory(Algorithm::PushFlow, opts, Some(fail_at));
-    let pcf = failure_trajectory(
-        Algorithm::PushCancelFlow(PhiMode::Eager),
-        opts,
-        Some(fail_at),
-    );
-    assert_eq!(pf.len(), pcf.len());
-    let mut t = Table::new(
-        name,
-        &["round", "PF max", "PF median", "PCF max", "PCF median"],
-    );
-    for (a, b) in pf.iter().zip(&pcf) {
-        debug_assert_eq!(a.round, b.round);
-        let row = TrajRow {
-            round: a.round,
-            pf_max: a.max,
-            pf_median: a.median,
-            pcf_max: b.max,
-            pcf_median: b.median,
-        };
-        t.push(
-            vec![
-                row.round.to_string(),
-                fmt_err(row.pf_max),
-                fmt_err(row.pf_median),
-                fmt_err(row.pcf_max),
-                fmt_err(row.pcf_median),
-            ],
-            &row,
-        );
-    }
-    t
-}
-
-/// Options for the Fig. 8 dmGS sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct DmgsSweepOpts {
-    /// Smallest node-count exponent (paper: 5 → 32 nodes).
-    pub min_exp: u32,
-    /// Largest node-count exponent (paper: 10 → 1024 nodes).
-    pub max_exp: u32,
-    /// Columns of V (paper: 16).
-    pub m: usize,
-    /// Repetitions averaged per point (paper: 50).
-    pub runs: u32,
-    /// Per-reduction round cap.
-    pub max_rounds_per_reduction: u64,
-    /// Master seed.
-    pub seed: u64,
-    /// Worker threads.
-    pub threads: usize,
-}
-
-impl Default for DmgsSweepOpts {
-    fn default() -> Self {
-        DmgsSweepOpts {
-            min_exp: 5,
-            max_exp: 8,
-            m: 16,
-            runs: 5,
-            max_rounds_per_reduction: 3000,
-            seed: 1234,
-            threads: crate::parallel::default_threads(),
+/// Figs. 3 and 6: globally achievable accuracy vs. system size, on 3D
+/// torus and hypercube, for SUM and AVG. PF gives Fig. 3, PCF Fig. 6.
+pub fn accuracy_sweep(algorithm: Algorithm, scale: Scale) -> Table {
+    let name = match algorithm {
+        Algorithm::PushFlow => "fig3_pf_accuracy",
+        _ => "fig6_pcf_accuracy",
+    };
+    let mut jobs = Vec::new();
+    for exp in 1..=scale.accuracy_max_exp() {
+        for torus in [true, false] {
+            for kind in [AggregateKind::Average, AggregateKind::Sum] {
+                jobs.push((exp, torus, kind));
+            }
         }
     }
+    let rows = par_map(jobs, scale.threads, |(exp, torus, kind)| {
+        let r = accuracy_run(algorithm, exp, torus, kind);
+        vec![
+            Cell::Text(if torus { "torus3d" } else { "hypercube" }.into()),
+            Cell::Text(kind.label().into()),
+            Cell::Int(8u64.pow(exp)),
+            Cell::Err(r.best_max_err),
+            Cell::Err(r.final_err.max),
+            Cell::Int(r.rounds),
+            Cell::Bool(r.converged),
+        ]
+    });
+    Table::new(
+        name,
+        &[
+            ("topology", "topology"),
+            ("aggregate", "aggregate"),
+            ("nodes", "nodes"),
+            ("best max err", "best_max_err"),
+            ("", "final_max_err"),
+            ("rounds", "rounds"),
+            ("reached 1e-15", "converged"),
+        ],
+        rows,
+    )
 }
 
-#[derive(Serialize)]
-struct DmgsRow {
-    algorithm: &'static str,
-    nodes: usize,
-    mean_fact_err: f64,
-    mean_orth_err: f64,
-    mean_consistency_err: f64,
-    mean_rounds: f64,
-    runs: u32,
+/// Figs. 4 and 7 combined: PF and PCF error trajectories over 200 rounds
+/// on the 64-node hypercube, with the link (0, 1) failure handled at
+/// round `fail_at`. Both runs share seed 7, and so their schedule: one
+/// row per round.
+pub fn failure_figure(fail_at: u64) -> Table {
+    const SEED: u64 = 7;
+    let graph = hypercube(6);
+    let data = InitialData::uniform_random(64, AggregateKind::Average, SEED ^ 0xACC);
+    let run = |algorithm| {
+        let plan = FaultPlan::none().fail_link(0, 1, fail_at);
+        let cfg = RunConfig::fixed(200, 1);
+        run_reduction(
+            algorithm,
+            &graph,
+            &data,
+            plan,
+            SEED,
+            cfg,
+            SimOptions::default(),
+        )
+        .series
+    };
+    let pf = run(Algorithm::PushFlow);
+    let pcf = run(Algorithm::PushCancelFlow(PhiMode::Eager));
+    assert_eq!(pf.len(), pcf.len());
+    let rows = pf.iter().zip(&pcf).map(|(a, b)| {
+        debug_assert_eq!(a.round, b.round);
+        vec![
+            Cell::Int(a.round),
+            Cell::Err(a.max),
+            Cell::Err(a.median),
+            Cell::Err(b.max),
+            Cell::Err(b.median),
+        ]
+    });
+    Table::new(
+        &format!("fig4_link_failure_at_{fail_at}"),
+        &[
+            ("round", "round"),
+            ("PF max", "pf_max"),
+            ("PF median", "pf_median"),
+            ("PCF max", "pcf_max"),
+            ("PCF median", "pcf_median"),
+        ],
+        rows.collect(),
+    )
 }
 
-/// Fig. 8: dmGS(PF) vs dmGS(PCF) factorization error over hypercube sizes,
-/// averaged over `runs` random matrices.
-pub fn dmgs_sweep(name: &str, opts: &DmgsSweepOpts) -> Table {
+/// Fig. 8's master seed.
+const DMGS_SEED: u64 = 1234;
+/// Fig. 8's smallest size: `2^5` nodes, as in the paper.
+const DMGS_MIN_EXP: u32 = 5;
+/// Columns of V (paper: 16).
+const DMGS_M: usize = 16;
+/// Per-reduction round cap.
+const DMGS_ROUND_CAP: u64 = 3000;
+
+/// One Fig. 8 factorization: run `run` of `alg` on the `2^exp`-node
+/// hypercube. Returns the factorization, orthogonality and consistency
+/// errors and the total rounds.
+fn dmgs_run(alg: Algorithm, exp: u32, run: u32) -> [f64; 4] {
     use gr_dmgs::{dmgs, DmgsConfig};
-    #[derive(Clone, Copy)]
-    struct Job {
-        alg: Algorithm,
-        exp: u32,
-        run: u32,
-    }
+    let (run, salt) = (run as u64, exp as u64);
+    let v = gr_linalg::Matrix::random_uniform(1 << exp, DMGS_M, DMGS_SEED ^ run << 20 ^ salt);
+    let mut cfg = DmgsConfig::paper(alg, DMGS_SEED ^ run << 40 ^ salt);
+    cfg.max_rounds_per_reduction = DMGS_ROUND_CAP;
+    let r = dmgs(&v, &hypercube(exp), &cfg);
+    [
+        r.factorization_error,
+        r.orthogonality_error,
+        r.consistency_error,
+        r.total_rounds as f64,
+    ]
+}
+
+/// Fig. 8: dmGS(PF) vs dmGS(PCF) factorization error over hypercube
+/// sizes, averaged over random matrices.
+pub fn dmgs_sweep(scale: Scale) -> Table {
+    let (max_exp, runs) = scale.dmgs_sizes();
     let algs = [
         Algorithm::PushFlow,
         Algorithm::PushCancelFlow(PhiMode::Eager),
     ];
     let mut jobs = Vec::new();
-    for &alg in &algs {
-        for exp in opts.min_exp..=opts.max_exp {
-            for run in 0..opts.runs {
-                jobs.push(Job { alg, exp, run });
+    for alg in algs {
+        for exp in DMGS_MIN_EXP..=max_exp {
+            for run in 0..runs {
+                jobs.push((alg, exp, run));
             }
         }
     }
-    let o = *opts;
-    let results = par_map(jobs, opts.threads, move |job| {
-        let n = 1usize << job.exp;
-        let graph = hypercube(job.exp);
-        let v = gr_linalg::Matrix::random_uniform(
-            n,
-            o.m,
-            o.seed ^ ((job.run as u64) << 20) ^ job.exp as u64,
-        );
-        let mut cfg =
-            DmgsConfig::paper(job.alg, o.seed ^ ((job.run as u64) << 40) ^ job.exp as u64);
-        cfg.max_rounds_per_reduction = o.max_rounds_per_reduction;
-        let r = dmgs(&v, &graph, &cfg);
-        (
-            job,
-            r.factorization_error,
-            r.orthogonality_error,
-            r.consistency_error,
-            r.total_rounds,
-        )
+    let results = par_map(jobs.clone(), scale.threads, |(alg, exp, run)| {
+        dmgs_run(alg, exp, run)
     });
-
-    let mut t = Table::new(
-        name,
-        &[
-            "algorithm",
-            "nodes",
-            "mean ‖V−QR‖∞/‖V‖∞",
-            "mean ‖I−QᵀQ‖∞",
-            "mean consistency",
-            "mean rounds",
-        ],
-    );
-    for &alg in &algs {
-        for exp in opts.min_exp..=opts.max_exp {
-            let group: Vec<_> = results
+    let mut rows = Vec::new();
+    for alg in algs {
+        for exp in DMGS_MIN_EXP..=max_exp {
+            let group: Vec<&[f64; 4]> = jobs
                 .iter()
-                .filter(|(j, ..)| j.alg == alg && j.exp == exp)
+                .zip(&results)
+                .filter(|((a, e, _), _)| *a == alg && *e == exp)
+                .map(|(_, r)| r)
                 .collect();
-            let k = group.len() as f64;
-            let fact = group.iter().map(|x| x.1).sum::<f64>() / k;
-            let orth = group.iter().map(|x| x.2).sum::<f64>() / k;
-            let cons = group.iter().map(|x| x.3).sum::<f64>() / k;
-            let rounds = group.iter().map(|x| x.4 as f64).sum::<f64>() / k;
-            let row = DmgsRow {
-                algorithm: match alg {
-                    Algorithm::PushFlow => "dmGS(PF)",
-                    _ => "dmGS(PCF)",
-                },
-                nodes: 1usize << exp,
-                mean_fact_err: fact,
-                mean_orth_err: orth,
-                mean_consistency_err: cons,
-                mean_rounds: rounds,
-                runs: opts.runs,
-            };
-            t.push(
-                vec![
-                    row.algorithm.into(),
-                    row.nodes.to_string(),
-                    fmt_err(fact),
-                    fmt_err(orth),
-                    fmt_err(cons),
-                    format!("{rounds:.0}"),
-                ],
-                &row,
-            );
+            let mean = |i: usize| group.iter().map(|r| r[i]).sum::<f64>() / group.len() as f64;
+            rows.push(vec![
+                Cell::Text(match alg {
+                    Algorithm::PushFlow => "dmGS(PF)".into(),
+                    _ => "dmGS(PCF)".into(),
+                }),
+                Cell::Int(1 << exp),
+                Cell::Err(mean(0)),
+                Cell::Err(mean(1)),
+                Cell::Err(mean(2)),
+                Cell::Fixed(mean(3), 0),
+                Cell::Int(runs.into()),
+            ]);
         }
     }
-    t
-}
-
-#[derive(Serialize)]
-struct BusRow {
-    edge: String,
-    pf_flow: f64,
-    schematic: f64,
-    pcf_flow_magnitude: f64,
-    pf_estimate: f64,
+    Table::new(
+        "fig8_dmgs_qr",
+        &[
+            ("algorithm", "algorithm"),
+            ("nodes", "nodes"),
+            ("mean ‖V−QR‖∞/‖V‖∞", "mean_fact_err"),
+            ("mean ‖I−QᵀQ‖∞", "mean_orth_err"),
+            ("mean consistency", "mean_consistency_err"),
+            ("mean rounds", "mean_rounds"),
+            ("", "runs"),
+        ],
+        rows,
+    )
 }
 
 /// Fig. 2, executable: the bus-network worked example. Runs PF (and PCF
-/// for contrast) on the `v₁ = n+1, vᵢ = 1` bus case with the regular
-/// round-robin schedule and reports flows against the schematic values
-/// `f_{i−1,i} = n−i+1`.
-pub fn bus_example(name: &str, n: usize, rounds: u64, seed: u64) -> Table {
-    let graph = gr_topology::bus(n);
-    let data = InitialData::bus_case(n);
-
+/// for contrast) for 20 000 rounds on the 16-node `v₁ = n+1, vᵢ = 1` bus
+/// case with the regular round-robin schedule, and reports flows against
+/// the schematic values `f_{i−1,i} = n−i+1`.
+pub fn bus_example() -> Table {
+    const N: usize = 16;
+    let graph = gr_topology::bus(N);
+    let data = InitialData::bus_case(N);
     let mut pf_sim = Simulator::with_schedule(
         &graph,
         PushFlow::new(&graph, &data),
         FaultPlan::none(),
-        seed,
-        Schedule::round_robin(n),
+        0,
+        Schedule::round_robin(N),
     );
-    pf_sim.run(rounds);
+    pf_sim.run(20_000);
     let mut pcf_sim = Simulator::with_schedule(
         &graph,
         PushCancelFlow::new(&graph, &data),
         FaultPlan::none(),
-        seed,
-        Schedule::round_robin(n),
+        0,
+        Schedule::round_robin(N),
     );
-    pcf_sim.run(rounds);
+    pcf_sim.run(20_000);
 
-    let mut t = Table::new(
-        name,
-        &[
-            "edge (i−1,i)",
-            "PF flow value",
-            "schematic n−i+1",
-            "PCF max |flow|",
-            "PF estimate at i−1",
-        ],
-    );
-    for i in 2..=n {
+    let (pf, pcf) = (pf_sim.protocol(), pcf_sim.protocol());
+    let rows = (2..=N).map(|i| {
         let (a, b) = ((i - 2) as u32, (i - 1) as u32);
-        let pf = pf_sim.protocol();
-        let pcf = pcf_sim.protocol();
         let pcf_mag = pcf
             .flow(a, b, 1)
             .value
             .abs()
             .max(pcf.flow(a, b, 2).value.abs());
-        let row = BusRow {
-            edge: format!("({},{})", i - 1, i),
-            pf_flow: pf.flow(a, b).value,
-            schematic: (n - i + 1) as f64,
-            pcf_flow_magnitude: pcf_mag,
-            pf_estimate: pf.scalar_estimate(a),
-        };
-        t.push(
-            vec![
-                row.edge.clone(),
-                format!("{:.3}", row.pf_flow),
-                format!("{:.0}", row.schematic),
-                format!("{:.3}", row.pcf_flow_magnitude),
-                format!("{:.12}", row.pf_estimate),
-            ],
-            &row,
-        );
-    }
-    t
+        vec![
+            Cell::Text(format!("({},{})", i - 1, i)),
+            Cell::Fixed(pf.flow(a, b).value, 3),
+            Cell::Fixed((N - i + 1) as f64, 0),
+            Cell::Fixed(pcf_mag, 3),
+            Cell::Fixed(pf.scalar_estimate(a), 12),
+        ]
+    });
+    Table::new(
+        "fig2_bus_example",
+        &[
+            ("edge (i−1,i)", "edge"),
+            ("PF flow value", "pf_flow"),
+            ("schematic n−i+1", "schematic"),
+            ("PCF max |flow|", "pcf_flow_magnitude"),
+            ("PF estimate at i−1", "pf_estimate"),
+        ],
+        rows.collect(),
+    )
 }
 
-#[derive(Serialize)]
-struct LossRow {
-    algorithm: &'static str,
-    loss_prob: f64,
-    best_max_err: f64,
-    rounds: u64,
-    converged: bool,
-}
-
-/// Ablation A2: best achievable accuracy under probabilistic message loss
-/// for every algorithm (push-sum's bias vs the flow algorithms' immunity).
-pub fn message_loss_ablation(name: &str, cube_dim: u32, seed: u64, threads: usize) -> Table {
+/// Ablation A2: best achievable accuracy on the 64-node hypercube under
+/// probabilistic message loss for every algorithm (push-sum's bias vs the
+/// flow algorithms' immunity).
+pub fn message_loss_ablation(scale: Scale) -> Table {
+    const SEED: u64 = 21;
     let losses = [0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5];
     let algs = [
         Algorithm::PushSum,
@@ -474,302 +340,181 @@ pub fn message_loss_ablation(name: &str, cube_dim: u32, seed: u64, threads: usiz
         Algorithm::PushCancelFlow(PhiMode::Eager),
         Algorithm::FlowUpdating,
     ];
-    let mut jobs = Vec::new();
-    for &alg in &algs {
-        for &p in &losses {
-            jobs.push((alg, p));
-        }
-    }
-    let n = 1usize << cube_dim;
-    let rows = par_map(jobs, threads, move |(alg, p)| {
-        let graph = hypercube(cube_dim);
-        let data = InitialData::uniform_random(n, AggregateKind::Average, seed ^ 0x105);
+    let jobs: Vec<_> = algs
+        .iter()
+        .flat_map(|&alg| losses.map(|p| (alg, p)))
+        .collect();
+    let rows = par_map(jobs, scale.threads, |(alg, p)| {
+        let graph = hypercube(6);
+        let data = InitialData::uniform_random(64, AggregateKind::Average, SEED ^ 0x105);
         let cfg = RunConfig {
             target_accuracy: Some(1e-14),
             max_rounds: 60_000,
             record_every: 0,
             plateau_window: Some(3000),
         };
-        let r = run_reduction(
-            alg,
-            &graph,
-            &data,
-            FaultPlan::with_loss(p),
-            seed,
-            cfg,
-            SimOptions::default(),
-        );
-        LossRow {
-            algorithm: alg.label(),
-            loss_prob: p,
-            best_max_err: r.best_max_err,
-            rounds: r.rounds,
-            converged: r.converged,
-        }
+        let plan = FaultPlan::with_loss(p);
+        let r = run_reduction(alg, &graph, &data, plan, SEED, cfg, SimOptions::default());
+        vec![
+            Cell::Text(alg.label().into()),
+            Cell::Float(p),
+            Cell::Err(r.best_max_err),
+            Cell::Int(r.rounds),
+            Cell::Bool(r.converged),
+        ]
     });
-    let mut t = Table::new(
-        name,
+    Table::new(
+        "ablation_message_loss",
         &[
-            "algorithm",
-            "loss prob",
-            "best max err",
-            "rounds",
-            "reached 1e-14",
+            ("algorithm", "algorithm"),
+            ("loss prob", "loss_prob"),
+            ("best max err", "best_max_err"),
+            ("rounds", "rounds"),
+            ("reached 1e-14", "converged"),
         ],
-    );
-    for row in rows {
-        t.push(
-            vec![
-                row.algorithm.into(),
-                format!("{}", row.loss_prob),
-                fmt_err(row.best_max_err),
-                row.rounds.to_string(),
-                row.converged.to_string(),
-            ],
-            &row,
-        );
-    }
-    t
+        rows,
+    )
 }
 
-#[derive(Serialize)]
-struct FlipRow {
-    algorithm: String,
-    flip_prob: f64,
-    err_after_episode: f64,
-    err_after_recovery: f64,
-    bit_flips_injected: u64,
-}
+/// Ablation A1's simulator seed; the data seed mixes in `0xF11`.
+const FLIP_SEED: u64 = 11;
 
-/// Generic two-phase run: `episode_rounds` with per-message bit-flip
-/// probability `p`, then `recovery_rounds` failure-free; returns the max
-/// error at the end of each phase plus the number of flips injected.
+/// Ablation A1's two-phase run: 300 rounds with per-message bit-flip
+/// probability `p`, then 1500 failure-free; returns the max error at the
+/// end of each phase plus the number of flips injected.
 fn bit_flip_episode<Pr: ReductionProtocol>(
     graph: &Graph,
     protocol: Pr,
     data: &InitialData<f64>,
     p: f64,
-    episode_rounds: u64,
-    recovery_rounds: u64,
-    seed: u64,
 ) -> (f64, f64, u64) {
     let mut checkpoint = Checkpoint::new(data);
-    let mut sim = Simulator::new(graph, protocol, FaultPlan::with_bit_flips(p), seed);
-    sim.run(episode_rounds);
+    let mut sim = Simulator::new(graph, protocol, FaultPlan::with_bit_flips(p), FLIP_SEED);
+    sim.run(300);
     let mid = checkpoint
         .sample(sim.protocol(), sim.alive_nodes(), sim.round())
         .max;
     sim.set_fault_plan(FaultPlan::none());
-    sim.run(recovery_rounds);
+    sim.run(1500);
     let fin = checkpoint
         .sample(sim.protocol(), sim.alive_nodes(), sim.round())
         .max;
     (mid, fin, sim.stats().bit_flips)
 }
 
-/// Ablation A1: bit-flip episodes against PF, PCF-eager and PCF-hardened.
-/// The paper's claim under test: Fig. 5 as printed ("eager") is *not*
-/// fully bit-flip tolerant, the hardened ϕ variant is; PF recovers in
-/// theory but high-exponent flips destroy its precision in f64.
-pub fn bit_flip_ablation(name: &str, cube_dim: u32, seed: u64, threads: usize) -> Table {
+/// Ablation A1: bit-flip episodes on the 32-node hypercube against PF,
+/// PCF-eager and PCF-hardened. The paper's claim under test: Fig. 5 as
+/// printed ("eager") is *not* fully bit-flip tolerant, the hardened ϕ
+/// variant is; PF recovers in theory but high-exponent flips destroy its
+/// precision in f64.
+pub fn bit_flip_ablation(scale: Scale) -> Table {
     let probs = [0.0005, 0.005, 0.02];
-    // Variants 0..2 are the paper-facing algorithms; 3 and 4 add the
-    // magnitude guard (our extension): implausibly large received flows
-    // are rejected as corrupted, closing the exponent-flip hole.
-    let variants: Vec<String> = vec![
-        "PF".into(),
-        "PCF".into(),
-        "PCF-hardened".into(),
-        "PF-guarded".into(),
-        "PCF-guarded".into(),
-    ];
-    let mut jobs = Vec::new();
-    for label in &variants {
-        for &p in &probs {
-            jobs.push((label.clone(), p));
-        }
-    }
-    let n = 1usize << cube_dim;
-    let rows = par_map(jobs, threads, move |(label, p)| {
-        let graph = hypercube(cube_dim);
-        let data = InitialData::uniform_random(n, AggregateKind::Average, seed ^ 0xF11);
-        let guard_bound = 1e6; // data is O(1); flows are O(n) at most
-        let (mid, fin, flips) = match label.as_str() {
-            "PF" => bit_flip_episode(
-                &graph,
-                PushFlow::new(&graph, &data),
-                &data,
-                p,
-                300,
-                1500,
-                seed,
-            ),
-            "PCF" => bit_flip_episode(
-                &graph,
-                PushCancelFlow::with_mode(&graph, &data, PhiMode::Eager),
-                &data,
-                p,
-                300,
-                1500,
-                seed,
-            ),
-            "PCF-hardened" => bit_flip_episode(
-                &graph,
-                PushCancelFlow::with_mode(&graph, &data, PhiMode::Hardened),
-                &data,
-                p,
-                300,
-                1500,
-                seed,
-            ),
-            "PF-guarded" => bit_flip_episode(
-                &graph,
-                PushFlow::new(&graph, &data).with_guard(guard_bound),
-                &data,
-                p,
-                300,
-                1500,
-                seed,
-            ),
-            "PCF-guarded" => bit_flip_episode(
-                &graph,
-                PushCancelFlow::with_mode(&graph, &data, PhiMode::Hardened).with_guard(guard_bound),
-                &data,
-                p,
-                300,
-                1500,
-                seed,
-            ),
-            _ => unreachable!(),
+    // The first three are the paper-facing algorithms; the guarded two add
+    // the magnitude guard (our extension): implausibly large received
+    // flows are rejected as corrupted, closing the exponent-flip hole.
+    let variants = ["PF", "PCF", "PCF-hardened", "PF-guarded", "PCF-guarded"];
+    let jobs: Vec<_> = variants
+        .iter()
+        .flat_map(|&label| probs.map(|p| (label, p)))
+        .collect();
+    let rows = par_map(jobs, scale.threads, |(label, p)| {
+        let g = hypercube(5);
+        let data = InitialData::uniform_random(32, AggregateKind::Average, FLIP_SEED ^ 0xF11);
+        let guard = 1e6; // data is O(1); flows are O(n) at most
+        let (pf, pcf) = (PushFlow::new(&g, &data), PushCancelFlow::new(&g, &data));
+        let hardened = PushCancelFlow::with_mode(&g, &data, PhiMode::Hardened);
+        let (mid, fin, flips) = match label {
+            "PF" => bit_flip_episode(&g, pf, &data, p),
+            "PCF" => bit_flip_episode(&g, pcf, &data, p),
+            "PCF-hardened" => bit_flip_episode(&g, hardened, &data, p),
+            "PF-guarded" => bit_flip_episode(&g, pf.with_guard(guard), &data, p),
+            _ => bit_flip_episode(&g, hardened.with_guard(guard), &data, p),
         };
-        FlipRow {
-            algorithm: label,
-            flip_prob: p,
-            err_after_episode: mid,
-            err_after_recovery: fin,
-            bit_flips_injected: flips,
-        }
+        vec![
+            Cell::Text(label.into()),
+            Cell::Float(p),
+            Cell::Err(mid),
+            Cell::Err(fin),
+            Cell::Int(flips),
+        ]
     });
-    let mut t = Table::new(
-        name,
+    Table::new(
+        "ablation_phi_variants",
         &[
-            "algorithm",
-            "flip prob",
-            "err after episode",
-            "err after recovery",
-            "flips injected",
+            ("algorithm", "algorithm"),
+            ("flip prob", "flip_prob"),
+            ("err after episode", "err_after_episode"),
+            ("err after recovery", "err_after_recovery"),
+            ("flips injected", "bit_flips_injected"),
         ],
-    );
-    for row in rows {
-        t.push(
-            vec![
-                row.algorithm.clone(),
-                format!("{}", row.flip_prob),
-                fmt_err(row.err_after_episode),
-                fmt_err(row.err_after_recovery),
-                row.bit_flips_injected.to_string(),
-            ],
-            &row,
-        );
-    }
-    t
+        rows,
+    )
 }
 
-#[derive(Serialize)]
-struct CrashRow {
-    algorithm: &'static str,
-    crash_round: u64,
-    final_max_err: f64,
-    rounds: u64,
-    converged: bool,
-}
-
-/// Ablation A3: a node crash mid-run; survivors must re-converge to the
-/// survivors' aggregate (oracle-recomputed from remaining mass).
-pub fn node_crash_ablation(name: &str, cube_dim: u32, seed: u64, threads: usize) -> Table {
-    let crash_rounds = [50u64, 150];
+/// Ablation A3: on the 64-node hypercube, node 32 crashes mid-run; the
+/// survivors must re-converge to the survivors' aggregate
+/// (oracle-recomputed from remaining mass).
+pub fn node_crash_ablation(scale: Scale) -> Table {
+    const SEED: u64 = 31;
     let algs = [
         Algorithm::PushFlow,
         Algorithm::PushCancelFlow(PhiMode::Eager),
     ];
-    let mut jobs = Vec::new();
-    for &alg in &algs {
-        for &t0 in &crash_rounds {
-            jobs.push((alg, t0));
-        }
-    }
-    let n = 1usize << cube_dim;
-    let rows = par_map(jobs, threads, move |(alg, t0)| {
-        let graph = hypercube(cube_dim);
-        let data = InitialData::uniform_random(n, AggregateKind::Average, seed ^ 0xC4A5);
-        let plan = FaultPlan::none().crash_node((n / 2) as u32, t0);
+    let jobs: Vec<_> = algs
+        .iter()
+        .flat_map(|&alg| [50u64, 150].map(|t0| (alg, t0)))
+        .collect();
+    let rows = par_map(jobs, scale.threads, |(alg, t0)| {
+        let graph = hypercube(6);
+        let data = InitialData::uniform_random(64, AggregateKind::Average, SEED ^ 0xC4A5);
+        let plan = FaultPlan::none().crash_node(32, t0);
         let cfg = RunConfig::to_accuracy(1e-13, 60_000);
-        let r = run_reduction(alg, &graph, &data, plan, seed, cfg, SimOptions::default());
-        CrashRow {
-            algorithm: alg.label(),
-            crash_round: t0,
-            final_max_err: r.final_err.max,
-            rounds: r.rounds,
-            converged: r.converged,
-        }
+        let r = run_reduction(alg, &graph, &data, plan, SEED, cfg, SimOptions::default());
+        vec![
+            Cell::Text(alg.label().into()),
+            Cell::Int(t0),
+            Cell::Err(r.final_err.max),
+            Cell::Int(r.rounds),
+            Cell::Bool(r.converged),
+        ]
     });
-    let mut t = Table::new(
-        name,
+    Table::new(
+        "ablation_node_crash",
         &[
-            "algorithm",
-            "crash round",
-            "final max err",
-            "rounds",
-            "reconverged",
+            ("algorithm", "algorithm"),
+            ("crash round", "crash_round"),
+            ("final max err", "final_max_err"),
+            ("rounds", "rounds"),
+            ("reconverged", "converged"),
         ],
-    );
-    for row in rows {
-        t.push(
-            vec![
-                row.algorithm.into(),
-                row.crash_round.to_string(),
-                fmt_err(row.final_max_err),
-                row.rounds.to_string(),
-                row.converged.to_string(),
-            ],
-            &row,
-        );
-    }
-    t
+        rows,
+    )
 }
 
-#[derive(Serialize)]
-struct ExecModelRow {
-    algorithm: &'static str,
-    model: String,
-    rounds_to_target: u64,
-    best_max_err: f64,
-    converged: bool,
-}
-
-/// Ablation A4: execution models — synchronous rounds (the paper's model)
-/// vs asynchronous single-node activation vs delayed delivery. All
-/// protocols must converge under all models; the interesting output is
-/// the round cost of each relaxation.
-pub fn execution_model_ablation(name: &str, cube_dim: u32, seed: u64, threads: usize) -> Table {
-    let models: Vec<(String, SimOptions)> = vec![
-        ("synchronous".into(), SimOptions::default()),
+/// Ablation A4: execution models on the 64-node hypercube — synchronous
+/// rounds (the paper's model) vs asynchronous single-node activation vs
+/// delayed delivery. All protocols must converge under all models; the
+/// interesting output is the round cost of each relaxation.
+pub fn execution_model_ablation(scale: Scale) -> Table {
+    const SEED: u64 = 41;
+    let models = [
+        ("synchronous", SimOptions::default()),
         (
-            "asynchronous".into(),
+            "asynchronous",
             SimOptions {
                 activation: Activation::Asynchronous,
                 ..SimOptions::default()
             },
         ),
         (
-            "delay fixed 2".into(),
+            "delay fixed 2",
             SimOptions {
                 delay: DelayModel::Fixed(2),
                 ..SimOptions::default()
             },
         ),
         (
-            "delay U(0,4)".into(),
+            "delay U(0,4)",
             SimOptions {
                 delay: DelayModel::Uniform { min: 0, max: 4 },
                 ..SimOptions::default()
@@ -781,57 +526,65 @@ pub fn execution_model_ablation(name: &str, cube_dim: u32, seed: u64, threads: u
         Algorithm::PushCancelFlow(PhiMode::Eager),
         Algorithm::FlowUpdating,
     ];
-    let mut jobs = Vec::new();
-    for &alg in &algs {
-        for (label, o) in &models {
-            jobs.push((alg, label.clone(), o.clone()));
-        }
-    }
-    let n = 1usize << cube_dim;
-    let rows = par_map(jobs, threads, move |(alg, label, o)| {
-        let graph = hypercube(cube_dim);
-        let data = InitialData::uniform_random(n, AggregateKind::Average, seed ^ 0xE8EC);
+    let jobs: Vec<_> = algs
+        .iter()
+        .flat_map(|&alg| {
+            models
+                .iter()
+                .map(move |(label, o)| (alg, *label, o.clone()))
+        })
+        .collect();
+    let rows = par_map(jobs, scale.threads, |(alg, label, o)| {
+        let graph = hypercube(6);
+        let data = InitialData::uniform_random(64, AggregateKind::Average, SEED ^ 0xE8EC);
         let cfg = RunConfig::to_accuracy(1e-12, 100_000);
-        let r = run_reduction(alg, &graph, &data, FaultPlan::none(), seed, cfg, o);
-        ExecModelRow {
-            algorithm: alg.label(),
-            model: label,
-            rounds_to_target: r.rounds,
-            best_max_err: r.best_max_err,
-            converged: r.converged,
-        }
+        let r = run_reduction(alg, &graph, &data, FaultPlan::none(), SEED, cfg, o);
+        vec![
+            Cell::Text(alg.label().into()),
+            Cell::Text(label.into()),
+            Cell::Int(r.rounds),
+            Cell::Err(r.best_max_err),
+            Cell::Bool(r.converged),
+        ]
     });
-    let mut t = Table::new(
-        name,
+    Table::new(
+        "ablation_execution_models",
         &[
-            "algorithm",
-            "execution model",
-            "rounds to 1e-12",
-            "best max err",
-            "converged",
+            ("algorithm", "algorithm"),
+            ("execution model", "model"),
+            ("rounds to 1e-12", "rounds_to_target"),
+            ("best max err", "best_max_err"),
+            ("converged", "converged"),
         ],
-    );
-    for row in rows {
-        t.push(
-            vec![
-                row.algorithm.into(),
-                row.model.clone(),
-                row.rounds_to_target.to_string(),
-                fmt_err(row.best_max_err),
-                row.converged.to_string(),
-            ],
-            &row,
-        );
-    }
-    t
+        rows,
+    )
 }
 
-#[derive(Serialize)]
-struct CompPfRow {
-    algorithm: &'static str,
-    nodes: usize,
-    best_max_err: f64,
-    rounds: u64,
+/// One Ablation A5 run: PF, compensated PF or PCF (`alg`) on the `exp`-th
+/// torus with the SUM data of Figs. 3/6.
+fn compensated_run(exp: u32, alg: &str) -> RunResult {
+    fn run<Pr: ReductionProtocol>(g: &Graph, protocol: Pr, data: &InitialData<f64>) -> RunResult {
+        run_with_options(
+            g,
+            protocol,
+            data,
+            FaultPlan::none(),
+            ACCURACY_SEED,
+            TO_PLATEAU,
+            SimOptions::default(),
+        )
+    }
+    let g = torus_of_exp(exp);
+    let data = accuracy_data(exp, AggregateKind::Sum);
+    match alg {
+        "PF" => run(&g, PushFlow::new(&g, &data), &data),
+        "PF-compensated" => run(
+            &g,
+            PushFlow::new(&g, &data).with_compensated_estimates(),
+            &data,
+        ),
+        _ => run(&g, PushCancelFlow::new(&g, &data), &data),
+    }
 }
 
 /// Ablation A5: does compensated summation rescue push-flow?
@@ -842,109 +595,55 @@ struct CompPfRow {
 /// themselves. Expected shape: compensated PF improves on plain PF by a
 /// modest constant (the read-side cancellation is gone) but keeps the
 /// same growth-with-n, far above PCF (which keeps `|f| = O(aggregate)` so
-/// *both* error sources vanish).
-pub fn compensated_pf_ablation(name: &str, max_exp: u32, seed: u64, threads: usize) -> Table {
-    let mut jobs = Vec::new();
-    for exp in 1..=max_exp {
-        for alg in ["PF", "PF-compensated", "PCF"] {
-            jobs.push((exp, alg));
-        }
-    }
-    let rows = par_map(jobs, threads, move |(exp, alg)| {
-        let n = 8usize.pow(exp);
-        let graph = torus_of_exp(exp);
-        let data = InitialData::uniform_random(n, AggregateKind::Sum, seed ^ (exp as u64) << 8);
-        let cfg = RunConfig {
-            target_accuracy: Some(1e-15),
-            max_rounds: 200_000,
-            record_every: 0,
-            plateau_window: Some(4000),
-        };
-        let r = match alg {
-            "PF" => run_with_options(
-                &graph,
-                PushFlow::new(&graph, &data),
-                &data,
-                FaultPlan::none(),
-                seed,
-                cfg,
-                SimOptions::default(),
-            ),
-            "PF-compensated" => run_with_options(
-                &graph,
-                PushFlow::new(&graph, &data).with_compensated_estimates(),
-                &data,
-                FaultPlan::none(),
-                seed,
-                cfg,
-                SimOptions::default(),
-            ),
-            _ => run_with_options(
-                &graph,
-                PushCancelFlow::new(&graph, &data),
-                &data,
-                FaultPlan::none(),
-                seed,
-                cfg,
-                SimOptions::default(),
-            ),
-        };
-        CompPfRow {
-            algorithm: alg,
-            nodes: n,
-            best_max_err: r.best_max_err,
-            rounds: r.rounds,
-        }
+/// *both* error sources vanish). Tori of `8^1 … 8^4` nodes.
+pub fn compensated_pf_ablation(scale: Scale) -> Table {
+    let jobs: Vec<_> = (1..=4)
+        .flat_map(|exp| ["PF", "PF-compensated", "PCF"].map(|alg| (exp, alg)))
+        .collect();
+    let rows = par_map(jobs, scale.threads, |(exp, alg)| {
+        let r = compensated_run(exp, alg);
+        vec![
+            Cell::Text(alg.into()),
+            Cell::Int(8u64.pow(exp)),
+            Cell::Err(r.best_max_err),
+            Cell::Int(r.rounds),
+        ]
     });
-    let mut t = Table::new(name, &["algorithm", "nodes", "best max err", "rounds"]);
-    for row in rows {
-        t.push(
-            vec![
-                row.algorithm.into(),
-                row.nodes.to_string(),
-                fmt_err(row.best_max_err),
-                row.rounds.to_string(),
-            ],
-            &row,
-        );
-    }
-    t
-}
-
-/// Sanity companion to Figs. 4/7: with no failure, PF and PCF produce the
-/// same trajectory (same seed ⇒ same schedule; equivalence up to f64
-/// rounding). Returns the max |PF−PCF| estimate deviation over the run.
-pub fn equivalence_check(cube_dim: u32, rounds: u64, seed: u64) -> f64 {
-    let n = 1usize << cube_dim;
-    let graph = hypercube(cube_dim);
-    let data = InitialData::uniform_random(n, AggregateKind::Average, seed ^ 0xE0);
-    let mut pf = Simulator::new(
-        &graph,
-        PushFlow::new(&graph, &data),
-        FaultPlan::none(),
-        seed,
-    );
-    let mut pcf = Simulator::new(
-        &graph,
-        PushCancelFlow::new(&graph, &data),
-        FaultPlan::none(),
-        seed,
-    );
-    let mut worst: f64 = 0.0;
-    for _ in 0..rounds {
-        pf.step();
-        pcf.step();
-        for i in 0..n as u32 {
-            let d = (pf.protocol().scalar_estimate(i) - pcf.protocol().scalar_estimate(i)).abs();
-            worst = worst.max(d);
-        }
-    }
-    worst
+    Table::new(
+        "ablation_compensated_pf",
+        &[
+            ("algorithm", "algorithm"),
+            ("nodes", "nodes"),
+            ("best max err", "best_max_err"),
+            ("rounds", "rounds"),
+        ],
+        rows,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    const SCALE: Scale = Scale {
+        full: false,
+        threads: 1,
+    };
+
+    /// `full` sets exactly the paper's sizes; nothing else moves.
+    #[test]
+    fn full_sets_the_paper_sizes() {
+        for (full, acc_exp, dmgs) in [(false, 4, (8, 5)), (true, 5, (10, 50))] {
+            let s = Scale { full, threads: 3 };
+            assert_eq!(s.accuracy_max_exp(), acc_exp);
+            assert_eq!(s.dmgs_sizes(), dmgs);
+        }
+        assert_eq!((PLATEAU, ACCURACY_SEED), (4000, 42));
+        assert_eq!(TO_PLATEAU.plateau_window, Some(PLATEAU));
+        assert_eq!(
+            (DMGS_MIN_EXP, DMGS_M, DMGS_ROUND_CAP, DMGS_SEED),
+            (5, 16, 3000, 1234)
+        );
+    }
 
     #[test]
     fn torus_exp_one_is_cube() {
@@ -956,47 +655,39 @@ mod tests {
         assert!(gr_topology::is_regular(&g2, 6));
     }
 
+    /// The smallest Fig. 6 size: 8-node PCF reaches excellent accuracy
+    /// on both topologies and aggregates.
     #[test]
-    fn accuracy_sweep_tiny() {
-        let opts = AccuracySweepOpts {
-            max_exp: 1,
-            plateau: 500,
-            max_rounds: 20_000,
-            threads: 1,
-            ..Default::default()
-        };
-        let t = accuracy_sweep("t", Algorithm::PushCancelFlow(PhiMode::Eager), &opts);
-        assert_eq!(t.rows.len(), 4); // 2 topologies × 2 aggregates
-                                     // 8-node PCF must reach excellent accuracy
-        for raw in &t.raw {
-            assert!(raw["best_max_err"].as_f64().unwrap() < 1e-13);
+    fn accuracy_sweep_smallest_size() {
+        let pcf = Algorithm::PushCancelFlow(PhiMode::Eager);
+        for torus in [true, false] {
+            for kind in [AggregateKind::Average, AggregateKind::Sum] {
+                let r = accuracy_run(pcf, 1, torus, kind);
+                assert!(r.best_max_err < 1e-13, "{torus} {kind:?}: {r:?}");
+            }
         }
     }
 
     #[test]
     fn failure_figure_shapes() {
-        let opts = FailureTrajOpts {
-            cube_dim: 4,
-            rounds: 120,
-            seed: 3,
-        };
-        let t = failure_figure("t", &opts, 60);
-        assert_eq!(t.rows.len(), 120);
-        // PF rebounds after the failure, PCF does not: compare error at 59
-        // vs 62.
+        let t = failure_figure(75);
+        assert_eq!(t.name, "fig4_link_failure_at_75");
+        let rows = t.json_rows();
+        assert_eq!(rows.len(), 200);
+        // PF rebounds after the failure, PCF does not: compare error at 74
+        // vs 77.
         let at = |r: u64, key: &str| {
-            t.raw
-                .iter()
+            rows.iter()
                 .find(|v| v["round"] == r)
                 .and_then(|v| v[key].as_f64())
                 .unwrap()
         };
         assert!(
-            at(62, "pf_max") > at(59, "pf_max") * 5.0,
+            at(77, "pf_max") > at(74, "pf_max") * 5.0,
             "PF should rebound"
         );
         assert!(
-            at(62, "pcf_max") < at(59, "pcf_max") * 5.0,
+            at(77, "pcf_max") < at(74, "pcf_max") * 5.0,
             "PCF should not"
         );
         // identical before the failure (same seed)
@@ -1005,9 +696,9 @@ mod tests {
 
     #[test]
     fn bus_example_matches_schematic() {
-        let t = bus_example("t", 8, 6000, 0);
-        assert_eq!(t.rows.len(), 7);
-        for raw in &t.raw {
+        let rows = bus_example().json_rows();
+        assert_eq!(rows.len(), 15);
+        for raw in &rows {
             let pf = raw["pf_flow"].as_f64().unwrap();
             let schematic = raw["schematic"].as_f64().unwrap();
             assert!(
@@ -1020,36 +711,20 @@ mod tests {
         }
     }
 
+    /// The smallest Fig. 8 size, first matrix: both factorize, and PCF
+    /// is at least as good as PF.
     #[test]
-    fn dmgs_sweep_tiny_shows_ordering() {
-        let opts = DmgsSweepOpts {
-            min_exp: 4,
-            max_exp: 5,
-            m: 4,
-            runs: 2,
-            max_rounds_per_reduction: 1500,
-            seed: 9,
-            threads: 1,
-        };
-        let t = dmgs_sweep("t", &opts);
-        assert_eq!(t.rows.len(), 4); // 2 algorithms × 2 sizes
-        let get = |alg: &str, n: u64| {
-            t.raw
-                .iter()
-                .find(|r| r["algorithm"] == alg && r["nodes"] == n)
-                .map(|r| r["mean_fact_err"].as_f64().unwrap())
-                .unwrap()
-        };
-        // both factorize; PCF at least as good as PF at the larger size
-        assert!(get("dmGS(PCF)", 32) < 1e-12);
-        assert!(get("dmGS(PCF)", 32) <= get("dmGS(PF)", 32) * 2.0);
+    fn dmgs_smallest_size_shows_ordering() {
+        let pf = dmgs_run(Algorithm::PushFlow, DMGS_MIN_EXP, 0)[0];
+        let pcf = dmgs_run(Algorithm::PushCancelFlow(PhiMode::Eager), DMGS_MIN_EXP, 0)[0];
+        assert!(pf < 1e-12 && pcf < 1e-12, "PF {pf}, PCF {pcf}");
+        assert!(pcf <= pf * 2.0, "PF {pf}, PCF {pcf}");
     }
 
     #[test]
-    fn message_loss_ablation_tiny() {
-        let t = message_loss_ablation("t", 4, 3, 1);
+    fn message_loss_ablation_shapes() {
         // push-sum biased at any loss; PCF converged everywhere
-        for r in &t.raw {
+        for r in &message_loss_ablation(SCALE).json_rows() {
             let alg = r["algorithm"].as_str().unwrap();
             let p = r["loss_prob"].as_f64().unwrap();
             let conv = r["converged"].as_bool().unwrap();
@@ -1063,53 +738,36 @@ mod tests {
     }
 
     #[test]
-    fn node_crash_ablation_tiny() {
-        let t = node_crash_ablation("t", 4, 5, 1);
-        for r in &t.raw {
+    fn node_crash_ablation_reconverges() {
+        for r in &node_crash_ablation(SCALE).json_rows() {
             assert_eq!(r["converged"], true, "{r}");
         }
     }
 
     #[test]
-    fn bit_flip_ablation_tiny() {
-        let t = bit_flip_ablation("t", 4, 7, 1);
-        assert_eq!(t.rows.len(), 15); // 5 variants × 3 rates
-                                      // at the lowest rate, PCF recovers to high accuracy
-        let pcf_low = t
-            .raw
+    fn bit_flip_ablation_shapes() {
+        let rows = bit_flip_ablation(SCALE).json_rows();
+        assert_eq!(rows.len(), 15); // 5 variants × 3 rates
+                                    // at the lowest rate, PCF recovers to high accuracy
+        let pcf_low = rows
             .iter()
             .find(|r| r["algorithm"] == "PCF" && r["flip_prob"].as_f64().unwrap() < 1e-3)
             .unwrap();
         assert!(pcf_low["err_after_recovery"].as_f64().unwrap() < 1e-9);
     }
 
+    /// On 64 nodes, write-side rounding keeps compensated PF above PCF.
     #[test]
     fn compensated_pf_sits_between_pf_and_pcf() {
-        let t = compensated_pf_ablation("t", 2, 3, 1);
-        let best = |alg: &str| {
-            t.raw
-                .iter()
-                .filter(|r| r["algorithm"] == alg && r["nodes"] == 64)
-                .map(|r| r["best_max_err"].as_f64().unwrap())
-                .next()
-                .unwrap()
-        };
-        // write-side rounding keeps compensated PF above PCF
+        let best = |alg| compensated_run(2, alg).best_max_err;
         assert!(best("PF-compensated") <= best("PF") * 2.0);
         assert!(best("PCF") <= best("PF"));
     }
 
     #[test]
     fn execution_model_ablation_converges_everywhere() {
-        let t = execution_model_ablation("t", 4, 5, 1);
-        for r in &t.raw {
+        for r in &execution_model_ablation(SCALE).json_rows() {
             assert_eq!(r["converged"], true, "{r}");
         }
-    }
-
-    #[test]
-    fn equivalence_before_failure() {
-        let dev = equivalence_check(4, 80, 5);
-        assert!(dev < 1e-9, "PF/PCF diverged: {dev}");
     }
 }

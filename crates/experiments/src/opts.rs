@@ -2,13 +2,15 @@
 
 use std::cell::RefCell;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::ffi::OsString;
 use std::fmt;
 
 /// A bad command line. Its `Display` is the one line a binary prints
 /// before it exits with status 2 (see [`ConfigError::exit`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// An argument that is not `--key`, `--key=value` or `--key value`.
+    /// An argument that is not `--key`, `--key=value` or `--key value`,
+    /// or is not UTF-8 (shown lossily).
     Malformed(String),
     /// A key given more than once.
     Repeated(String),
@@ -80,12 +82,22 @@ impl Opts {
     /// Both `--key=value` and the two-token `--key value` spelling are
     /// accepted; a trailing `--key` with no value (or followed by another
     /// option) is read as the boolean `--key=true`. The first argument
-    /// not starting with `--`, or the first key given twice, is recorded
-    /// for [`Opts::finish`].
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// that is not UTF-8 or does not start with `--`, or the first key
+    /// given twice, is recorded for [`Opts::finish`]; a non-UTF-8
+    /// argument is then read lossily.
+    pub fn parse<I: IntoIterator<Item = impl Into<OsString>>>(args: I) -> Self {
         let opts = Opts::default();
         let mut values = BTreeMap::new();
-        let mut it = args.into_iter().peekable();
+        let mut it = args
+            .into_iter()
+            .map(|a| {
+                a.into().into_string().unwrap_or_else(|raw| {
+                    let lossy = raw.to_string_lossy().into_owned();
+                    opts.record(ConfigError::Malformed(lossy.clone()));
+                    lossy
+                })
+            })
+            .peekable();
         while let Some(a) = it.next() {
             let Some(rest) = a.strip_prefix("--") else {
                 opts.record(ConfigError::Malformed(a));
@@ -110,7 +122,7 @@ impl Opts {
 
     /// Parse from the process arguments.
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Self::parse(std::env::args_os().skip(1))
     }
 
     fn record(&self, e: ConfigError) {
@@ -169,17 +181,24 @@ impl Opts {
     }
 }
 
-#[cfg(test)]
+// Non-UTF-8 arguments are built from raw bytes, which only Unix's
+// `OsString` takes.
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::os::unix::ffi::OsStringExt;
 
-    fn opts(args: &str) -> Opts {
-        Opts::parse(args.split_whitespace().map(String::from))
+    /// Parse space-separated arguments given as bytes, so that a test can
+    /// hold a non-UTF-8 one.
+    fn opts(args: &[u8]) -> Opts {
+        let argv = args.split(|&b| b == b' ').filter(|a| !a.is_empty());
+        Opts::parse(argv.map(|a| OsString::from_vec(a.to_vec())))
     }
 
     #[test]
     fn typed_accessors() {
-        let o = opts("--runs=7 --full=true --out=x.csv");
+        let o = opts(b"--runs=7 --full=true --out=x.csv");
         assert_eq!(o.u64("runs", 1), 7);
         assert!(o.bool("full", false));
         assert_eq!(o.string("out", "y"), "x.csv");
@@ -188,7 +207,7 @@ mod tests {
 
     #[test]
     fn defaults_apply() {
-        let o = opts("");
+        let o = opts(b"");
         assert_eq!(o.u64("runs", 3), 3);
         assert!(!o.bool("full", false));
         assert_eq!(o.finish(), Ok(()));
@@ -196,7 +215,7 @@ mod tests {
 
     #[test]
     fn space_separated_values() {
-        let o = opts("--mode sanity --runs 7 --x -5");
+        let o = opts(b"--mode sanity --runs 7 --x -5");
         assert_eq!(o.string("mode", "stress"), "sanity");
         assert_eq!(o.u64("runs", 1), 7);
         assert_eq!(o.string("x", "0"), "-5");
@@ -205,7 +224,7 @@ mod tests {
 
     #[test]
     fn bare_flag_is_boolean_true() {
-        let o = opts("--full --mode stress");
+        let o = opts(b"--full --mode stress");
         assert!(o.bool("full", false));
         assert_eq!(o.string("mode", "sanity"), "stress");
         assert_eq!(o.finish(), Ok(()));
@@ -216,27 +235,61 @@ mod tests {
     /// reads as its default.
     #[test]
     fn each_bad_command_line_is_one_typed_error() {
-        let cases = [
-            ("runs=3", "expected --key=value, got \"runs=3\""),
-            ("--runs=1 --runs 2", "option --runs given more than once"),
-            ("--runs=abc", "--runs must be an integer, got \"abc\""),
-            ("--full=maybe", "--full must be true/false, got \"maybe\""),
-            ("--threads", "--threads must be an integer, got \"true\""),
+        let cases: [(&[u8], &str); 8] = [
+            (b"runs=3", "expected --key=value, got \"runs=3\""),
+            (b"--runs=1 --runs 2", "option --runs given more than once"),
+            (b"--runs=abc", "--runs must be an integer, got \"abc\""),
+            (b"--full=maybe", "--full must be true/false, got \"maybe\""),
+            (b"--threads", "--threads must be an integer, got \"true\""),
             (
-                "--thread=2",
+                b"--thread=2",
                 "unknown option --thread (known: --runs, --full, --threads)",
             ),
-            ("--runs=x --full=y", "--runs must be an integer, got \"x\""),
+            (b"--runs=x --full=y", "--runs must be an integer, got \"x\""),
+            (b"--full \xff", "expected --key=value, got \"\u{fffd}\""),
         ];
         for (args, want) in cases {
+            let shown = String::from_utf8_lossy(args);
             let o = opts(args);
             let read = (o.u64("runs", 1), o.bool("full", false), o.u64("threads", 1));
-            assert_eq!(read, (1, false, 1), "{args}");
+            assert_eq!(read, (1, false, 1), "{shown}");
             assert_eq!(
                 o.finish().map_err(|e| e.to_string()),
                 Err(want.into()),
-                "{args}"
+                "{shown}"
             );
+        }
+    }
+
+    /// What generated arguments are spelled from: option syntax, a few
+    /// keys and values, a byte that is never UTF-8 and the lead byte of a
+    /// truncated two-byte sequence.
+    const PIECES: [&[u8]; 9] = [
+        b"--", b"-", b"=", b"a", b"b", b"1", b"true", b"\xff", b"\xc3",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// No argument vector makes `Opts` panic: not `parse`, not an
+        /// accessor, not `finish`. With no accessor consulted, `finish`
+        /// accepts exactly the empty command line.
+        #[test]
+        fn no_argv_panics(
+            tokens in proptest::collection::vec(
+                proptest::collection::vec(0..PIECES.len(), 0..4),
+                0..5,
+            ),
+        ) {
+            let argv: Vec<OsString> = tokens
+                .iter()
+                .map(|t| OsString::from_vec(t.iter().flat_map(|&i| PIECES[i]).copied().collect()))
+                .collect();
+            let o = Opts::parse(argv.clone());
+            prop_assert_eq!(o.finish().is_ok(), argv.is_empty());
+            let o = Opts::parse(argv);
+            let _ = (o.u64("a", 0), o.bool("b", false), o.string("1", ""), o.u64("true", 0));
+            let _ = o.finish();
         }
     }
 }

@@ -1118,23 +1118,28 @@ mod tests {
     fn equivalent_to_pf_before_any_failure() {
         // Same seed ⇒ same schedule ⇒ (theoretical) identical estimates.
         // In f64 the two differ only by rounding, far below the running
-        // error level early in the run.
+        // error level early in the run. Each case: data seed, rounds, and
+        // the bound on |PF − PCF| at every node after every round. The
+        // second is the failure-free companion of Figs. 4/7 (hc6, seed 7).
         let g = hypercube(6);
-        let data = avg_data(64, 7);
         let seed = 7;
-        let mut pf = Simulator::new(&g, PushFlow::new(&g, &data), FaultPlan::none(), seed);
-        let mut pcf = Simulator::new(&g, PushCancelFlow::new(&g, &data), FaultPlan::none(), seed);
-        for _ in 0..60 {
-            pf.step();
-            pcf.step();
-        }
-        for i in 0..64 {
-            let a = pf.protocol().scalar_estimate(i);
-            let b = pcf.protocol().scalar_estimate(i);
-            assert!(
-                (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                "node {i}: PF {a} vs PCF {b}"
-            );
+        for (data_seed, rounds, bound) in [(7, 60, 1e-9), (7 ^ 0xE0, 100, 1e-12)] {
+            let data = avg_data(64, data_seed);
+            let mut pf = Simulator::new(&g, PushFlow::new(&g, &data), FaultPlan::none(), seed);
+            let mut pcf =
+                Simulator::new(&g, PushCancelFlow::new(&g, &data), FaultPlan::none(), seed);
+            for round in 0..rounds {
+                pf.step();
+                pcf.step();
+                for i in 0..64 {
+                    let a = pf.protocol().scalar_estimate(i);
+                    let b = pcf.protocol().scalar_estimate(i);
+                    assert!(
+                        (a - b).abs() <= bound,
+                        "data seed {data_seed}, round {round}, node {i}: PF {a} vs PCF {b}"
+                    );
+                }
+            }
         }
     }
 
